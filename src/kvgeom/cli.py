@@ -49,6 +49,8 @@ class RunConfig:
                              "(coefficient growth beyond that is impractical)")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.algebra == "all" and self.algebra_file:
+            raise ValueError("--algebra all cannot be combined with --algebra-file")
 
 
 def _timestamp() -> str:
@@ -158,21 +160,19 @@ def cmd_check_kv2(cfg: RunConfig) -> int:
 
 
 def cmd_geom_run(cfg: RunConfig) -> int:
-    names = [a.name for a in builtin_algebras()] if cfg.algebra == "all" else [cfg.algebra]
+    algs = builtin_algebras() if cfg.algebra == "all" else [_resolve_algebra(cfg)]
     reports = []
-    all_pass = True
-    for name in names:
-        alg = load_algebra(cfg.algebra_file) if cfg.algebra_file else get_algebra(name)
+    for alg in algs:
         rep = geom.run_geometry_suite(
             alg, n_samples=cfg.samples, seed=cfg.seed, radius=cfg.radius,
             steps=cfg.steps, tolerances=cfg.tolerances)
         reports.append(rep)
-        all_pass = all_pass and rep["pass"]
         res = rep["residuals"]
-        print(f"[{name}] eq1.max={res['eq1']['max']:.3e} "
+        print(f"[{alg.name}] eq1.max={res['eq1']['max']:.3e} "
               f"eq2.max={res['eq2']['max']:.3e} "
               f"kappaVsLambda.max={res['kappaVsLambda']['max']:.3e} "
               f"pass={rep['pass']}")
+    all_pass = all(rep["pass"] for rep in reports)
     report = reports[0] if len(reports) == 1 else {"reports": reports, "pass": all_pass}
     report["timestamp"] = _timestamp()
     _emit(report, cfg.out)

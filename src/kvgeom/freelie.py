@@ -385,11 +385,6 @@ def exp_minus_one_over_s() -> "_CoeffTable":
     return _CoeffTable(lambda k: Fraction(1, _factorial(k + 1)))
 
 
-def one_minus_exp_neg_over_s() -> "_CoeffTable":
-    """(1 - e^{-s})/s as exact coefficients: (-1)^k/(k+1)!."""
-    return _CoeffTable(lambda k: Fraction((-1) ** k, _factorial(k + 1)))
-
-
 def one_minus_exp_neg() -> "_CoeffTable":
     """1 - e^{-s}: coefficient of s^k is (-1)^(k+1)/k! for k >= 1."""
     return _CoeffTable(lambda k: Fraction(0) if k == 0 else Fraction((-1) ** (k + 1), _factorial(k)))

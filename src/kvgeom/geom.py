@@ -36,6 +36,7 @@ from .matrixlie import (
     PointV,
     QuadraticLieAlgebra,
     Vec,
+    _gl_nodes,
     analytic_ad,
     fn_dexp,
     fn_dexp_right,
@@ -47,7 +48,7 @@ _G_TERMS = 30               # terms for the Todd-type series (radius 2 pi)
 _VARPI_NODES = 16           # fixed Gauss-Legendre order for the 2-form primitive
 _ALPHA_NODES = 16           # fixed Gauss-Legendre order for the Moser 1-form
 _DT_SIGMA = 1e-4            # time step for d(sigma_t)/dt
-_DPHI_H = 1e-5              # base step for the differential of Phi_1
+_DPHI_H = 1e-5              # base step for the differential of Phi_t
 _COND_LIMIT = 1e12
 _CHUNK = 4096
 
@@ -89,11 +90,6 @@ class FlowState:
     t: float
     point: PointV
     log_density: float
-
-
-def _gl_nodes(n: int, a: float = 0.0, b: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
 def _cumulative_simpson(f: np.ndarray, dt: float) -> np.ndarray:
@@ -183,40 +179,6 @@ class _Engine:
         ey = self.alg.exp_chart(P[:, d:])
         return self.alg.log_chart(ex @ ey)
 
-    def dphi1(self, P: np.ndarray) -> np.ndarray:
-        """Differential of phi1: (B, d, 2d), by the exact dexp calculus.
-
-        With Z = log(e^X e^Y), L(s) = (1-e^{-s})/s and L^{-1}(s) = s/(1-e^{-s}):
-            dZ/dX = L(ad_Z)^{-1} e^{-ad_Y} L(ad_X),
-            dZ/dY = L(ad_Z)^{-1} L(ad_Y).
-        The finite-difference version dphi1_fd is kept as an independent
-        cross-check; the analytic route removes FD roundoff that would
-        otherwise dominate the budget of the trace-equation residual.
-        """
-        d = self.d
-        X, Y = P[:, :d], P[:, d:]
-        Z = self.phi1(P)
-        Lzi = self.series(self.cGneg, self.ad(Z))
-        Ey = self.series(self.cExpNeg, self.ad(Y))
-        out = np.empty((P.shape[0], d, 2 * d))
-        out[:, :, :d] = Lzi @ Ey @ self.series(self.cL, self.ad(X))
-        out[:, :, d:] = Lzi @ self.series(self.cL, self.ad(Y))
-        return out
-
-    def dphi1_fd(self, P: np.ndarray) -> np.ndarray:
-        """Differential of phi1 by scaled central differences: (B, d, 2d)."""
-        B, n2 = P.shape
-        h = _DPHI_H * (1.0 + np.abs(P))                      # (B, 2d)
-        stack = np.repeat(P[None, :, :], 2 * n2, axis=0)     # (2*2d, B, 2d)
-        for i in range(n2):
-            stack[2 * i, :, i] += h[:, i]
-            stack[2 * i + 1, :, i] -= h[:, i]
-        vals = self.phi1(stack.reshape(-1, n2)).reshape(2 * n2, B, self.d)
-        out = np.empty((B, self.d, n2))
-        for i in range(n2):
-            out[:, :, i] = (vals[2 * i] - vals[2 * i + 1]) / (2.0 * h[:, i])[:, None]
-        return out
-
     def varpi(self, W: np.ndarray) -> np.ndarray:
         """Homotopy primitive of the Cartan-form pullback, as (B, d, d).
 
@@ -262,7 +224,9 @@ class _Engine:
         Ry = self._eval(self.cR, pwY)
         Eyn = self._eval(self.cExpNeg, pwY)
         Gzn = self._eval(self.cGneg, pwZ)
-        # dphi1 via the dexp calculus
+        # d(phi1) by the dexp calculus, with Z = log(e^X e^Y) and
+        # L(s) = (1 - e^{-s})/s: dZ/dX = L(ad_Z)^{-1} e^{-ad_Y} L(ad_X) and
+        # dZ/dY = L(ad_Z)^{-1} L(ad_Y)
         J = np.empty((B, d, 2 * d))
         J[:, :, :d] = Gzn @ Eyn @ Lx
         J[:, :, d:] = Gzn @ Ly
@@ -788,13 +752,7 @@ def run_geometry_suite(alg: QuadraticLieAlgebra, n_samples: int = 100,
         "transportPhi": {"max": phi_drift},
         "transportVol": {"max": vol_drift},
     }
-    passed = (residuals["eq1"]["max"] <= tol["eq1"]
-              and residuals["eq2"]["max"] <= tol["eq2"]
-              and residuals["kappaVsLambda"]["max"] <= tol["kappaVsLambda"]
-              and residuals["jacobi"]["max"] <= tol["jacobi"]
-              and residuals["momentMap"]["max"] <= tol["momentMap"]
-              and residuals["transportPhi"]["max"] <= tol["transportPhi"]
-              and residuals["transportVol"]["max"] <= tol["transportVol"])
+    passed = all(r["max"] <= tol[name] for name, r in residuals.items())
     return {
         "algebra": alg.name,
         "seed": seed,

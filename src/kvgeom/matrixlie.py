@@ -9,6 +9,13 @@ unimodularity) and immutable afterwards.
 The module also provides numerically robust exp/log, the operator calculus
 f(ad_X) for analytic f with removable singularities, the Jacobian of exp,
 the interpolating maps Phi_t, and the density kappa_t.
+
+Chart maps: a descriptor whose basis is the standard so(3) basis
+_hat3(e_1), _hat3(e_2), _hat3(e_3) uses the Rodrigues formulas, one of 2 x 2
+matrices uses the 2 x 2 closed forms, and every other descriptor uses one
+batched scipy.linalg.expm and the batched, gated logarithm _logm_checked.
+The choice is made once, from the verified basis, when the descriptor is
+built.
 """
 
 from __future__ import annotations
@@ -30,6 +37,11 @@ _VALIDATION_TOL = 1e-12
 _CLOSURE_TOL = 1e-9
 _SMALL_EIG = 1e-4       # removable-singularity threshold for analytic_ad
 _TAYLOR_ORDER = 12      # per-eigenvalue fallback order near 0
+_LOG_THETA = 0.25       # square roots until ||R - I||_1 <= theta (Pade step)
+_LOG_PADE_NODES = 8     # Gauss-Legendre nodes: the [8/8] Pade of log(I + E)
+_SQRT_TOL = 1e-8        # Denman-Beavers: one step past ||M_k - I||_1 <= tol
+_SQRT_MAX_ITER = 50     # Denman-Beavers steps per square root
+_MAX_SQRTS = 40         # square roots per matrix
 
 
 class AlgebraValidationError(ValueError):
@@ -50,6 +62,7 @@ class QuadraticLieAlgebra:
     domain_radius: float
     structure: np.ndarray = field(init=False)   # c[a, b, k]: [e_a,e_b] = c[a,b,k] e_k
     Qinv: np.ndarray = field(init=False)
+    chart: str = field(init=False)             # "so3" | "2x2" | "generic"
 
     def __post_init__(self):
         self.basis = np.asarray(self.basis, dtype=float)
@@ -75,6 +88,14 @@ class QuadraticLieAlgebra:
         if np.max(np.abs(recon - comms)) > _VALIDATION_TOL * max(1.0, np.max(np.abs(comms))):
             raise AlgebraValidationError("basis does not close under brackets")
         self._validate()
+        # the closed-form charts hold for the basis, whatever the name says
+        if (self.basis.shape == (3, 3, 3)
+                and np.max(np.abs(self.basis - _hat3(np.eye(3)))) <= _VALIDATION_TOL):
+            self.chart = "so3"
+        elif self.matrix_size == 2:
+            self.chart = "2x2"
+        else:
+            self.chart = "generic"
 
     # -- validation ---------------------------------------------------------
     def _validate(self):
@@ -139,25 +160,25 @@ class QuadraticLieAlgebra:
 
     # -- chart maps (exp/log on the defining representation) -----------------
     def exp_chart(self, X: Vec) -> np.ndarray:
-        """exp of coordinate vectors, batched; closed forms for n <= 3 built-ins."""
+        """exp of coordinate vectors, batched; closed forms for so3 and 2 x 2."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.name == "so3":
+        if self.chart == "so3":
             return _so3_exp(X)
-        if self.matrix_size == 2:
+        if self.chart == "2x2":
             return _exp_2x2(self.to_matrix(X))
-        return np.stack([scipy.linalg.expm(m) for m in self.to_matrix(X)])
+        return scipy.linalg.expm(self.to_matrix(X))
 
     def log_chart(self, M: np.ndarray) -> Vec:
         """Principal log of chart matrices back to coordinates, batched."""
         M = np.asarray(M, dtype=float)
         squeeze = M.ndim == 2
         M = M.reshape(-1, *M.shape[-2:])
-        if self.name == "so3":
+        if self.chart == "so3":
             out = _so3_log(M)
-        elif self.matrix_size == 2:
+        elif self.chart == "2x2":
             out = self.from_matrix(_log_2x2(M))
         else:
-            out = self.from_matrix(np.stack([_logm_checked(m) for m in M]))
+            out = self.from_matrix(_logm_checked(M))
         return out[0] if squeeze else out
 
 
@@ -188,7 +209,7 @@ def matrix_exp(M: np.ndarray) -> np.ndarray:
 
 
 def matrix_log(M: np.ndarray) -> np.ndarray:
-    """Principal matrix logarithm on the exp chart.
+    """Principal matrix logarithm on the exp chart, of one matrix or a stack.
 
     Rejects matrices whose spectrum touches the closed negative real axis
     and verifies the exp round trip to 1e-10.
@@ -199,18 +220,77 @@ def matrix_log(M: np.ndarray) -> np.ndarray:
     return _logm_checked(M)
 
 
+def _gl_nodes(n: int, a: float = 0.0, b: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of order n on [a, b]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+
+
+_GL_NODES, _GL_WEIGHTS = _gl_nodes(_LOG_PADE_NODES)
+
+
+def _norm1(M: np.ndarray) -> np.ndarray:
+    """Matrix 1-norm of each matrix of a stack."""
+    return np.max(np.sum(np.abs(M), axis=-2), axis=-1)
+
+
 def _logm_checked(M: np.ndarray) -> np.ndarray:
-    scale = max(1.0, float(np.max(np.abs(M))))
-    eigs = np.linalg.eigvals(M)
-    if np.any((eigs.real <= 1e-12 * scale) & (np.abs(eigs.imag) <= 1e-10 * scale)):
+    """Principal logarithm of a stack (..., n, n) of real matrices, gated.
+
+    Inverse scaling and squaring in real arithmetic (Al-Mohy and Higham,
+    SIAM J. Sci. Comput. 34 (2012)): s_i Denman-Beavers square roots of
+    matrix i until R_i = M_i^{1/2^s_i} has ||R_i - I||_1 <= _LOG_THETA, then
+    log(I + E) = sum_j w_j (I + x_j E)^{-1} E at the Gauss-Legendre nodes
+    x_j of [0, 1] (the [m/m] Pade approximant), times 2^s_i.
+
+    Raises OutsideDomainError for the whole stack if any matrix has an
+    eigenvalue on the closed negative real axis (where the principal log is
+    not real), needs more than _MAX_SQRTS square roots, has a square root
+    that does not converge, or fails the exp/log round trip.
+    """
+    M = np.asarray(M, dtype=float)
+    n = M.shape[-1]
+    A = M.reshape(-1, n, n)
+    scale = np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)))
+    eigs = np.linalg.eigvals(A)
+    sc = scale[:, None]
+    if np.any((eigs.real <= 1e-12 * sc) & (np.abs(eigs.imag) <= 1e-10 * sc)):
         raise OutsideDomainError("outside exp(U): spectrum meets the negative real axis")
-    L = scipy.linalg.logm(M)
-    if np.max(np.abs(L.imag)) > 1e-9 * (1.0 + np.max(np.abs(L.real))):
-        raise OutsideDomainError("outside exp(U): log is not real")
-    L = L.real
-    if np.max(np.abs(scipy.linalg.expm(L) - M)) > 1e-10 * (1.0 + scale):
+    eye = np.eye(n)
+    R = A.copy()
+    s = np.zeros(len(A))
+    while True:
+        far = ~(_norm1(R - eye) <= _LOG_THETA)
+        if not np.any(far):
+            break
+        if np.max(s[far]) >= _MAX_SQRTS:
+            raise OutsideDomainError("outside exp(U): too many square roots")
+        R[far] = _sqrtm_db(R[far])
+        s[far] += 1
+    E = R - eye
+    Z = np.linalg.solve(eye + _GL_NODES[:, None, None, None] * E,
+                        np.broadcast_to(E, (_LOG_PADE_NODES,) + E.shape))
+    L = np.einsum('j,j...->...', _GL_WEIGHTS, Z) * (2.0 ** s)[:, None, None]
+    err = np.max(np.abs(scipy.linalg.expm(L) - A), axis=(-2, -1))
+    if not np.all(err <= 1e-10 * (1.0 + scale)):
         raise OutsideDomainError("outside exp(U): exp/log round trip failed")
-    return L
+    return L.reshape(M.shape)
+
+
+def _sqrtm_db(A: np.ndarray) -> np.ndarray:
+    """Principal square roots of a stack by the product-form Denman-Beavers
+    iteration: Y_k -> A^{1/2} and M_k -> I, quadratically near the limit, so
+    one step past ||M_k - I||_1 <= _SQRT_TOL reaches working precision."""
+    eye = np.eye(A.shape[-1])
+    Y = Mk = A
+    for _ in range(_SQRT_MAX_ITER):
+        done = _norm1(Mk - eye) <= _SQRT_TOL
+        Minv = np.linalg.inv(Mk)
+        Y = 0.5 * Y @ (eye + Minv)
+        Mk = 0.5 * eye + 0.25 * (Mk + Minv)
+        if np.all(done):
+            return Y
+    raise OutsideDomainError("outside exp(U): square-root iteration did not converge")
 
 
 # -- closed-form charts ------------------------------------------------------
@@ -382,11 +462,6 @@ def _matrix_taylor(f: AnalyticFunction, A: np.ndarray) -> np.ndarray:
     return out
 
 
-def ad_matrix(alg: QuadraticLieAlgebra, X: Vec) -> np.ndarray:
-    """Matrix of ad_X in the chosen basis (linear in X)."""
-    return alg.ad(X)
-
-
 def jacobian_J(alg: QuadraticLieAlgebra, X: Vec) -> float:
     """Jacobian of exp: det((1 - e^{-ad_X})/ad_X); positive on the domain."""
     J = float(np.linalg.det(analytic_ad(alg, fn_dexp, X)))
@@ -404,8 +479,8 @@ def phi_t(alg: QuadraticLieAlgebra, t: float, p: PointV) -> Vec:
     Y = np.asarray(p.Y, dtype=float)
     if t == 0.0:
         return X + Y
-    M = matrix_exp(alg.to_matrix(t * X)) @ matrix_exp(alg.to_matrix(t * Y))
-    return alg.from_matrix(matrix_log(M)) / t
+    E = alg.exp_chart(t * np.stack([X, Y]))
+    return alg.log_chart(E[0] @ E[1]) / t
 
 
 def kappa_t(alg: QuadraticLieAlgebra, t: float, p: PointV) -> float:

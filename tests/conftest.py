@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kvgeom.matrixlie import builtin_algebras, get_algebra
+from kvgeom.matrixlie import builtin_algebras, get_algebra, load_algebra
 
 _acceptance_lines = []
 
@@ -41,6 +41,18 @@ def gl2():
 @pytest.fixture(scope="session")
 def all_algebras():
     return builtin_algebras()
+
+
+@pytest.fixture(scope="session")
+def sl3():
+    """sl(3, R) with the trace form: 3 x 3 matrices, so no closed-form chart."""
+    E = np.zeros((8, 3, 3))
+    E[0, 0, 0], E[0, 1, 1] = 1.0, -1.0
+    E[1, 1, 1], E[1, 2, 2] = 1.0, -1.0
+    for k, (i, j) in enumerate([(0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)]):
+        E[2 + k, i, j] = 1.0
+    return load_algebra({"name": "sl3", "basis": E, "form": "trace",
+                         "domain_radius": 0.3})
 
 
 # ---------------------------------------------------------------------------

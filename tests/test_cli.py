@@ -121,6 +121,15 @@ class TestGeomRun:
         assert code == 0
         assert strip_timestamp(out)["algebra"] == "abelian2"
 
+    def test_all_with_algebra_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "abelian.json"
+        path.write_text(json.dumps({"name": "abelian2",
+                                    "basis": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}))
+        code = main(["geom-run", "--algebra", "all", "--algebra-file", str(path),
+                     "--samples", "2", "--steps", "20"])
+        assert code == 2
+        assert "--algebra all" in capsys.readouterr().err
+
 
 class TestFlowCommand:
     def test_flow_report(self, capsys):

@@ -11,7 +11,6 @@ from kvgeom.matrixlie import (
     OutsideDomainError,
     PointV,
     QuadraticLieAlgebra,
-    ad_matrix,
     analytic_ad,
     builtin_algebras,
     fn_dexp,
@@ -125,21 +124,66 @@ class TestMatrixLog:
         with pytest.raises(OutsideDomainError):
             matrix_log(np.diag([-1.0, 1.0]))
 
+    def test_stack_matches_per_matrix_logm(self, sl3):
+        rng = np.random.default_rng(13)
+        X, Y = 0.3 * rng.standard_normal((2, 16, sl3.dim))
+        M = np.concatenate([
+            sl3.exp_chart(X) @ sl3.exp_chart(Y),
+            matrix_exp(2.5 * sl3.to_matrix(X[:4])),        # several square roots
+            matrix_exp(0.5 * rng.standard_normal((4, 3, 3))),
+        ])
+        ref = np.stack([scipy.linalg.logm(m).real for m in M])
+        assert np.max(np.abs(matrix_log(M) - ref)) <= 1e-13
+
+    def test_jordan_block(self):
+        J = np.array([[1.2, 1.0, 0.0], [0.0, 1.2, 1.0], [0.0, 0.0, 1.2]])
+        ref = scipy.linalg.logm(J).real
+        assert np.max(np.abs(matrix_log(J) - ref)) <= 1e-13
+        assert np.max(np.abs(matrix_log(np.stack([J, J.T]))
+                          - np.stack([ref, ref.T]))) <= 1e-13
+
+    def test_one_negative_eigenvalue_rejects_stack(self, sl3):
+        M = sl3.exp_chart(0.2 * np.ones((5, sl3.dim)))
+        M[3] = np.diag([-0.5, -2.0, 1.0])
+        with pytest.raises(OutsideDomainError):
+            matrix_log(M)
+        with pytest.raises(OutsideDomainError):
+            sl3.log_chart(M)
+
+    def test_square_root_iteration_capped(self):
+        # Denman-Beavers halves a huge eigenvalue per step: no convergence
+        with pytest.raises(OutsideDomainError):
+            matrix_log(np.array([[1e300]]))
+
 
 class TestCharts:
-    def test_exp_chart_matches_scaling_squaring(self, all_algebras):
+    def test_exp_chart_matches_scaling_squaring(self, all_algebras, sl3):
         rng = np.random.default_rng(4)
-        for alg in all_algebras:
+        for alg in [*all_algebras, sl3]:
             X = 0.4 * rng.standard_normal((8, alg.dim))
             fast = alg.exp_chart(X)
             ref = np.stack([scipy.linalg.expm(m) for m in alg.to_matrix(X)])
             assert np.max(np.abs(fast - ref)) <= 1e-13
 
-    def test_log_chart_inverts(self, all_algebras):
+    def test_log_chart_inverts(self, all_algebras, sl3):
         rng = np.random.default_rng(5)
-        for alg in all_algebras:
+        for alg in [*all_algebras, sl3]:
             X = 0.4 * rng.standard_normal((8, alg.dim))
             assert np.max(np.abs(alg.log_chart(alg.exp_chart(X)) - X)) <= 1e-12
+
+    def test_chart_chosen_by_basis_not_name(self, so3):
+        # a scaled so(3) basis under the built-in's name takes the generic
+        # chart; the standard basis under another name keeps the closed form
+        scaled = load_algebra({"name": "so3", "basis": 2.0 * so3.basis,
+                               "form": "neg_half_trace", "domain_radius": 0.3})
+        renamed = load_algebra({"name": "rotations", "basis": so3.basis,
+                                "form": "neg_half_trace", "domain_radius": 0.5})
+        assert (so3.chart, scaled.chart, renamed.chart) == ("so3", "generic", "so3")
+        X = 0.3 * np.random.default_rng(14).standard_normal((8, 3))
+        for alg in (scaled, renamed):
+            ref = np.stack([scipy.linalg.expm(m) for m in alg.to_matrix(X)])
+            assert np.max(np.abs(alg.exp_chart(X) - ref)) <= 1e-13
+            assert np.max(np.abs(alg.log_chart(ref) - X)) <= 1e-12
 
     def test_from_matrix_closure_error(self, sl2):
         with pytest.raises(OutsideDomainError):
@@ -148,24 +192,24 @@ class TestCharts:
 
 class TestAdMatrix:
     def test_zero(self, so3):
-        assert np.max(np.abs(ad_matrix(so3, np.zeros(3)))) == 0.0
+        assert np.max(np.abs(so3.ad(np.zeros(3)))) == 0.0
 
     def test_kills_own_argument(self, all_algebras):
         rng = np.random.default_rng(6)
         for alg in all_algebras:
             X = rng.standard_normal(alg.dim)
-            assert np.max(np.abs(ad_matrix(alg, X) @ X)) <= 1e-12
+            assert np.max(np.abs(alg.ad(X) @ X)) <= 1e-12
 
     def test_so3_e3_eigenvalues(self, so3):
-        eigs = np.linalg.eigvals(ad_matrix(so3, np.array([0.0, 0.0, 1.0])))
+        eigs = np.linalg.eigvals(so3.ad(np.array([0.0, 0.0, 1.0])))
         assert sorted(np.round(eigs.imag, 12)) == [-1.0, 0.0, 1.0]
         assert np.max(np.abs(eigs.real)) <= 1e-12
 
     def test_linear_in_x(self, gl2):
         rng = np.random.default_rng(7)
         u, v = rng.standard_normal((2, 4))
-        assert np.allclose(ad_matrix(gl2, u + 2 * v),
-                           ad_matrix(gl2, u) + 2 * ad_matrix(gl2, v))
+        assert np.allclose(gl2.ad(u + 2 * v),
+                           gl2.ad(u) + 2 * gl2.ad(v))
 
 
 class TestAnalyticAd:
