@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from . import cyclic, freelie, geom, kvsolve
 from .freelie import format_fraction
 from .matrixlie import OutsideDomainError, builtin_algebras, get_algebra, load_algebra
@@ -184,17 +182,9 @@ def cmd_flow(cfg: RunConfig) -> int:
     tol = dict(geom.DEFAULT_TOLERANCES)
     if cfg.tolerances:
         tol.update(cfg.tolerances)
-    eng = geom._engine(alg)
     P = geom.sample_points(alg, cfg.samples, cfg.seed, cfg.radius)
-    ts, traj, dens = eng.flow(P, cfg.steps, keep_every=max(2, cfg.steps // 10))
-    phi0 = eng.phi_t_map(0.0, P)
-    phi_drift = 0.0
-    vol_drift = 0.0
-    for k, t in enumerate(ts):
-        phi_drift = max(phi_drift, float(abs(eng.phi_t_map(float(t), traj[k]) - phi0).max()))
-        if t > 0:
-            lk = np.log(eng.kappa(float(t), traj[k]))
-            vol_drift = max(vol_drift, float(abs(lk - dens[k]).max()))
+    phi_drift, vol_drift = geom.transport_drift(alg, P, cfg.steps,
+                                                keep_every=max(2, cfg.steps // 10))
     ok = phi_drift <= tol["transportPhi"] and vol_drift <= tol["transportVol"]
     print(f"[{alg.name}] flow steps={cfg.steps} points={cfg.samples} "
           f"maxPhiDrift={phi_drift:.3e} maxVolDrift={vol_drift:.3e} pass={ok}")

@@ -25,7 +25,6 @@ is v_t = -(P_t @ alpha_t); the transporting flow integrates dp/dt = -v_t.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -45,7 +44,6 @@ from .matrixlie import (
 
 _SERIES_TERMS = 22          # terms for L/R series on ad (spectra stay small)
 _G_TERMS = 30               # terms for the Todd-type series (radius 2 pi)
-_VARPI_NODES = 16           # fixed Gauss-Legendre order for the 2-form primitive
 _ALPHA_NODES = 16           # fixed Gauss-Legendre order for the Moser 1-form
 _DT_SIGMA = 1e-4            # time step for d(sigma_t)/dt
 _DPHI_H = 1e-5              # base step for the differential of Phi_t
@@ -121,18 +119,27 @@ class _Engine:
         self.d = alg.dim
         self.Q = alg.Q
         self.Qi = 0.5 * (alg.Qinv + alg.Qinv.T)
-        # T[i,j,k]: <e_k, [e_i, e_j]> so that K_W = einsum('ijk,k', T, Q W)
         self.T = alg.structure          # c[a,b,k]
-        self.cL = np.array([(-1.0) ** k / math.factorial(k + 1)
-                            for k in range(_SERIES_TERMS)])
-        self.cR = np.array([1.0 / math.factorial(k + 1)
-                            for k in range(_SERIES_TERMS)])
+        # TQ[i,j,k] = <e_k, [e_i, e_j]>, so that K_W = einsum('ijk,k', TQ, W)
+        self.TQ = np.einsum('ijl,lk->ijk', self.T, self.Q)
+        # every coefficient comes from the matrixlie Taylor tables, truncated
+        self.cL = np.array(fn_dexp.taylor[:_SERIES_TERMS])
+        self.cR = np.array(fn_dexp_right.taylor[:_SERIES_TERMS])
         self.cG = np.array(fn_todd.taylor[:_G_TERMS])
-        # s/(1 - e^{-s}) = g(-s): the inverse of the dexp factor L
-        self.cGneg = np.array([(-1.0) ** k * c for k, c in enumerate(fn_todd.taylor[:_G_TERMS])])
-        self.cExpNeg = np.array([(-1.0) ** k / math.factorial(k)
-                                 for k in range(_SERIES_TERMS)])
-        self.vt, self.vw = _gl_nodes(_VARPI_NODES)
+        # s L(s) = 1 - e^{-s} and s R(s) = e^s - 1, to the same truncation
+        self.cA = np.concatenate([[0.0], self.cL[:-1]])
+        self.cB = np.concatenate([[0.0], self.cR[:-1]])
+        # sigma's four series, zero-padded to one length: L, R,
+        # e^{-s} = 1 - s L(s), and s/(1 - e^{-s}) = g(-s), the inverse of L
+        self.c_sigma = np.zeros((4, _G_TERMS))
+        self.c_sigma[0, :_SERIES_TERMS] = self.cL
+        self.c_sigma[1, :_SERIES_TERMS] = self.cR
+        self.c_sigma[2, :_SERIES_TERMS] = -self.cA
+        self.c_sigma[2, 0] = 1.0
+        self.c_sigma[3] = self.cG * (-1.0) ** np.arange(_G_TERMS)
+        # closed-form varpi: int_0^1 t^(k+l+2) dt for the L-series terms k, l
+        kl = np.arange(_SERIES_TERMS)
+        self.H = 1.0 / (kl[:, None] + kl[None, :] + 3.0)
         self.st, self.sw = _gl_nodes(_ALPHA_NODES)
 
     # -- elementary pieces ---------------------------------------------------
@@ -141,7 +148,7 @@ class _Engine:
 
     def kmat(self, W: np.ndarray) -> np.ndarray:
         """K_W[i,j] = <W, [e_i, e_j]> (antisymmetric, linear in W)."""
-        return np.einsum('ijk,...k->...ij', np.einsum('ijl,lk->ijk', self.T, self.Q), W)
+        return np.einsum('ijk,...k->...ij', self.TQ, W)
 
     def p0(self, P: np.ndarray) -> np.ndarray:
         """Product Kirillov bivector, block diagonal, P_W = -ad_W Q^{-1}."""
@@ -152,25 +159,61 @@ class _Engine:
         out[:, d:, d:] = -self.ad(P[:, d:]) @ self.Qi
         return 0.5 * (out - np.transpose(out, (0, 2, 1)))
 
-    def series(self, coeffs: np.ndarray, A: np.ndarray) -> np.ndarray:
-        """sum_k coeffs[k] A^k for a stack of small matrices (Horner)."""
-        out = coeffs[-1] * np.broadcast_to(np.eye(A.shape[-1]), A.shape).copy()
-        for c in coeffs[-2::-1]:
-            out = out @ A
-            out += c * np.eye(A.shape[-1])
-        return out
+    def series(self, A: np.ndarray, coeffs: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Truncated power series sum_k coeffs[s, k] A^k on a stack (N, d, d).
 
-    def _powers(self, A: np.ndarray, K: int) -> np.ndarray:
-        """Stack (K, ..., d, d) of A^0 ... A^{K-1}; shared by series evals."""
-        pw = np.empty((K,) + A.shape)
-        pw[0] = np.eye(A.shape[-1])
-        for k in range(1, K):
-            pw[k] = pw[k - 1] @ A
-        return pw
+        Reduces every series to the power basis A^0 ... A^{d-1} by the
+        Cayley-Hamilton recurrence (Putzer 1966; Higham, Functions of
+        Matrices, 2008, ch. 1).  The characteristic polynomial of each A_n
+        comes from tr(A_n^k) by Newton's identities, and the table r holds
+        A_n^k = sum_j r[k, j, n] A_n^j, a scalar recurrence per point.
+        Raises OutsideDomainError if, at some point, the last nonzero term
+        of a series, |c_k| sum_j |r[k, j, n]| max|A_n^j|, exceeds
+        1e-12 (1 + max|f_s(A_n)|).
 
-    @staticmethod
-    def _eval(coeffs: np.ndarray, pw: np.ndarray) -> np.ndarray:
-        return np.einsum('k,k...->...', coeffs, pw[:len(coeffs)])
+        Returns (F, pw, r): F (N, S, d, d) the series values, pw (N, d, d, d)
+        the powers A^0 ... A^{d-1}, and r (K, d, N) the reduction table.
+        """
+        N, d = A.shape[0], A.shape[-1]
+        K = coeffs.shape[1]
+        pw = np.empty((N, d, d, d))
+        pw[:, 0] = np.eye(d)
+        Ak = A
+        for j in range(1, d):
+            pw[:, j] = Ak
+            Ak = Ak @ A
+        # power sums p_k = tr(A^k), k = 1 .. d (Ak is now A^d), then Newton's
+        # identities k e_k = sum_i (-1)^(i-1) e_(k-i) p_i for the elementary
+        # symmetric functions e_k of the eigenvalues
+        p = np.empty((d + 1, N))
+        p[1:d] = np.einsum('njii->jn', pw[:, 1:])
+        p[d] = np.einsum('nii->n', Ak)
+        sgn = (-1.0) ** np.arange(d)
+        e = np.empty((d + 1, N))
+        e[0] = 1.0
+        for k in range(1, d + 1):
+            e[k] = (sgn[:k] @ (e[k - 1::-1] * p[1:k + 1])) / k
+        # Cayley-Hamilton: A^d = sum_j q_j A^j with q_(d-k) = (-1)^(k-1) e_k
+        q = (e[1:] * sgn[:, None])[::-1]                             # (d, N)
+        r = np.empty((K, d, N))
+        r[:d] = np.eye(d)[:K, :, None]
+        for k in range(d, K):
+            np.multiply(r[k - 1, d - 1], q, out=r[k])
+            r[k, 1:] += r[k - 1, :-1]
+        coef = (coeffs @ r.reshape(K, d * N)).reshape(-1, d, N).transpose(2, 0, 1)
+        F = (coef @ pw.reshape(N, d, d * d)).reshape(N, -1, d, d)
+        # tail gate on the last nonzero term of each series, per point
+        last = K - 1 - np.argmax(coeffs[:, ::-1] != 0, axis=1)
+        size = np.max(np.abs(pw), axis=(-2, -1)).T                   # (d, N)
+        tail = (np.abs(coeffs[np.arange(len(coeffs)), last])[:, None]
+                * np.sum(np.abs(r[last]) * size, axis=1))            # (S, N)
+        bound = 1e-12 * (1.0 + np.max(np.abs(F), axis=(-2, -1)).T)
+        if np.any(tail > bound):
+            raise OutsideDomainError(
+                f"outside V: truncated series tail {np.max(tail):.2e} exceeds "
+                f"{1e-12:.0e} (1 + |f(ad)|); spectrum of ad too large")
+        return F, pw, r
 
     def phi1(self, P: np.ndarray) -> np.ndarray:
         """log(e^X e^Y) in coordinates (the unscaled product map)."""
@@ -182,26 +225,30 @@ class _Engine:
     def varpi(self, W: np.ndarray) -> np.ndarray:
         """Homotopy primitive of the Cartan-form pullback, as (B, d, d).
 
-        Gauss-Legendre quadrature of the matrix integrand
-        -1/2 t^2 L(t ad_W)^T K_W L(t ad_W) over t in [0, 1].
+        The integral -1/2 int_0^1 t^2 L(t ad_W)^T K_W L(t ad_W) dt, in
+        closed form (see _varpi_from_powers).
         """
         out = np.empty((W.shape[0], self.d, self.d))
         for lo in range(0, W.shape[0], _CHUNK):
             ch = W[lo:lo + _CHUNK]
-            pw = self._powers(self.ad(ch), _SERIES_TERMS)
-            out[lo:lo + _CHUNK] = self._varpi_from_powers(ch, pw)
+            _, pw, r = self.series(self.ad(ch), self.cL[None])
+            out[lo:lo + _CHUNK] = self._varpi_from_powers(ch, pw, r)
         return out
 
-    def _varpi_from_powers(self, W: np.ndarray, pw: np.ndarray) -> np.ndarray:
+    def _varpi_from_powers(self, W: np.ndarray, pw: np.ndarray, r: np.ndarray
+                           ) -> np.ndarray:
+        """-1/2 sum_{k,l} cL_k cL_l / (k + l + 3) (A^k)^T K_W A^l, A = ad_W.
+
+        With A^k = sum_i r[k, i] A^i this is -1/2 sum_{i,j} C_ij (A^i)^T K_W A^j
+        for the per-point d x d matrix C = R^T H R, R[k, i] = cL_k r[k, i].
+        """
+        N, d = W.shape
         K = self.kmat(W)
-        # L(t_j ad_W) per node: coefficients cL[k] * t_j^k against shared powers
-        C = self.cL[None, :] * (self.vt[:, None] ** np.arange(_SERIES_TERMS)[None, :])
-        M = np.zeros_like(K)
-        pws = pw[:_SERIES_TERMS]
-        for j in range(len(self.vt)):
-            L = np.einsum('k,knuv->nuv', C[j], pws)
-            M += (-0.5 * self.vw[j] * self.vt[j] ** 2) * (
-                np.transpose(L, (0, 2, 1)) @ K @ L)
+        R = (self.cL[:, None, None] * r[:_SERIES_TERMS]).transpose(2, 0, 1)
+        C = np.transpose(R, (0, 2, 1)) @ self.H @ R                  # (N, d, d)
+        KA = (K[:, None] @ pw).reshape(N, d, d * d)                  # K A^j
+        T = (C @ KA).reshape(N, d * d, d)                            # sum_j C_ij K A^j
+        M = -0.5 * (np.transpose(pw.reshape(N, d * d, d), (0, 2, 1)) @ T)
         return 0.5 * (M - np.transpose(M, (0, 2, 1)))
 
     def sigma(self, P: np.ndarray) -> np.ndarray:
@@ -216,23 +263,19 @@ class _Engine:
         B = P.shape[0]
         X, Y = P[:, :d], P[:, d:]
         Z = self.phi1(P)
-        # one shared power stack for every series evaluation at X, Y, Z
-        pw = self._powers(self.ad(np.concatenate([X, Y, Z], axis=0)), _G_TERMS)
-        pwX, pwY, pwZ = pw[:, :B], pw[:, B:2 * B], pw[:, 2 * B:]
-        Lx = self._eval(self.cL, pwX)
-        Ly = self._eval(self.cL, pwY)
-        Ry = self._eval(self.cR, pwY)
-        Eyn = self._eval(self.cExpNeg, pwY)
-        Gzn = self._eval(self.cGneg, pwZ)
+        # one table and one contraction for every series at X, Y and Z
+        W = np.concatenate([X, Y, Z], axis=0)
+        F, pw, r = self.series(self.ad(W), self.c_sigma)
+        Lx = F[:B, 0]
+        Ly, Ry, Eyn = F[B:2 * B, 0], F[B:2 * B, 1], F[B:2 * B, 2]
+        Gzn = F[2 * B:, 3]
         # d(phi1) by the dexp calculus, with Z = log(e^X e^Y) and
         # L(s) = (1 - e^{-s})/s: dZ/dX = L(ad_Z)^{-1} e^{-ad_Y} L(ad_X) and
         # dZ/dY = L(ad_Z)^{-1} L(ad_Y)
         J = np.empty((B, d, 2 * d))
         J[:, :, :d] = Gzn @ Eyn @ Lx
         J[:, :, d:] = Gzn @ Ly
-        w_all = self._varpi_from_powers(np.concatenate([Z, X, Y], axis=0),
-                                        np.concatenate([pwZ, pwX, pwY], axis=1))
-        wZ, wX, wY = np.split(w_all, 3, axis=0)
+        wX, wY, wZ = np.split(self._varpi_from_powers(W, pw, r), 3, axis=0)
         Jt = np.transpose(J, (0, 2, 1))
         S = Jt @ wZ @ J
         S[:, :d, :d] -= wX
@@ -355,24 +398,21 @@ class _Engine:
         ey = self.alg.exp_chart(Y)
         ex = self.alg.exp_chart(X)
         lhs = self.alg.log_chart(ey @ ex) - X - Y
-        cA = np.concatenate([[0.0], self.cL[:-1]])          # 1 - e^{-s} = s L(s)
-        cB = np.concatenate([[0.0], self.cR[:-1]])          # e^s - 1 = s R(s)
-        rhs = (np.einsum('buv,bv->bu', self.series(cA, self.ad(X)), A)
-               + np.einsum('buv,bv->bu', self.series(cB, self.ad(Y)), Bv))
+        B = P.shape[0]
+        F = self.series(self.ad(np.concatenate([X, Y])), np.stack([self.cA, self.cB]))[0]
+        rhs = (np.einsum('buv,bv->bu', F[:B, 0], A)
+               + np.einsum('buv,bv->bu', F[B:, 1], Bv))
         return np.max(np.abs(lhs - rhs), axis=-1)
 
     def kappa(self, t: float, P: np.ndarray) -> np.ndarray:
         if t == 0.0:
             return np.ones(P.shape[0])
         d = self.d
-        W = self.phi1(t * P)
-        dets = []
-        for M in (t * P[:, :d], t * P[:, d:], W):
-            F = self.series(self.cL, self.ad(M))
-            dJ = np.linalg.det(F)
-            if np.any(dJ <= 0.0):
-                raise OutsideDomainError("outside V: Jacobian of exp not positive")
-            dets.append(dJ)
+        W = np.concatenate([t * P[:, :d], t * P[:, d:], self.phi1(t * P)])
+        dJ = np.linalg.det(self.series(self.ad(W), self.cL[None])[0][:, 0])
+        if np.any(dJ <= 0.0):
+            raise OutsideDomainError("outside V: Jacobian of exp not positive")
+        dets = np.split(dJ, 3)
         return np.sqrt(dets[0] * dets[1] / dets[2])
 
     def kv2_residual(self, P: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -394,10 +434,8 @@ class _Engine:
         X, Y = P[:, :d], P[:, d:]
         lhs = (np.einsum('bij,bji->b', self.ad(X), DA)
                + np.einsum('bij,bji->b', self.ad(Y), DB))
-        Z = self.phi1(P)
-        tr = []
-        for W in (X, Y, Z):
-            tr.append(np.einsum('bii->b', self.series(self.cG, self.ad(W))))
+        F = self.series(self.ad(np.concatenate([X, Y, self.phi1(P)])), self.cG[None])[0]
+        tr = np.split(np.trace(F[:, 0], axis1=-2, axis2=-1), 3)
         rhs = -0.5 * (tr[0] + tr[1] - tr[2] - d)
         return np.abs(lhs - rhs)
 
@@ -679,6 +717,29 @@ def flow_integrate(alg: QuadraticLieAlgebra, p0: PointV, steps: int
             for k, t in enumerate(ts)]
 
 
+def transport_drift(alg: QuadraticLieAlgebra, P: np.ndarray, steps: int,
+                    keep_every: int) -> Tuple[float, float]:
+    """Worst drift of Phi_t and of the volume along the Moser flow from P.
+
+    Integrates the flow of the points P (B, 2d) over `steps` RK4 steps and,
+    at every kept step t, compares Phi_t with Phi_0 and log kappa_t with the
+    transported log-density.  Returns (max |Phi_t - Phi_0|, max |log kappa_t
+    - log-density|) over points and kept steps.
+    """
+    eng = _engine(alg)
+    ts, traj, dens = eng.flow(P, steps, keep_every=keep_every)
+    phi0 = eng.phi_t_map(0.0, P)
+    phi_drift = 0.0
+    vol_drift = 0.0
+    for k, t in enumerate(ts):
+        phi_now = eng.phi_t_map(float(t), traj[k])
+        phi_drift = max(phi_drift, float(np.max(np.abs(phi_now - phi0))))
+        if t > 0:
+            lk = np.log(eng.kappa(float(t), traj[k]))
+            vol_drift = max(vol_drift, float(np.max(np.abs(lk - dens[k]))))
+    return phi_drift, vol_drift
+
+
 # ---------------------------------------------------------------------------
 # sample sweeps and the report
 
@@ -731,17 +792,8 @@ def run_geometry_suite(alg: QuadraticLieAlgebra, n_samples: int = 100,
     for t in (0.25, 0.5, 1.0):
         mom_max = max(mom_max, eng.moment_residual(t, sub, xis))
 
-    fp = P[:min(flow_subsample, n_samples)]
-    ts, traj, dens = eng.flow(fp, steps, keep_every=max(1, steps // 20))
-    phi_ref = eng.phi_t_map(0.0, fp)
-    phi_drift = 0.0
-    vol_drift = 0.0
-    for k, t in enumerate(ts):
-        phi_now = eng.phi_t_map(float(t), traj[k])
-        phi_drift = max(phi_drift, float(np.max(np.abs(phi_now - phi_ref))))
-        if t > 0:
-            lk = np.log(eng.kappa(float(t), traj[k]))
-            vol_drift = max(vol_drift, float(np.max(np.abs(lk - dens[k]))))
+    phi_drift, vol_drift = transport_drift(
+        alg, P[:min(flow_subsample, n_samples)], steps, keep_every=max(1, steps // 20))
 
     residuals = {
         "eq1": {"max": float(np.max(eq1)), "mean": float(np.mean(eq1))},

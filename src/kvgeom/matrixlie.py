@@ -161,7 +161,7 @@ class QuadraticLieAlgebra:
     # -- chart maps (exp/log on the defining representation) -----------------
     def exp_chart(self, X: Vec) -> np.ndarray:
         """exp of coordinate vectors, batched; closed forms for so3 and 2 x 2."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = np.atleast_2d(_finite(X, "exp_chart"))
         if self.chart == "so3":
             return _so3_exp(X)
         if self.chart == "2x2":
@@ -170,7 +170,7 @@ class QuadraticLieAlgebra:
 
     def log_chart(self, M: np.ndarray) -> Vec:
         """Principal log of chart matrices back to coordinates, batched."""
-        M = np.asarray(M, dtype=float)
+        M = _finite(M, "log_chart")
         squeeze = M.ndim == 2
         M = M.reshape(-1, *M.shape[-2:])
         if self.chart == "so3":
@@ -200,12 +200,17 @@ class PointV:
 # ---------------------------------------------------------------------------
 # matrix exp / log
 
-def matrix_exp(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring with Pade approximants)."""
+def _finite(M, where: str) -> np.ndarray:
+    """M as a float array; ValueError if any entry is not finite."""
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
-        raise ValueError("non-finite entries in matrix_exp input")
-    return scipy.linalg.expm(M)
+        raise ValueError(f"non-finite entries in {where} input")
+    return M
+
+
+def matrix_exp(M: np.ndarray) -> np.ndarray:
+    """Matrix exponential (scaling-and-squaring with Pade approximants)."""
+    return scipy.linalg.expm(_finite(M, "matrix_exp"))
 
 
 def matrix_log(M: np.ndarray) -> np.ndarray:
@@ -214,10 +219,7 @@ def matrix_log(M: np.ndarray) -> np.ndarray:
     Rejects matrices whose spectrum touches the closed negative real axis
     and verifies the exp round trip to 1e-10.
     """
-    M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
-        raise ValueError("non-finite entries in matrix_log input")
-    return _logm_checked(M)
+    return _logm_checked(_finite(M, "matrix_log"))
 
 
 def _gl_nodes(n: int, a: float = 0.0, b: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:

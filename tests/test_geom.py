@@ -21,6 +21,9 @@ from kvgeom.geom import (
 from kvgeom.matrixlie import (
     OutsideDomainError,
     PointV,
+    fn_dexp,
+    fn_dexp_right,
+    fn_todd,
     load_algebra,
     matrix_exp,
 )
@@ -126,13 +129,18 @@ class TestVarpi:
         xi = np.array([0.3, 0.7, -0.2])
         assert varpi(so3, Y, (), xi) == pytest.approx(-float(so3.pairing(Y, xi)))
 
-    def test_adaptive_quadrature_matches_engine(self, so3):
-        Y = np.array([0.3, -0.2, 0.5])
-        eng = _engine(so3)
-        M = eng.varpi(Y[None])[0]
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            v = varpi(so3, Y, (np.eye(3)[i], np.eye(3)[j]), np.zeros(3))
-            assert v == pytest.approx(M[i, j], abs=1e-12)
+    def test_adaptive_quadrature_matches_engine(self, all_algebras, sl3):
+        # the engine's closed form against the public adaptive quadrature
+        cases = [(alg, sample_points(alg, 1, 17, alg.domain_radius)[0, :alg.dim])
+                 for alg in [*all_algebras, sl3]]
+        cases.append((all_algebras[0], np.array([0.3, -0.2, 0.5])))
+        for alg, Y in cases:
+            d = alg.dim
+            M = _engine(alg).varpi(Y[None])[0]
+            for i in range(d):
+                for j in range(i + 1, d):
+                    v = varpi(alg, Y, (np.eye(d)[i], np.eye(d)[j]), np.zeros(d))
+                    assert v == pytest.approx(M[i, j], abs=1e-12)
 
     def test_adaptive_quadrature_error_reporting(self):
         # a rough integrand defeats the subdivision and the achieved
@@ -181,6 +189,80 @@ class TestVarpi:
                 lhs = -float(alg.pairing(v, xi)) - float(v @ vm @ xiM)
                 rhs = cartan_eta(alg, W, (v,), xi)
                 assert lhs == pytest.approx(rhs, abs=1e-11)
+
+
+def _power_sum(coeffs, A):
+    """sum_k coeffs[k] A^k term by term, on a stack of matrices."""
+    out = np.zeros_like(A)
+    P = np.broadcast_to(np.eye(A.shape[-1]), A.shape).copy()
+    for c in coeffs:
+        out += c * P
+        P = P @ A
+    return out
+
+
+class TestSeriesKernel:
+    COEFFS = np.array([fn_dexp.taylor[:40], fn_dexp_right.taylor[:40],
+                       fn_todd.taylor[:40]])
+
+    def test_matches_power_sum(self, all_algebras, sl3):
+        for alg in [*all_algebras, sl3]:
+            eng = _engine(alg)
+            P = sample_points(alg, 16, 61, alg.domain_radius)
+            A = alg.ad(np.concatenate([P[:, :alg.dim], P[:, alg.dim:],
+                                       P[:, :alg.dim] + P[:, alg.dim:]]))
+            F = eng.series(A, self.COEFFS)[0]
+            for s, c in enumerate(self.COEFFS):
+                ref = _power_sum(c, A)
+                assert np.max(np.abs(F[:, s] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_powers_and_table(self, sl3):
+        # A^k = sum_j r[k, j] A^j for every k, in the returned power basis
+        eng = _engine(sl3)
+        A = sl3.ad(sample_points(sl3, 4, 67, 0.3)[:, :sl3.dim])
+        _, pw, r = eng.series(A, self.COEFFS)
+        Ak = np.broadcast_to(np.eye(sl3.dim), A.shape).copy()
+        for k in range(self.COEFFS.shape[1]):
+            if k < sl3.dim:
+                assert np.array_equal(pw[:, k], Ak)
+            recon = np.einsum('jn,njuv->nuv', r[k], pw)
+            assert np.max(np.abs(recon - Ak)) <= 1e-15 * (1.0 + np.max(np.abs(Ak)))
+            Ak = Ak @ A
+
+    def test_nilpotent_ad_is_exact(self, sl2):
+        # ad_e is defective (a single Jordan block); its characteristic
+        # polynomial is s^3 exactly, so the reduction is exact
+        A = sl2.ad(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, -0.7]]))
+        F = _engine(sl2).series(A, self.COEFFS)[0]
+        for s, c in enumerate(self.COEFFS):
+            assert np.array_equal(F[:, s], _power_sum(c, A))
+
+    def test_tail_gate_wide_descriptor(self, sl2):
+        # the sl2 basis with a domain radius past the series' reach: the
+        # fixed truncations lose digits silently unless the tail is gated
+        wide = load_algebra({"name": "sl2wide", "basis": sl2.basis,
+                             "form": "trace", "domain_radius": 1.3})
+        eng = _engine(wide)
+        P = sample_points(wide, 40, 42, 1.3)
+        with pytest.raises(OutsideDomainError, match="series tail"):
+            eng.eq1_residual(P)
+        with pytest.raises(OutsideDomainError, match="series tail"):
+            eng.kappa(1.0, P)
+        with pytest.raises(OutsideDomainError, match="series tail"):
+            eng.sigma(P)
+
+    def test_tail_gate_quiet_on_builtin_domains(self, all_algebras):
+        # both factors on the boundary sphere of each built-in's domain
+        rng = np.random.default_rng(71)
+        for alg in all_algebras:
+            d = alg.dim
+            u = rng.standard_normal((40, 2 * d))
+            for blk in (slice(0, d), slice(d, 2 * d)):
+                u[:, blk] *= alg.domain_radius / np.linalg.norm(u[:, blk], axis=1,
+                                                                keepdims=True)
+            eng = _engine(alg)
+            assert np.all(np.isfinite(eng.sigma(u)))
+            assert np.all(eng.kappa(1.0, u) > 0.0)
 
 
 class TestSigma:

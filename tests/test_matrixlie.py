@@ -185,6 +185,18 @@ class TestCharts:
             assert np.max(np.abs(alg.exp_chart(X) - ref)) <= 1e-13
             assert np.max(np.abs(alg.log_chart(ref) - X)) <= 1e-12
 
+    @pytest.mark.parametrize("name", ["so3", "sl2", "gl2", "sl3"])
+    def test_non_finite_input_rejected(self, name, request):
+        # every chart, closed-form or generic, refuses NaN and inf up front
+        alg = request.getfixturevalue(name)
+        n = alg.matrix_size
+        with pytest.raises(ValueError, match="non-finite"):
+            alg.log_chart(np.full((n, n), np.nan))
+        with pytest.raises(ValueError, match="non-finite"):
+            alg.log_chart(np.stack([np.eye(n), np.full((n, n), np.inf)]))
+        with pytest.raises(ValueError, match="non-finite"):
+            alg.exp_chart(np.full(alg.dim, np.nan))
+
     def test_from_matrix_closure_error(self, sl2):
         with pytest.raises(OutsideDomainError):
             sl2.from_matrix(np.eye(2))   # identity is not traceless
