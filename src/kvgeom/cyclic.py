@@ -6,13 +6,17 @@ equivalent under rotation; CyclicWordSeries stores each class by its
 lexicographically minimal rotation, with the empty word's coefficient
 (representing tr(1) = dim of the algebra) kept separately as a scalar.
 
-Lie elements that are linear in an auxiliary letter `a` are identified
-with operator series via  P(ad_x, ad_y) . a;  this realizes the
-directional-derivative calculus delta_X / delta_Y.
+The directional derivative delta_X F (resp. delta_Y F) of a Lie series is
+the operator series P with  d/ds F(X + s a, Y)|_{s=0} = P(ad_x, ad_y) . a.
+Because ad is a Lie homomorphism, P obeys the derivation rule
+P_{[u,v]} = iota(u) P_v - iota(v) P_u on bracketings, with iota the
+tensor-algebra expansion; it is computed by recursion on the standard
+factorisation of each Lyndon word (Alekseev-Torossian, arXiv:0802.4300).
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -25,6 +29,8 @@ from .freelie import (
     exp_minus_one_over_s,
     format_fraction,
     lie_to_assoc,
+    standard_factorization,
+    word_expansion,
 )
 
 Assoc = Dict[str, Fraction]
@@ -186,74 +192,43 @@ def min_rotation(word: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# The a-linear module identification
+# Directional derivatives
 
-def adword_expansion(opword: str) -> Assoc:
-    """Expansion of [w1,[w2,...,[wk,a]...]] in the tensor algebra over {x,y,a}."""
-    out: Assoc = {"a": Fraction(1)}
-    for letter in reversed(opword):
-        nxt: Assoc = {}
-        for w, c in out.items():
-            for ww, cc in ((letter + w, c), (w + letter, -c)):
-                nc = nxt.get(ww, Fraction(0)) + cc
-                if nc:
-                    nxt[ww] = nc
-                else:
-                    nxt.pop(ww, None)
-        out = nxt
-    return out
+@functools.lru_cache(maxsize=None)
+def _word_derivative(word: str, letter: str) -> Tuple[Tuple[str, int], ...]:
+    """Operator series P_w of the bracketing of a Lyndon word, in the slot of
+    `letter`: ((word, integer coefficient), ...).
 
-
-def linear_part_to_assoc(series_xya: Assoc, degree: int) -> AssocSeries:
-    """Identify a Lie element linear in `a` with its operator series P(ad_x, ad_y).
-
-    The input is the tensor-algebra expansion (words over {x, y, a}) of a Lie
-    element homogeneous of degree 1 in `a`.  In the expansion of
-    P(ad_x, ad_y).a the only words ending in `a` are (word of P) + 'a', so P
-    is read off the trailing-`a` terms; the identification is then validated
-    by re-expanding, which also rejects inputs that are not Lie elements.
+    A letter gives the identity when it is the slot's letter and zero
+    otherwise; w = uv (standard factorisation) gives
+    P_w = iota(u) P_v - iota(v) P_u.
     """
-    for w, c in series_xya.items():
-        if c and w.count("a") != 1:
-            raise ValueError(f"input is not linear in 'a' (word {w!r})")
-    p: Dict[str, Fraction] = {}
-    for w, c in series_xya.items():
-        if c and w.endswith("a"):
-            p[w[:-1]] = c
-    recon: Assoc = {}
-    for w, c in p.items():
-        for ww, cc in adword_expansion(w).items():
-            nc = recon.get(ww, Fraction(0)) + c * cc
-            if nc:
-                recon[ww] = nc
-            else:
-                recon.pop(ww, None)
-    given = {w: c for w, c in series_xya.items() if c}
-    if recon != given:
-        raise ValueError("input is not a Lie element linear in 'a'")
-    return AssocSeries(degree, p)
+    if len(word) == 1:
+        return (("", 1),) if word == letter else ()
+    u, v = standard_factorization(word)
+    acc: Dict[str, int] = {}
+    for left, right, sign in ((u, v, 1), (v, u, -1)):
+        for we, ce in word_expansion(left):
+            for wp, cp in _word_derivative(right, letter):
+                acc[we + wp] = acc.get(we + wp, 0) + sign * ce * cp
+    return tuple(sorted((w, c) for w, c in acc.items() if c))
 
 
 def delta_derivative(series: LieSeries, slot: str, degree: int) -> AssocSeries:
     """Directional derivative delta_X (slot='X') or delta_Y of a Lie series.
 
-    Substitutes X -> X + s a (resp. Y), extracts the s-linear part of the
-    tensor-algebra expansion, and converts via linear_part_to_assoc.
+    The operator series P with  d/ds series(X + s a, Y)|_{s=0} = P . a
+    (resp. Y + s a), as sum_w c_w P_w over the series' Lyndon words; each
+    P_w comes from the derivation rule on the standard factorisation.
     """
     if slot not in ("X", "Y"):
         raise ValueError("slot must be 'X' or 'Y'")
     letter = "x" if slot == "X" else "y"
-    linear: Assoc = {}
-    for w, c in lie_to_assoc(series).items():
-        for i, ch in enumerate(w):
-            if ch == letter:
-                ww = w[:i] + "a" + w[i + 1:]
-                nc = linear.get(ww, Fraction(0)) + c
-                if nc:
-                    linear[ww] = nc
-                else:
-                    linear.pop(ww, None)
-    return linear_part_to_assoc(linear, degree)
+    p: Assoc = {}
+    for w, c in series.items():
+        for word, k in _word_derivative(w, letter):
+            p[word] = p.get(word, Fraction(0)) + c * k
+    return AssocSeries(degree, p)
 
 
 def cyclic_reduce(p: AssocSeries) -> CyclicWordSeries:
@@ -282,7 +257,7 @@ def g_coefficients(n: int) -> List[Fraction]:
     Computed by series inversion of (e^s - 1)/s rather than from a table
     of Bernoulli numbers.
     """
-    r = exp_minus_one_over_s().upto(n)
+    r = exp_minus_one_over_s(n)
     g = [Fraction(0)] * (n + 1)
     g[0] = Fraction(1)
     for m in range(1, n + 1):

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import tempfile
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 ALPHABET = ("x", "y")
 
@@ -208,9 +209,6 @@ class LieSeries:
     def is_zero(self) -> bool:
         return not self._c
 
-    def max_nonzero_degree(self) -> int:
-        return max((len(w) for w in self._c), default=0)
-
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "LieSeries") -> "LieSeries":
         n = min(self.degree, other.degree)
@@ -380,39 +378,20 @@ def negate_generators(s: LieSeries) -> LieSeries:
 # ---------------------------------------------------------------------------
 # Series coefficient tables (exact)
 
-def exp_minus_one_over_s() -> "_CoeffTable":
-    """(e^s - 1)/s as exact coefficients: 1/(k+1)!."""
-    return _CoeffTable(lambda k: Fraction(1, _factorial(k + 1)))
+def exp_minus_one_over_s(n: int) -> List[Fraction]:
+    """(e^s - 1)/s up to s^n: the coefficient of s^k is 1/(k+1)!."""
+    return [Fraction(1, math.factorial(k + 1)) for k in range(n + 1)]
 
 
-def one_minus_exp_neg() -> "_CoeffTable":
-    """1 - e^{-s}: coefficient of s^k is (-1)^(k+1)/k! for k >= 1."""
-    return _CoeffTable(lambda k: Fraction(0) if k == 0 else Fraction((-1) ** (k + 1), _factorial(k)))
+def one_minus_exp_neg(n: int) -> List[Fraction]:
+    """1 - e^{-s} up to s^n: the coefficient of s^k is (-1)^(k+1)/k! for k >= 1."""
+    return [Fraction(0)] + [Fraction((-1) ** (k + 1), math.factorial(k))
+                            for k in range(1, n + 1)]
 
 
-def exp_minus_one() -> "_CoeffTable":
-    """e^s - 1: coefficient of s^k is 1/k! for k >= 1."""
-    return _CoeffTable(lambda k: Fraction(0) if k == 0 else Fraction(1, _factorial(k)))
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
-class _CoeffTable:
-    """Lazy sequence of exact power-series coefficients."""
-
-    def __init__(self, rule):
-        self._rule = rule
-
-    def upto(self, n: int) -> List[Fraction]:
-        return [self._rule(k) for k in range(n + 1)]
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self._rule(k)
+def exp_minus_one(n: int) -> List[Fraction]:
+    """e^s - 1 up to s^n: the coefficient of s^k is 1/k! for k >= 1."""
+    return [Fraction(0)] + [Fraction(1, math.factorial(k)) for k in range(1, n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +399,6 @@ class _CoeffTable:
 
 def format_fraction(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
-
-
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def _cache_payload(series: LieSeries, order: str) -> str:
@@ -457,7 +432,7 @@ def load_bch_cache(path: str) -> Tuple[LieSeries, str]:
         doc = json.load(fh)
     order = doc["order"]
     series = LieSeries(doc["degree"],
-                       {e["word"]: parse_fraction(e["c"]) for e in doc["coeffs"]})
+                       {e["word"]: Fraction(e["c"]) for e in doc["coeffs"]})
     # reload must reserialize byte-identically
     if _cache_payload(series, order) != _read_text(path):
         raise ValueError(f"cache file {path} is not in canonical form")

@@ -111,6 +111,29 @@ def _cumulative_simpson(f: np.ndarray, dt: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # batched engine
 
+def _central_differences(field: Callable[[np.ndarray], np.ndarray],
+                         P: np.ndarray, h) -> np.ndarray:
+    """Central differences of a batched field along every coordinate.
+
+    P is a stack (B, n) of points and h a scalar step or one step per point
+    and coordinate (B, n).  The field is called once, on the stack of the
+    2n B points p + h_i e_i, p - h_i e_i.  Returns D (n, B, ...) with
+    D[i] = (f(p + h_i e_i) - f(p - h_i e_i)) / (2 h_i).  Callers that want
+    another axis order copy it to C order, since einsum's summation order
+    follows the memory layout of its operands.
+    """
+    B, n = P.shape
+    h = np.broadcast_to(h, P.shape)
+    stack = np.repeat(P[None], 2 * n, axis=0)
+    for i in range(n):
+        stack[2 * i, :, i] += h[:, i]
+        stack[2 * i + 1, :, i] -= h[:, i]
+    vals = field(stack.reshape(-1, n))
+    vals = vals.reshape((2 * n, B) + vals.shape[1:])
+    step = (2 * h.T).reshape((n, B) + (1,) * (vals.ndim - 2))
+    return (vals[0::2] - vals[1::2]) / step
+
+
 class _Engine:
     """Vectorized evaluation core; all point arguments are stacks (B, 2d)."""
 
@@ -417,20 +440,11 @@ class _Engine:
 
     def kv2_residual(self, P: np.ndarray, h: float = 1e-5) -> np.ndarray:
         """|LHS - RHS| of the trace equation, delta-derivatives by FD."""
-        B, n2 = P.shape
         d = self.d
-        stack = np.repeat(P[None, :, :], 2 * n2, axis=0)
-        for i in range(n2):
-            stack[2 * i, :, i] += h
-            stack[2 * i + 1, :, i] -= h
-        A_all, B_all = self.extract(stack.reshape(-1, n2))
-        A_all = A_all.reshape(2 * n2, B, d)
-        B_all = B_all.reshape(2 * n2, B, d)
-        DA = np.empty((B, d, d))        # DA[:, :, j] = dA/dX_j
-        DB = np.empty((B, d, d))
-        for j in range(d):
-            DA[:, :, j] = (A_all[2 * j] - A_all[2 * j + 1]) / (2 * h)
-            DB[:, :, j] = (B_all[2 * (d + j)] - B_all[2 * (d + j) + 1]) / (2 * h)
+        D = _central_differences(lambda Q: np.stack(self.extract(Q), axis=1), P, h)
+        # DA[:, :, j] = dA/dX_j, DB[:, :, j] = dB/dY_j
+        DA = np.ascontiguousarray(D[:d, :, 0].transpose(1, 2, 0))
+        DB = np.ascontiguousarray(D[d:, :, 1].transpose(1, 2, 0))
         X, Y = P[:, :d], P[:, d:]
         lhs = (np.einsum('bij,bji->b', self.ad(X), DA)
                + np.einsum('bij,bji->b', self.ad(Y), DB))
@@ -440,26 +454,12 @@ class _Engine:
         return np.abs(lhs - rhs)
 
     # -- structure checks ------------------------------------------------------
-    def p_t_field(self, t: float) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda Q: self.p_t(t, Q)
-
-    def fd_bivector_grad(self, field, P: np.ndarray, h: float) -> np.ndarray:
-        """D[b, l, j, k] = d(field_{jk})/dp_l by central differences."""
-        B, n2 = P.shape
-        stack = np.repeat(P[None, :, :], 2 * n2, axis=0)
-        for i in range(n2):
-            stack[2 * i, :, i] += h
-            stack[2 * i + 1, :, i] -= h
-        vals = field(stack.reshape(-1, n2)).reshape(2 * n2, B, n2, n2)
-        out = np.empty((B, n2, n2, n2))
-        for i in range(n2):
-            out[:, i] = (vals[2 * i] - vals[2 * i + 1]) / (2 * h)
-        return out
-
     def schouten_max(self, t: float, P: np.ndarray, h: float = 1e-4) -> np.ndarray:
         """max |[P_t, P_t]^{ijk}| per point (FD assembly)."""
         Pt = self.p_t(t, P)
-        D = self.fd_bivector_grad(self.p_t_field(t), P, h)
+        # D[b, l, j, k] = d(P_t)_{jk}/dp_l
+        D = np.ascontiguousarray(
+            _central_differences(lambda Q: self.p_t(t, Q), P, h).transpose(1, 0, 2, 3))
         S = (np.einsum('bil,bljk->bijk', Pt, D)
              + np.einsum('bjl,blki->bijk', Pt, D)
              + np.einsum('bkl,blij->bijk', Pt, D))
@@ -472,17 +472,9 @@ class _Engine:
         return self.phi1(t * P) / t
 
     def dphi_t(self, t: float, P: np.ndarray) -> np.ndarray:
-        B, n2 = P.shape
         h = _DPHI_H * (1.0 + np.abs(P))
-        stack = np.repeat(P[None, :, :], 2 * n2, axis=0)
-        for i in range(n2):
-            stack[2 * i, :, i] += h[:, i]
-            stack[2 * i + 1, :, i] -= h[:, i]
-        vals = self.phi_t_map(t, stack.reshape(-1, n2)).reshape(2 * n2, B, self.d)
-        out = np.empty((B, self.d, n2))
-        for i in range(n2):
-            out[:, :, i] = (vals[2 * i] - vals[2 * i + 1]) / (2.0 * h[:, i])[:, None]
-        return out
+        D = _central_differences(lambda Q: self.phi_t_map(t, Q), P, h)
+        return np.ascontiguousarray(D.transpose(1, 2, 0))
 
     def moment_residual(self, t: float, P: np.ndarray, xis: np.ndarray) -> float:
         """max | xi_M + P_t d<Phi_t, xi> | over points and test elements."""
@@ -542,16 +534,11 @@ class _Engine:
 
     def _divergence_w(self, t: float, q: np.ndarray) -> np.ndarray:
         """div of the Moser field at (t, q) by scaled central differences."""
-        B, n2 = q.shape
-        hdiv = 1e-4 * (1.0 + np.abs(q))
-        stack = np.repeat(q[None], 2 * n2, axis=0)
-        for i in range(n2):
-            stack[2 * i, :, i] += hdiv[:, i]
-            stack[2 * i + 1, :, i] -= hdiv[:, i]
-        w_all = self.moser_w(t, stack.reshape(-1, n2)).reshape(2 * n2, B, n2)
-        div = np.zeros(B)
-        for i in range(n2):
-            div += (w_all[2 * i, :, i] - w_all[2 * i + 1, :, i]) / (2 * hdiv[:, i])
+        D = _central_differences(lambda Q: self.moser_w(t, Q), q,
+                                 1e-4 * (1.0 + np.abs(q)))
+        div = np.zeros(q.shape[0])
+        for i in range(q.shape[1]):
+            div += D[i, :, i]
         return div
 
 
@@ -578,21 +565,18 @@ def modular_field(alg: QuadraticLieAlgebra, volume: float,
     """Modular vector field of a bivector field w.r.t. a constant volume form.
 
     Components on the 2d coordinate Hamiltonians H_i = p_i, by central-FD
-    divergence of the Hamiltonian fields v_{H_i} = -(P @ e_i).  The volume
+    divergence of the Hamiltonian fields v_{H_i} = -(P @ e_i).  P_field
+    maps a stack of points (N, 2d) to bivectors (N, 2d, 2d); it is called
+    once, on the stack of the 2 * 2d perturbed points.  The volume
     coefficient is constant (translation-invariant form), so it drops out
     of the divergence; the argument is kept for interface fidelity.
     """
     del volume
     q = p.as_array()
-    n2 = q.shape[0]
-    out = np.zeros(n2)
-    for i in range(n2):
-        hi = h * (1.0 + abs(q[i]))
-        qp, qm = q.copy(), q.copy()
-        qp[i] += hi
-        qm[i] -= hi
-        dP = (P_field(qp[None])[0] - P_field(qm[None])[0]) / (2 * hi)
-        out += dP[i, :]       # sum_j d_j P_{j i} accumulated per j = i row
+    D = _central_differences(P_field, q[None], h * (1.0 + np.abs(q))[None])
+    out = np.zeros(q.shape[0])
+    for i in range(q.shape[0]):
+        out += D[i, 0, i, :]  # sum_j d_j P_{j i} accumulated per j = i row
     return out
 
 

@@ -64,8 +64,8 @@ class InfeasibleDegreeError(RuntimeError):
 def kv1_residual(pair: KVPair, degree: int) -> LieSeries:
     """[bch(YX) - X - Y] - [(1 - e^{-ad_X}) A + (e^{ad_Y} - 1) B], exact."""
     lhs = bch(degree, "YX") - LieSeries.generator("x", degree) - LieSeries.generator("y", degree)
-    fA = one_minus_exp_neg().upto(degree)
-    fB = exp_minus_one().upto(degree)
+    fA = one_minus_exp_neg(degree)
+    fB = exp_minus_one(degree)
     rhs = (ad_series_apply(fA, "x", pair.A.truncated(degree), degree)
            + ad_series_apply(fB, "y", pair.B.truncated(degree), degree))
     return lhs - rhs
@@ -141,14 +141,14 @@ def _bracket_columns(direction: str, words: Sequence[str], degree: int
     return cols
 
 
-def _eq1_rows(d: int, lowerA: LieSeries, lowerB: LieSeries,
-              homogeneous: bool = False
+def _eq1_rows(d: int, lhs: LieSeries, lowerA: LieSeries, lowerB: LieSeries
               ) -> Tuple[List[str], List[List[Fraction]], List[Fraction]]:
     """Rows of the degree-(d+1) component of the first equation.
 
-    Unknown order: A-coefficients then B-coefficients, words in lex order.
-    With homogeneous=True the Campbell-Hausdorff inhomogeneity is dropped
-    (used to complete kernel vectors upward through the triangular system).
+    `lhs` is the degree-(d+1) component of the Campbell-Hausdorff
+    inhomogeneity log(e^Y e^X) - X - Y (zero for the homogeneous
+    continuation of kernel vectors).  Unknown order: A-coefficients then
+    B-coefficients, words in lex order.
     """
     words_d = lyndon_basis(d)
     words_d1 = lyndon_basis(d + 1)
@@ -157,13 +157,8 @@ def _eq1_rows(d: int, lowerA: LieSeries, lowerB: LieSeries,
     colsB = _bracket_columns("y", words_d, n)
 
     # known part: LHS_{d+1} minus the lower-degree operator contributions
-    if homogeneous:
-        lhs = LieSeries.zero(n)
-    else:
-        lhs = (bch(n, "YX") - LieSeries.generator("x", n)
-               - LieSeries.generator("y", n)).component(d + 1)
-    fA = one_minus_exp_neg().upto(n)
-    fB = exp_minus_one().upto(n)
+    fA = one_minus_exp_neg(n)
+    fB = exp_minus_one(n)
     known = ad_series_apply(fA, "x", lowerA.truncated(n), n).component(d + 1) \
         + ad_series_apply(fB, "y", lowerB.truncated(n), n).component(d + 1)
     target = lhs - known
@@ -186,8 +181,13 @@ def _necklaces(d: int) -> List[str]:
     return sorted(seen)
 
 
-def _eq2_rows(d: int) -> Tuple[List[List[Fraction]], List[Fraction]]:
-    """Degree-d necklace component of the trace equation, linear in (A_d, B_d)."""
+def _eq2_rows(d: int, residual0: cyclic.CyclicWordSeries
+              ) -> Tuple[List[List[Fraction]], List[Fraction]]:
+    """Degree-d necklace component of the trace equation, linear in (A_d, B_d).
+
+    `residual0` is the degree-d component of the trace residual of the zero
+    pair.
+    """
     words_d = lyndon_basis(d)
     necks = _necklaces(d)
     idx = {m: i for i, m in enumerate(necks)}
@@ -205,10 +205,9 @@ def _eq2_rows(d: int) -> Tuple[List[List[Fraction]], List[Fraction]]:
     colsA = [lhs_column(w, "X") for w in words_d]
     colsB = [lhs_column(w, "Y") for w in words_d]
 
-    rhs_series = cyclic.kv2_residual(LieSeries.zero(d), LieSeries.zero(d), d).component(d)
     # residual(0,0) = LHS(0,0) - RHS = -RHS; the equation LHS(A,B) = RHS reads
     # LHS(A,B) + residual(0,0) = 0
-    rhs = [-rhs_series.coefficient(m) for m in necks]
+    rhs = [-residual0.coefficient(m) for m in necks]
 
     rows = []
     for i in range(len(necks)):
@@ -229,14 +228,19 @@ def solve_kv(degree: int, strategy: str = "eq1-only") -> KVPair:
         raise ValueError("degree must be >= 1")
     if strategy not in ("eq1-only", "joint-eq1-eq2"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    n = degree + 1
+    lhs1 = bch(n, "YX") - LieSeries.generator("x", n) - LieSeries.generator("y", n)
+    if strategy == "joint-eq1-eq2":
+        zero = LieSeries.zero(degree)
+        residual0 = cyclic.kv2_residual(zero, zero, degree)
     coeffsA: Dict[str, Fraction] = {}
     coeffsB: Dict[str, Fraction] = {}
     for d in range(1, degree + 1):
         lowerA = LieSeries(degree, dict(coeffsA))
         lowerB = LieSeries(degree, dict(coeffsB))
-        words_d, rows, rhs = _eq1_rows(d, lowerA, lowerB)
+        words_d, rows, rhs = _eq1_rows(d, lhs1.component(d + 1), lowerA, lowerB)
         if strategy == "joint-eq1-eq2":
-            rows2, rhs2 = _eq2_rows(d)
+            rows2, rhs2 = _eq2_rows(d, residual0.component(d))
             rows += rows2
             rhs += rhs2
         sol, _, (rank_lhs, rank_aug) = solve_exact(rows, rhs)
@@ -264,7 +268,8 @@ def eq1_kernel_basis(d: int, degree_cap: int | None = None) -> List[KVPair]:
     """
     cap = degree_cap or d
     words_d = lyndon_basis(d)
-    _, rows, _ = _eq1_rows(d, LieSeries.zero(d + 1), LieSeries.zero(d + 1))
+    zero = LieSeries.zero(cap + 1)
+    _, rows, _ = _eq1_rows(d, zero, zero, zero)
     _, kernel, _ = solve_exact(rows, [Fraction(0)] * len(rows))
     out = []
     k = len(words_d)
@@ -274,8 +279,7 @@ def eq1_kernel_basis(d: int, degree_cap: int | None = None) -> List[KVPair]:
         for dd in range(d + 1, cap + 1):
             lowerA = LieSeries(cap, dict(coeffsA))
             lowerB = LieSeries(cap, dict(coeffsB))
-            words_dd, rows_dd, rhs_dd = _eq1_rows(dd, lowerA, lowerB,
-                                                  homogeneous=True)
+            words_dd, rows_dd, rhs_dd = _eq1_rows(dd, zero, lowerA, lowerB)
             sol, _, (r1, r2) = solve_exact(rows_dd, rhs_dd)
             if r1 != r2:
                 raise InfeasibleDegreeError(dd, r1, r2, 2 * len(words_dd))

@@ -30,6 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from .cyclic import g_coefficients
+from .freelie import exp_minus_one_over_s, one_minus_exp_neg
 
 Vec = np.ndarray
 
@@ -398,11 +399,11 @@ def _g_pole(z: complex) -> bool:
 
 
 def _taylor_L(n: int) -> Tuple[float, ...]:
-    return tuple((-1.0) ** k / math.factorial(k + 1) for k in range(n))
+    return tuple(float(c) for c in one_minus_exp_neg(n)[1:])
 
 
 def _taylor_R(n: int) -> Tuple[float, ...]:
-    return tuple(1.0 / math.factorial(k + 1) for k in range(n))
+    return tuple(float(c) for c in exp_minus_one_over_s(n - 1))
 
 
 def _taylor_g(n: int) -> Tuple[float, ...]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -54,6 +55,21 @@ class TestBCH:
 
 
 class TestSolveCommands:
+    # SHA-256 of the degree-6 solve-kv report without its timestamp, as
+    # json.dumps(..., indent=2, sort_keys=True); the eq1-only report carries
+    # a nonzero trace residual, so it pins delta_derivative's output too
+    SOLVE_KV_6_SHA256 = {
+        "eq1-only": "5ed56f5fdec90886d86b9e3f85bc3ddde693a4fb86bf587ccd067526fe206ad2",
+        "joint-eq1-eq2": "b4c0206974255d6b86bd3383d7aff3e317d1bc0228e32f0e05c34c3db14ae9ce",
+    }
+
+    @pytest.mark.parametrize("strategy", sorted(SOLVE_KV_6_SHA256))
+    def test_solve_kv_report_golden(self, strategy, capsys):
+        code, out = run_cli(["solve-kv", "--degree", "6", "--strategy", strategy], capsys)
+        assert code == 0
+        text = json.dumps(strip_timestamp(out), indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SOLVE_KV_6_SHA256[strategy]
+
     def test_check_kv1_passes(self, capsys):
         code, out = run_cli(["check-kv1", "--degree", "5"], capsys)
         assert code == 0

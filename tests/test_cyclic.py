@@ -6,17 +6,15 @@ import pytest
 from kvgeom.cyclic import (
     AssocSeries,
     CyclicWordSeries,
-    adword_expansion,
     cyclic_reduce,
     delta_derivative,
     fold_reversal,
     g_coefficients,
     kv2_residual,
-    linear_part_to_assoc,
     min_rotation,
     substitute_series,
 )
-from kvgeom.freelie import LieSeries, assoc_commutator, lie_to_assoc
+from kvgeom.freelie import LieSeries, lie_to_assoc, lyndon_words_upto
 from kvgeom.kvsolve import solve_kv
 from kvgeom.matrixlie import get_algebra
 
@@ -36,30 +34,61 @@ class TestMinRotation:
         assert len(forms) == 1
 
 
-class TestLinearPart:
-    def test_bracket_x_a(self):
-        out = linear_part_to_assoc(dict(adword_expansion("x")), 3)
-        assert out == AssocSeries(3, {"x": F(1)})
+def _adword_expansion(opword):
+    """Expansion of [w1,[w2,...,[wk,a]...]] in the tensor algebra over {x,y,a}."""
+    out = {"a": F(1)}
+    for letter in reversed(opword):
+        nxt = {}
+        for w, c in out.items():
+            for ww, cc in ((letter + w, c), (w + letter, -c)):
+                nxt[ww] = nxt.get(ww, F(0)) + cc
+        out = {w: c for w, c in nxt.items() if c}
+    return out
 
-    def test_nested_x_y_a(self):
-        out = linear_part_to_assoc(dict(adword_expansion("xy")), 3)
-        assert out == AssocSeries(3, {"xy": F(1)})
 
-    def test_bracket_of_bracket_with_a(self):
-        # [[X, Y], a] = ad_X ad_Y a - ad_Y ad_X a; cross-checked by expanding
-        # the bracket with the free Lie algebra product
-        xy = lie_to_assoc(LieSeries(2, {"xy": F(1)}))
-        lifted = assoc_commutator(xy, {"a": F(1)}, 3)
-        out = linear_part_to_assoc(lifted, 3)
-        assert out == AssocSeries(3, {"xy": F(1), "yx": F(-1)})
+def oracle_delta(series, slot, degree):
+    """delta_X / delta_Y by substitution in the tensor algebra.
 
-    def test_rejects_not_linear(self):
-        with pytest.raises(ValueError):
-            linear_part_to_assoc({"xaa": F(1)}, 3)
+    Substitutes the auxiliary letter a for each occurrence of the slot's
+    letter in the expansion of the series (the s-linear part of X -> X + s a),
+    reads P off the words ending in a (in the expansion of P(ad_x, ad_y) . a
+    these are exactly the words of P followed by a), then re-expands
+    P . a word by word and checks that it gives back the substituted series.
+    """
+    letter = slot.lower()
+    linear = {}
+    for w, c in lie_to_assoc(series).items():
+        for i, ch in enumerate(w):
+            if ch == letter:
+                ww = w[:i] + "a" + w[i + 1:]
+                linear[ww] = linear.get(ww, F(0)) + c
+    linear = {w: c for w, c in linear.items() if c}
+    p = {w[:-1]: c for w, c in linear.items() if w.endswith("a")}
+    recon = {}
+    for w, c in p.items():
+        for ww, cc in _adword_expansion(w).items():
+            recon[ww] = recon.get(ww, F(0)) + c * cc
+    assert {w: c for w, c in recon.items() if c} == linear
+    return AssocSeries(degree, p)
 
-    def test_rejects_non_lie(self):
-        with pytest.raises(ValueError):
-            linear_part_to_assoc({"xa": F(1)}, 2)   # missing the -ax term
+
+class TestDeltaOracle:
+    DEGREE = 8
+
+    @pytest.mark.parametrize("slot", ["X", "Y"])
+    def test_every_lyndon_word(self, slot):
+        n = self.DEGREE
+        for w in lyndon_words_upto(n):
+            s = LieSeries(n, {w: F(1)})
+            assert delta_derivative(s, slot, n).items() == oracle_delta(s, slot, n).items(), w
+
+    @pytest.mark.parametrize("slot", ["X", "Y"])
+    def test_random_rational_combination(self, slot):
+        n = self.DEGREE
+        rng = np.random.default_rng(11)
+        s = LieSeries(n, {w: F(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+                          for w in lyndon_words_upto(n)})
+        assert delta_derivative(s, slot, n).items() == oracle_delta(s, slot, n).items()
 
 
 class TestDeltaDerivative:
@@ -133,7 +162,7 @@ class TestGSeries:
     def test_inverts_exp_series(self):
         from kvgeom.freelie import exp_minus_one_over_s
         g = g_coefficients(12)
-        r = exp_minus_one_over_s().upto(12)
+        r = exp_minus_one_over_s(12)
         conv = [sum(g[k] * r[m - k] for k in range(m + 1)) for m in range(13)]
         assert conv[0] == 1 and all(c == 0 for c in conv[1:])
 

@@ -146,13 +146,13 @@ class TestAdSeriesApply:
         assert ad_series_apply(f, "x", Y, 3) == LieSeries(3, {"xy": F(1)})
 
     def test_on_own_generator_vanishes(self):
-        f = one_minus_exp_neg().upto(3)
+        f = one_minus_exp_neg(3)
         X = LieSeries.generator("x", 3)
         assert ad_series_apply(f, "x", X, 3) == LieSeries(3, {"x": f[0]})
 
     def test_one_minus_exp_neg_on_y(self):
         # direct expansion oracle: s - s^2/2 applied as brackets
-        f = one_minus_exp_neg().upto(3)
+        f = one_minus_exp_neg(3)
         Y = LieSeries.generator("y", 3)
         out = ad_series_apply(f, "x", Y, 3)
         assert out == LieSeries(3, {"xy": F(1), "xxy": F(-1, 2)})

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,16 @@ class TestSeriesKernel:
             recon = np.einsum('jn,njuv->nuv', r[k], pw)
             assert np.max(np.abs(recon - Ak)) <= 1e-15 * (1.0 + np.max(np.abs(Ak)))
             Ak = Ak @ A
+
+    def test_engine_coefficients_match_float_formula(self, so3):
+        # the Taylor tables are the exact Fraction tables rounded to float;
+        # they first differ from the float formula (-1)^k / (k+1)! at k = 22
+        # (1/23! is not a double), past the engine's 22 terms
+        eng = _engine(so3)
+        n = len(eng.cL)
+        assert n == 22 == len(eng.cR)
+        assert eng.cL.tolist() == [(-1.0) ** k / math.factorial(k + 1) for k in range(n)]
+        assert eng.cR.tolist() == [1.0 / math.factorial(k + 1) for k in range(n)]
 
     def test_nilpotent_ad_is_exact(self, sl2):
         # ad_e is defective (a single Jordan block); its characteristic

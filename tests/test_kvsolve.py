@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kvgeom.cyclic import kv2_residual
-from kvgeom.freelie import LieSeries
+from kvgeom.freelie import LieSeries, ad_series_apply, exp_minus_one, one_minus_exp_neg
 from kvgeom.kvsolve import (
     InfeasibleDegreeError,
     KVPair,
@@ -95,6 +95,16 @@ class TestKernel:
                 A = A + k.A.scaled(w)
                 B = B + k.B.scaled(w)
             assert kv1_residual(KVPair(A, B, 5), 5).is_zero()
+
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_kernel_vectors_solve_homogeneous_equation_to_top_degree(self, degree):
+        # the degree-cap part of a kernel pair enters the degree-(cap + 1)
+        # component, which the continuation solves as well
+        cap = 5
+        for k in eq1_kernel_basis(degree, cap):
+            image = (ad_series_apply(one_minus_exp_neg(cap + 1), "x", k.A, cap + 1)
+                     + ad_series_apply(exp_minus_one(cap + 1), "y", k.B, cap + 1))
+            assert image.is_zero()
 
     def test_kernel_dimensions(self):
         # degree-1 block: 4 unknowns, 1 independent equation
