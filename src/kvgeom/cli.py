@@ -99,7 +99,8 @@ def cmd_bch(cfg: RunConfig) -> int:
 
 def _solve(cfg: RunConfig):
     pair = kvsolve.solve_kv(cfg.degree, cfg.strategy)
-    resid1 = kvsolve.kv1_residual(pair, cfg.degree)
+    # through degree + 1: the top parts A_N, B_N first enter there
+    resid1 = kvsolve.kv1_residual(pair, cfg.degree + 1)
     resid2 = cyclic.kv2_residual(pair.A, pair.B, cfg.degree)
     folded = cyclic.fold_reversal(resid2)
     return pair, resid1, resid2, folded

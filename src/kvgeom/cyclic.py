@@ -290,8 +290,13 @@ def kv2_residual(A: LieSeries, B: LieSeries, degree: int) -> CyclicWordSeries:
     """
     lhs_assoc = (delta_derivative(A, "X", degree).left_concat("x")
                  + delta_derivative(B, "Y", degree).left_concat("y"))
-    lhs = cyclic_reduce(lhs_assoc)
+    return cyclic_reduce(lhs_assoc) - _trace_rhs(degree)
 
+
+@functools.lru_cache(maxsize=None)
+def _trace_rhs(degree: int) -> CyclicWordSeries:
+    """RHS of the trace equation, -1/2 cyc(g(x) + g(y) - g(z) - 1), through
+    `degree`; built once per degree and shared by every kv2_residual call."""
     g = g_coefficients(degree)
     z = lie_to_assoc(bch(degree, "XY"))
     z = {w: c for w, c in z.items() if len(w) <= degree}
@@ -300,8 +305,7 @@ def kv2_residual(A: LieSeries, B: LieSeries, degree: int) -> CyclicWordSeries:
     gz = substitute_series(g, z, degree)
     bracket = assoc_add(assoc_add(gx, gy), gz, Fraction(-1))
     bracket = assoc_add(bracket, {"": Fraction(1)}, Fraction(-1))
-    rhs = cyclic_reduce(AssocSeries(degree, bracket)).scaled(Fraction(-1, 2))
-    return lhs - rhs
+    return cyclic_reduce(AssocSeries(degree, bracket)).scaled(Fraction(-1, 2))
 
 
 def fold_reversal(series: CyclicWordSeries) -> CyclicWordSeries:

@@ -36,6 +36,7 @@ from .matrixlie import (
     QuadraticLieAlgebra,
     Vec,
     _gl_nodes,
+    ad_series,
     analytic_ad,
     fn_dexp,
     fn_dexp_right,
@@ -166,9 +167,6 @@ class _Engine:
         self.st, self.sw = _gl_nodes(_ALPHA_NODES)
 
     # -- elementary pieces ---------------------------------------------------
-    def ad(self, X: np.ndarray) -> np.ndarray:
-        return np.einsum('...a,abk->...kb', X, self.T)
-
     def kmat(self, W: np.ndarray) -> np.ndarray:
         """K_W[i,j] = <W, [e_i, e_j]> (antisymmetric, linear in W)."""
         return np.einsum('ijk,...k->...ij', self.TQ, W)
@@ -178,65 +176,9 @@ class _Engine:
         d = self.d
         B = P.shape[0]
         out = np.zeros((B, 2 * d, 2 * d))
-        out[:, :d, :d] = -self.ad(P[:, :d]) @ self.Qi
-        out[:, d:, d:] = -self.ad(P[:, d:]) @ self.Qi
+        out[:, :d, :d] = -self.alg.ad(P[:, :d]) @ self.Qi
+        out[:, d:, d:] = -self.alg.ad(P[:, d:]) @ self.Qi
         return 0.5 * (out - np.transpose(out, (0, 2, 1)))
-
-    def series(self, A: np.ndarray, coeffs: np.ndarray
-               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Truncated power series sum_k coeffs[s, k] A^k on a stack (N, d, d).
-
-        Reduces every series to the power basis A^0 ... A^{d-1} by the
-        Cayley-Hamilton recurrence (Putzer 1966; Higham, Functions of
-        Matrices, 2008, ch. 1).  The characteristic polynomial of each A_n
-        comes from tr(A_n^k) by Newton's identities, and the table r holds
-        A_n^k = sum_j r[k, j, n] A_n^j, a scalar recurrence per point.
-        Raises OutsideDomainError if, at some point, the last nonzero term
-        of a series, |c_k| sum_j |r[k, j, n]| max|A_n^j|, exceeds
-        1e-12 (1 + max|f_s(A_n)|).
-
-        Returns (F, pw, r): F (N, S, d, d) the series values, pw (N, d, d, d)
-        the powers A^0 ... A^{d-1}, and r (K, d, N) the reduction table.
-        """
-        N, d = A.shape[0], A.shape[-1]
-        K = coeffs.shape[1]
-        pw = np.empty((N, d, d, d))
-        pw[:, 0] = np.eye(d)
-        Ak = A
-        for j in range(1, d):
-            pw[:, j] = Ak
-            Ak = Ak @ A
-        # power sums p_k = tr(A^k), k = 1 .. d (Ak is now A^d), then Newton's
-        # identities k e_k = sum_i (-1)^(i-1) e_(k-i) p_i for the elementary
-        # symmetric functions e_k of the eigenvalues
-        p = np.empty((d + 1, N))
-        p[1:d] = np.einsum('njii->jn', pw[:, 1:])
-        p[d] = np.einsum('nii->n', Ak)
-        sgn = (-1.0) ** np.arange(d)
-        e = np.empty((d + 1, N))
-        e[0] = 1.0
-        for k in range(1, d + 1):
-            e[k] = (sgn[:k] @ (e[k - 1::-1] * p[1:k + 1])) / k
-        # Cayley-Hamilton: A^d = sum_j q_j A^j with q_(d-k) = (-1)^(k-1) e_k
-        q = (e[1:] * sgn[:, None])[::-1]                             # (d, N)
-        r = np.empty((K, d, N))
-        r[:d] = np.eye(d)[:K, :, None]
-        for k in range(d, K):
-            np.multiply(r[k - 1, d - 1], q, out=r[k])
-            r[k, 1:] += r[k - 1, :-1]
-        coef = (coeffs @ r.reshape(K, d * N)).reshape(-1, d, N).transpose(2, 0, 1)
-        F = (coef @ pw.reshape(N, d, d * d)).reshape(N, -1, d, d)
-        # tail gate on the last nonzero term of each series, per point
-        last = K - 1 - np.argmax(coeffs[:, ::-1] != 0, axis=1)
-        size = np.max(np.abs(pw), axis=(-2, -1)).T                   # (d, N)
-        tail = (np.abs(coeffs[np.arange(len(coeffs)), last])[:, None]
-                * np.sum(np.abs(r[last]) * size, axis=1))            # (S, N)
-        bound = 1e-12 * (1.0 + np.max(np.abs(F), axis=(-2, -1)).T)
-        if np.any(tail > bound):
-            raise OutsideDomainError(
-                f"outside V: truncated series tail {np.max(tail):.2e} exceeds "
-                f"{1e-12:.0e} (1 + |f(ad)|); spectrum of ad too large")
-        return F, pw, r
 
     def phi1(self, P: np.ndarray) -> np.ndarray:
         """log(e^X e^Y) in coordinates (the unscaled product map)."""
@@ -254,7 +196,7 @@ class _Engine:
         out = np.empty((W.shape[0], self.d, self.d))
         for lo in range(0, W.shape[0], _CHUNK):
             ch = W[lo:lo + _CHUNK]
-            _, pw, r = self.series(self.ad(ch), self.cL[None])
+            _, pw, r = ad_series(self.alg.ad(ch), self.cL[None])
             out[lo:lo + _CHUNK] = self._varpi_from_powers(ch, pw, r)
         return out
 
@@ -288,7 +230,7 @@ class _Engine:
         Z = self.phi1(P)
         # one table and one contraction for every series at X, Y and Z
         W = np.concatenate([X, Y, Z], axis=0)
-        F, pw, r = self.series(self.ad(W), self.c_sigma)
+        F, pw, r = ad_series(self.alg.ad(W), self.c_sigma)
         Lx = F[:B, 0]
         Ly, Ry, Eyn = F[B:2 * B, 0], F[B:2 * B, 1], F[B:2 * B, 2]
         Gzn = F[2 * B:, 3]
@@ -422,7 +364,7 @@ class _Engine:
         ex = self.alg.exp_chart(X)
         lhs = self.alg.log_chart(ey @ ex) - X - Y
         B = P.shape[0]
-        F = self.series(self.ad(np.concatenate([X, Y])), np.stack([self.cA, self.cB]))[0]
+        F = ad_series(self.alg.ad(np.concatenate([X, Y])), np.stack([self.cA, self.cB]))[0]
         rhs = (np.einsum('buv,bv->bu', F[:B, 0], A)
                + np.einsum('buv,bv->bu', F[B:, 1], Bv))
         return np.max(np.abs(lhs - rhs), axis=-1)
@@ -432,7 +374,7 @@ class _Engine:
             return np.ones(P.shape[0])
         d = self.d
         W = np.concatenate([t * P[:, :d], t * P[:, d:], self.phi1(t * P)])
-        dJ = np.linalg.det(self.series(self.ad(W), self.cL[None])[0][:, 0])
+        dJ = np.linalg.det(ad_series(self.alg.ad(W), self.cL[None])[0][:, 0])
         if np.any(dJ <= 0.0):
             raise OutsideDomainError("outside V: Jacobian of exp not positive")
         dets = np.split(dJ, 3)
@@ -446,9 +388,9 @@ class _Engine:
         DA = np.ascontiguousarray(D[:d, :, 0].transpose(1, 2, 0))
         DB = np.ascontiguousarray(D[d:, :, 1].transpose(1, 2, 0))
         X, Y = P[:, :d], P[:, d:]
-        lhs = (np.einsum('bij,bji->b', self.ad(X), DA)
-               + np.einsum('bij,bji->b', self.ad(Y), DB))
-        F = self.series(self.ad(np.concatenate([X, Y, self.phi1(P)])), self.cG[None])[0]
+        lhs = (np.einsum('bij,bji->b', self.alg.ad(X), DA)
+               + np.einsum('bij,bji->b', self.alg.ad(Y), DB))
+        F = ad_series(self.alg.ad(np.concatenate([X, Y, self.phi1(P)])), self.cG[None])[0]
         tr = np.split(np.trace(F[:, 0], axis1=-2, axis2=-1), 3)
         rhs = -0.5 * (tr[0] + tr[1] - tr[2] - d)
         return np.abs(lhs - rhs)

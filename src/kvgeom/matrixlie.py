@@ -7,8 +7,17 @@ validated on construction (antisymmetry, Jacobi, invariance of the form,
 unimodularity) and immutable afterwards.
 
 The module also provides numerically robust exp/log, the operator calculus
-f(ad_X) for analytic f with removable singularities, the Jacobian of exp,
-the interpolating maps Phi_t, and the density kappa_t.
+f(ad_X) for analytic f given by a Taylor table, the Jacobian of exp, the
+interpolating maps Phi_t, and the density kappa_t.
+
+Every f(ad_X) goes through one kernel, ad_series: a stack of truncated
+power series reduced to the powers A^0 ... A^{d-1} by the Cayley-Hamilton
+recurrence, with a gate on each series' last term.  analytic_ad,
+jacobian_J and kappa_t apply it to the 48-term tables of fn_dexp,
+fn_dexp_right and fn_todd; the batched engine in geom applies it to the
+same tables truncated to 22 and 30 terms.  The tail gate, not the poles
+at 2 pi i k, bounds the domain: where a truncated series has not
+converged, or its value is not finite, OutsideDomainError.
 
 Chart maps: a descriptor whose basis is the standard so(3) basis
 _hat3(e_1), _hat3(e_2), _hat3(e_3) uses the Rodrigues formulas, one of 2 x 2
@@ -20,11 +29,10 @@ built.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -36,8 +44,6 @@ Vec = np.ndarray
 
 _VALIDATION_TOL = 1e-12
 _CLOSURE_TOL = 1e-9
-_SMALL_EIG = 1e-4       # removable-singularity threshold for analytic_ad
-_TAYLOR_ORDER = 12      # per-eigenvalue fallback order near 0
 _LOG_THETA = 0.25       # square roots until ||R - I||_1 <= theta (Pade step)
 _LOG_PADE_NODES = 8     # Gauss-Legendre nodes: the [8/8] Pade of log(I + E)
 _SQRT_TOL = 1e-8        # Denman-Beavers: one step past ||M_k - I||_1 <= tol
@@ -377,25 +383,68 @@ def _log_2x2(M: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # analytic functions of ad_X
 
+def ad_series(A: np.ndarray, coeffs: np.ndarray
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Truncated power series sum_k coeffs[s, k] A^k on a stack (N, d, d).
+
+    Reduces every series to the power basis A^0 ... A^{d-1} by the
+    Cayley-Hamilton recurrence (Putzer 1966; Higham, Functions of
+    Matrices, 2008, ch. 1).  The characteristic polynomial of each A_n
+    comes from tr(A_n^k) by Newton's identities, and the table r holds
+    A_n^k = sum_j r[k, j, n] A_n^j, a scalar recurrence per point.
+    Raises OutsideDomainError if, at some point, the last nonzero term
+    of a series, |c_k| sum_j |r[k, j, n]| max|A_n^j|, exceeds
+    1e-12 (1 + max|f_s(A_n)|).
+
+    Returns (F, pw, r): F (N, S, d, d) the series values, pw (N, d, d, d)
+    the powers A^0 ... A^{d-1}, and r (K, d, N) the reduction table.
+    """
+    N, d = A.shape[0], A.shape[-1]
+    K = coeffs.shape[1]
+    pw = np.empty((N, d, d, d))
+    pw[:, 0] = np.eye(d)
+    Ak = A
+    for j in range(1, d):
+        pw[:, j] = Ak
+        Ak = Ak @ A
+    # power sums p_k = tr(A^k), k = 1 .. d (Ak is now A^d), then Newton's
+    # identities k e_k = sum_i (-1)^(i-1) e_(k-i) p_i for the elementary
+    # symmetric functions e_k of the eigenvalues
+    p = np.empty((d + 1, N))
+    p[1:d] = np.einsum('njii->jn', pw[:, 1:])
+    p[d] = np.einsum('nii->n', Ak)
+    sgn = (-1.0) ** np.arange(d)
+    e = np.empty((d + 1, N))
+    e[0] = 1.0
+    for k in range(1, d + 1):
+        e[k] = (sgn[:k] @ (e[k - 1::-1] * p[1:k + 1])) / k
+    # Cayley-Hamilton: A^d = sum_j q_j A^j with q_(d-k) = (-1)^(k-1) e_k
+    q = (e[1:] * sgn[:, None])[::-1]                             # (d, N)
+    r = np.empty((K, d, N))
+    r[:d] = np.eye(d)[:K, :, None]
+    for k in range(d, K):
+        np.multiply(r[k - 1, d - 1], q, out=r[k])
+        r[k, 1:] += r[k - 1, :-1]
+    coef = (coeffs @ r.reshape(K, d * N)).reshape(-1, d, N).transpose(2, 0, 1)
+    F = (coef @ pw.reshape(N, d, d * d)).reshape(N, -1, d, d)
+    # tail gate on the last nonzero term of each series, per point
+    last = K - 1 - np.argmax(coeffs[:, ::-1] != 0, axis=1)
+    size = np.max(np.abs(pw), axis=(-2, -1)).T                   # (d, N)
+    tail = (np.abs(coeffs[np.arange(len(coeffs)), last])[:, None]
+            * np.sum(np.abs(r[last]) * size, axis=1))            # (S, N)
+    bound = 1e-12 * (1.0 + np.max(np.abs(F), axis=(-2, -1)).T)
+    if not np.all(tail <= bound):                    # NaN fails the gate too
+        raise OutsideDomainError(
+            f"outside V: truncated series tail {np.max(tail):.2e} exceeds "
+            f"{1e-12:.0e} (1 + |f(ad)|); spectrum of ad too large")
+    return F, pw, r
+
+
 @dataclass(frozen=True)
 class AnalyticFunction:
-    """Scalar analytic function with its Taylor series at 0 and a pole test."""
+    """Scalar analytic function, given by its Taylor coefficients at 0."""
     name: str
-    fn: Callable[[complex], complex]
     taylor: Tuple[float, ...]
-    pole_test: Callable[[complex], bool] | None = None
-
-    def eval_scalar(self, z: complex) -> complex:
-        if abs(z) < _SMALL_EIG:
-            acc = 0.0 + 0.0j
-            for c in reversed(self.taylor[: _TAYLOR_ORDER + 1]):
-                acc = acc * z + c
-            return acc
-        return self.fn(z)
-
-
-def _g_pole(z: complex) -> bool:
-    return abs(z) > 1.0 and abs(cmath.exp(z) - 1.0) < 1e-6
 
 
 def _taylor_L(n: int) -> Tuple[float, ...]:
@@ -411,66 +460,38 @@ def _taylor_g(n: int) -> Tuple[float, ...]:
 
 
 #: (1 - e^{-s})/s -- the pullback of the left Maurer-Cartan form, d(exp).
-fn_dexp = AnalyticFunction(
-    "(1-exp(-s))/s",
-    lambda z: -(cmath.exp(-z) - 1.0) / z,
-    _taylor_L(48))
+fn_dexp = AnalyticFunction("(1-exp(-s))/s", _taylor_L(48))
 
 #: (e^s - 1)/s -- the right-Maurer-Cartan pullback.
-fn_dexp_right = AnalyticFunction(
-    "(exp(s)-1)/s",
-    lambda z: (cmath.exp(z) - 1.0) / z,
-    _taylor_R(48))
+fn_dexp_right = AnalyticFunction("(exp(s)-1)/s", _taylor_R(48))
 
 #: s/(e^s - 1) -- the generating function of the trace equation.
-fn_todd = AnalyticFunction(
-    "s/(exp(s)-1)",
-    lambda z: z / (cmath.exp(z) - 1.0),
-    _taylor_g(48),
-    pole_test=_g_pole)
+fn_todd = AnalyticFunction("s/(exp(s)-1)", _taylor_g(48))
 
 
 def analytic_ad(alg: QuadraticLieAlgebra, f: AnalyticFunction, X: Vec) -> np.ndarray:
-    """f(ad_X) via eigendecomposition, Taylor fallback near removable zeros.
+    """f(ad_X) for X of shape (..., d), as (..., d, d).
 
-    Eigenvalues with |lambda| < 1e-4 are evaluated by the order-12 Taylor
-    polynomial; if the eigenvector matrix is ill conditioned (ad_X close to
-    defective) the whole matrix function falls back to the Taylor series of
-    f, whose convergence is monitored.
+    The whole 48-term Taylor table of f through ad_series, so the tail
+    gate bounds the domain: OutsideDomainError where the truncated series
+    has not converged (on so3, s/(e^s - 1) from a spectral radius of
+    about 3.47, short of its pole at 2 pi, and both dexp factors from
+    about 11.2).
     """
-    A = alg.ad(np.asarray(X, dtype=float))
-    eigs, V = np.linalg.eig(A)
-    if f.pole_test is not None and any(f.pole_test(l) for l in eigs):
-        raise OutsideDomainError(f"outside V: spectrum of ad_X at a pole of {f.name}")
-    if np.linalg.cond(V) < 1e8:
-        vals = np.array([f.eval_scalar(l) for l in eigs])
-        F = V @ np.diag(vals) @ np.linalg.inv(V)
-        return F.real
-    return _matrix_taylor(f, A)
+    A = alg.ad(X)
+    F = ad_series(A.reshape(-1, alg.dim, alg.dim), np.array([f.taylor]))[0]
+    return F[:, 0].reshape(A.shape)
 
 
-def _matrix_taylor(f: AnalyticFunction, A: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(A)
-    P = np.eye(A.shape[0])
-    norm = 0.0
-    last = np.inf
-    for c in f.taylor:
-        term = c * P
-        out = out + term
-        last = np.max(np.abs(term))
-        norm = max(norm, np.max(np.abs(out)))
-        P = P @ A
-    if last > 1e-12 * (1.0 + norm):
-        raise OutsideDomainError(f"Taylor series of {f.name} did not converge on ad_X")
-    return out
+def jacobian_J(alg: QuadraticLieAlgebra, X: Vec) -> float | np.ndarray:
+    """Jacobian of exp: det((1 - e^{-ad_X})/ad_X); positive on the domain.
 
-
-def jacobian_J(alg: QuadraticLieAlgebra, X: Vec) -> float:
-    """Jacobian of exp: det((1 - e^{-ad_X})/ad_X); positive on the domain."""
-    J = float(np.linalg.det(analytic_ad(alg, fn_dexp, X)))
-    if J <= 0.0:
+    X of shape (..., d) gives (...); a single point gives a float.
+    """
+    J = np.linalg.det(analytic_ad(alg, fn_dexp, X))
+    if np.any(J <= 0.0):
         raise OutsideDomainError("outside V: Jacobian of exp not positive")
-    return J
+    return float(J) if J.ndim == 0 else J
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +513,8 @@ def kappa_t(alg: QuadraticLieAlgebra, t: float, p: PointV) -> float:
         return 1.0
     X = np.asarray(p.X, float)
     Y = np.asarray(p.Y, float)
-    W = t * phi_t(alg, t, p)
-    num = math.sqrt(jacobian_J(alg, t * X)) * math.sqrt(jacobian_J(alg, t * Y))
-    return num / math.sqrt(jacobian_J(alg, W))
+    J = jacobian_J(alg, np.stack([t * X, t * Y, t * phi_t(alg, t, p)]))
+    return math.sqrt(J[0]) * math.sqrt(J[1]) / math.sqrt(J[2])
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ import os
 
 import pytest
 
+from kvgeom import kvsolve
 from kvgeom.cli import main
-from kvgeom.freelie import bch_cache_path
+from kvgeom.freelie import LieSeries, bch_cache_path, lyndon_basis
 
 
 def run_cli(args, capsys):
@@ -75,6 +76,21 @@ class TestSolveCommands:
         assert code == 0
         doc = strip_timestamp(out)
         assert doc["residual1"] == "0" and doc["pass"] is True
+
+    def test_kv1_check_sees_top_degree(self, capsys, monkeypatch):
+        # A_4 first enters the first equation at degree 5, so a wrong top
+        # part only shows when the check runs through degree + 1
+        solve = kvsolve.solve_kv
+
+        def corrupted(degree, strategy="eq1-only"):
+            pair = solve(degree, strategy)
+            bump = LieSeries(degree, {lyndon_basis(degree)[0]: 7})
+            return kvsolve.KVPair(pair.A + bump, pair.B, degree, strategy)
+
+        monkeypatch.setattr(kvsolve, "solve_kv", corrupted)
+        code, out = run_cli(["solve-kv", "--degree", "4"], capsys)
+        assert code == 1
+        assert strip_timestamp(out)["residual1"] != "0"
 
     def test_solve_kv_report_fields(self, capsys):
         code, out = run_cli(["solve-kv", "--degree", "3"], capsys)

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -258,6 +259,91 @@ class TestAnalyticAd:
         L = analytic_ad(gl2, fn_dexp, -X)
         R = analytic_ad(gl2, fn_dexp_right, X)
         assert np.max(np.abs(L - R)) <= 1e-12
+
+
+# The eigendecomposition definition of f(ad_X) that analytic_ad replaced,
+# kept as an independent oracle: f on each eigenvalue (its order-12 Taylor
+# polynomial below |lambda| < 1e-4), a pole test for s/(e^s - 1), and the
+# whole Taylor series when the eigenvectors are ill conditioned.
+_ORACLE_SCALAR = {
+    fn_dexp.name: lambda z: -(cmath.exp(-z) - 1.0) / z,
+    fn_dexp_right.name: lambda z: (cmath.exp(z) - 1.0) / z,
+    fn_todd.name: lambda z: z / (cmath.exp(z) - 1.0),
+}
+
+
+def oracle_analytic_ad(alg, f, X):
+    A = alg.ad(np.asarray(X, dtype=float))
+    eigs, V = np.linalg.eig(A)
+    if f is fn_todd and any(abs(l) > 1.0 and abs(cmath.exp(l) - 1.0) < 1e-6
+                            for l in eigs):
+        raise OutsideDomainError(f"outside V: spectrum of ad_X at a pole of {f.name}")
+    if np.linalg.cond(V) < 1e8:
+        def scalar(z):
+            if abs(z) < 1e-4:
+                acc = 0.0 + 0.0j
+                for c in reversed(f.taylor[:13]):
+                    acc = acc * z + c
+                return acc
+            return _ORACLE_SCALAR[f.name](z)
+        vals = np.array([scalar(l) for l in eigs])
+        return (V @ np.diag(vals) @ np.linalg.inv(V)).real
+    out = np.zeros_like(A)
+    P = np.eye(A.shape[0])
+    for c in f.taylor:
+        out = out + c * P
+        P = P @ A
+    return out
+
+
+class TestAnalyticAdKernel:
+    FUNCTIONS = (fn_dexp, fn_dexp_right, fn_todd)
+
+    def test_matches_eigendecomposition_oracle(self, all_algebras, sl3):
+        rng = np.random.default_rng(81)
+        for alg in [*all_algebras, sl3]:
+            u = rng.standard_normal((12, alg.dim))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            for radius in (alg.domain_radius, 2.0 * alg.domain_radius):
+                for X in radius * u:
+                    for f in self.FUNCTIONS:
+                        ref = oracle_analytic_ad(alg, f, X)
+                        err = np.max(np.abs(analytic_ad(alg, f, X) - ref))
+                        assert err <= 1e-12 * np.max(np.abs(ref)), (alg.name, f.name)
+
+    def test_todd_domain_on_so3(self, so3):
+        # the 48-term table of s/(e^s - 1) resolves a spectral radius of 3.4
+        # but not 4, although the pole is only at 2 pi
+        X = np.array([0.0, 0.0, 3.4])
+        F = analytic_ad(so3, fn_todd, X)
+        ref = oracle_analytic_ad(so3, fn_todd, X)
+        assert np.max(np.abs(F - ref)) <= 1e-12 * np.max(np.abs(ref))
+        with pytest.raises(OutsideDomainError, match="series tail"):
+            analytic_ad(so3, fn_todd, np.array([0.0, 0.0, 4.0]))
+
+    def test_non_finite_input_fails_gate(self, so3, sl3):
+        for alg in (so3, sl3):
+            X = np.zeros((2, alg.dim))
+            X[1, 0] = np.nan
+            with pytest.raises(OutsideDomainError):
+                analytic_ad(alg, fn_dexp, X)
+
+    def test_stack_matches_per_point(self, all_algebras, sl3):
+        rng = np.random.default_rng(82)
+        for alg in [*all_algebras, sl3]:
+            X = alg.domain_radius * rng.standard_normal((2, 3, alg.dim)) / math.sqrt(alg.dim)
+            J = jacobian_J(alg, X)
+            assert J.shape == (2, 3)
+            for f in self.FUNCTIONS:
+                F = analytic_ad(alg, f, X)
+                assert F.shape == (2, 3, alg.dim, alg.dim)
+                for i in range(2):
+                    for j in range(3):
+                        one = analytic_ad(alg, f, X[i, j])
+                        assert np.max(np.abs(F[i, j] - one)) <= 1e-14 * np.max(np.abs(one))
+            for i in range(2):
+                for j in range(3):
+                    assert J[i, j] == pytest.approx(jacobian_J(alg, X[i, j]), rel=1e-14)
 
 
 class TestJacobian:
