@@ -35,7 +35,6 @@ from .matrixlie import (
     PointV,
     QuadraticLieAlgebra,
     Vec,
-    _gl_nodes,
     ad_series,
     analytic_ad,
     fn_dexp,
@@ -45,11 +44,29 @@ from .matrixlie import (
 
 _SERIES_TERMS = 22          # terms for L/R series on ad (spectra stay small)
 _G_TERMS = 30               # terms for the Todd-type series (radius 2 pi)
-_ALPHA_NODES = 16           # fixed Gauss-Legendre order for the Moser 1-form
-_DT_SIGMA = 1e-4            # time step for d(sigma_t)/dt
+_ALPHA_GATE = 1e-12         # |K15 - G7| bound on the Moser 1-form, relative to 1 + |alpha|
 _DPHI_H = 1e-5              # base step for the differential of Phi_t
 _COND_LIMIT = 1e12
 _CHUNK = 4096
+
+# Gauss-Kronrod G7/K15 on [-1, 1], as in QUADPACK's qk15 (Piessens et al.
+# 1983): the Kronrod abscissae from the end point to the centre, their K15
+# weights, and the G7 weights of the abscissae xgk[1], xgk[3], xgk[5], xgk[7].
+_XGK = np.array([0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+                 0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+                 0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+                 0.207784955007898467600689403773245, 0.0])
+_WGK = np.array([0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+                 0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+                 0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+                 0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_WG = np.array([0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+                0.381830050505118944950369775488975, 0.417959183673469387755102040816327])
+# the same rules on [0, 1]: nodes s_k and weights, G7's zero at the Kronrod-only nodes
+_K15_S = 0.5 + 0.5 * np.concatenate([-_XGK, _XGK[-2::-1]])
+_K15_W = 0.5 * np.concatenate([_WGK, _WGK[-2::-1]])
+_G7_W = np.zeros(15)
+_G7_W[1::2] = 0.5 * np.concatenate([_WG, _WG[-2::-1]])
 
 DEFAULT_TOLERANCES: Dict[str, float] = {
     "eq1": 1e-7,
@@ -164,7 +181,6 @@ class _Engine:
         # closed-form varpi: int_0^1 t^(k+l+2) dt for the L-series terms k, l
         kl = np.arange(_SERIES_TERMS)
         self.H = 1.0 / (kl[:, None] + kl[None, :] + 3.0)
-        self.st, self.sw = _gl_nodes(_ALPHA_NODES)
 
     # -- elementary pieces ---------------------------------------------------
     def kmat(self, W: np.ndarray) -> np.ndarray:
@@ -261,53 +277,40 @@ class _Engine:
             return np.zeros((P.shape[0], 2 * self.d, 2 * self.d))
         return t * self.sigma(t * P)
 
-    def dsigma_dt(self, t: float, P: np.ndarray, ht: float = _DT_SIGMA) -> np.ndarray:
-        if t == 0.0:
-            f0 = self.sigma_t(0.0, P)
-            return (-3 * f0 + 4 * self.sigma_t(ht, P) - self.sigma_t(2 * ht, P)) / (2 * ht)
-        if t == 1.0:
-            return (3 * self.sigma_t(1.0, P) - 4 * self.sigma_t(1 - ht, P)
-                    + self.sigma_t(1 - 2 * ht, P)) / (2 * ht)
-        return (self.sigma_t(t + ht, P) - self.sigma_t(t - ht, P)) / (2 * ht)
-
     def alpha(self, t: float, P: np.ndarray) -> np.ndarray:
-        """Moser 1-form: homotopy applied to d(sigma_t)/dt, as (B, 2d)."""
+        """Moser 1-form iota_p [sigma(t p) - int_0^1 s sigma(t s p) ds], as (B, 2d)."""
         return self._alpha_gauge(t, P, want_gauge=False)[0]
 
     def _alpha_gauge(self, t: float, P: np.ndarray, want_gauge: bool = True
                      ) -> Tuple[np.ndarray, np.ndarray | None]:
         """alpha_t and (optionally) the gauge factor 1 + sigma_t P0.
 
-        The t-derivative stencil, all homotopy nodes, and the gauge's own
-        sigma sample share one batched sigma evaluation.
+        alpha_t is the homotopy primitive int_0^1 s iota_p beta_s ds of
+        d(sigma_t)/dt, beta_s = G'(t s) for G(u) = u sigma(u p).  Integrated
+        by parts in s it is iota_p [sigma(t p) - int_0^1 s sigma(t s p) ds]
+        for every t in [0, 1] (at t = 0, iota_p sigma(0) / 2), with no
+        t-derivative.  One batched sigma call takes the 15 Kronrod nodes
+        t s_k p and the base point t p, which the gauge factor shares.  The
+        integral is K15; G7 on the same samples gates it: OutsideDomainError
+        where |K15 - G7| > 1e-12 (1 + |alpha|) (max norms per point).
         """
-        B = P.shape[0]
-        S = len(self.st)
-        n2 = 2 * self.d
-        ht = _DT_SIGMA
-        scaled = (self.st[:, None, None] * P[None, :, :]).reshape(S * B, n2)
-        base = [t * P] if (want_gauge and t != 0.0) else []
-        if t == 0.0:
-            sig = self.sigma(np.concatenate([ht * scaled, 2 * ht * scaled]))
-            s1, s2 = sig[:S * B], sig[S * B:]
-            beta = (4 * ht * s1 - 2 * ht * s2) / (2 * ht)
-        elif t == 1.0:
-            sig = self.sigma(np.concatenate(
-                [scaled, (1 - ht) * scaled, (1 - 2 * ht) * scaled] + base))
-            s1, s2, s3 = sig[:S * B], sig[S * B:2 * S * B], sig[2 * S * B:3 * S * B]
-            beta = (3 * s1 - 4 * (1 - ht) * s2 + (1 - 2 * ht) * s3) / (2 * ht)
-        else:
-            sig = self.sigma(np.concatenate(
-                [(t + ht) * scaled, (t - ht) * scaled] + base))
-            s1, s2 = sig[:S * B], sig[S * B:2 * S * B]
-            beta = ((t + ht) * s1 - (t - ht) * s2) / (2 * ht)
-        beta = beta.reshape(S, B, n2, n2)
-        cov = np.einsum('s,sbuv,bu->bv', self.st * self.sw, beta, P)
+        B, n2 = P.shape
+        scale = t * np.append(_K15_S, 1.0)
+        sig = self.sigma((scale[:, None, None] * P[None]).reshape(-1, n2))
+        # iota_p at every sample: v[k, b] = p_b^T sigma(t s_k p_b)
+        v = (P[None, :, None, :] @ sig.reshape(16, B, n2, n2))[:, :, 0]
+        sv = _K15_S[:, None, None] * v[:15]
+        cov = v[15] - np.tensordot(_K15_W, sv, axes=1)
+        err = np.tensordot(_K15_W - _G7_W, sv, axes=1)
+        bound = _ALPHA_GATE * (1.0 + np.max(np.abs(cov), axis=1))
+        if not np.all(np.max(np.abs(err), axis=1) <= bound):
+            raise OutsideDomainError(
+                "outside V: Moser 1-form quadrature unresolved (|K15 - G7| above "
+                f"{_ALPHA_GATE:g} (1 + |alpha|))")
         if not want_gauge:
             return cov, None
         M = np.broadcast_to(np.eye(n2), (B, n2, n2)).copy()
-        if t != 0.0:
-            M += t * sig[-B:] @ self.p0(P)
+        M += t * sig[-B:] @ self.p0(P)
         self._check_gauge(M)
         return cov, M
 
@@ -340,10 +343,7 @@ class _Engine:
     def moser_w(self, t: float, P: np.ndarray) -> np.ndarray:
         """v_t = -(P_t @ alpha_t)."""
         cov, M = self._alpha_gauge(t, P)
-        if t == 0.0:
-            Pt = self.p0(P)
-        else:
-            Pt = self.p0(P) @ np.linalg.inv(M)
+        Pt = self.p0(P) @ np.linalg.inv(M)
         return -np.einsum('buv,bv->bu', Pt, cov)
 
     def extract(self, P: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -544,12 +544,12 @@ def cartan_eta(alg: QuadraticLieAlgebra, X: Vec, vectors: Sequence[Vec],
 
 
 def varpi(alg: QuadraticLieAlgebra, Y: Vec, vectors: Sequence[Vec],
-          equiv_param: Vec, tol: float = 1e-10) -> float:
+          equiv_param: Vec) -> float:
     """Homotopy primitive of the Cartan-form pullback at Y.
 
-    Two vectors: the 2-form part, by adaptive Gauss-Legendre quadrature of
-    t^2 eta3(tY; Y, v1, v2) to the given tolerance.  No vectors: the moment
-    (form-degree 0) part, -<Y, xi>.
+    Two vectors: the 2-form part, int_0^1 t^2 eta3(tY; Y, v1, v2) dt, from
+    the engine's closed form.  No vectors: the moment (form-degree 0) part,
+    -<Y, xi>.
     """
     Y = np.asarray(Y, dtype=float)
     if len(vectors) == 0:
@@ -558,33 +558,7 @@ def varpi(alg: QuadraticLieAlgebra, Y: Vec, vectors: Sequence[Vec],
         raise ValueError("varpi evaluates the 2-form part (two vectors) "
                          "or the moment part (no vectors)")
     v1, v2 = (np.asarray(a, float) for a in vectors)
-
-    def integrand(ts: np.ndarray) -> np.ndarray:
-        out = np.empty_like(ts)
-        for i, t in enumerate(ts):
-            out[i] = t * t * cartan_eta(alg, t * Y, (Y, v1, v2), equiv_param)
-        return out
-
-    val, est = _adaptive_gl(integrand, 0.0, 1.0, tol)
-    if est > tol:
-        raise OutsideDomainError(
-            f"varpi quadrature did not converge: achieved {est:.2e} > {tol:.2e}")
-    return float(val)
-
-
-def _adaptive_gl(f, a: float, b: float, tol: float, depth: int = 8
-                 ) -> Tuple[float, float]:
-    xs16, ws16 = _gl_nodes(16, a, b)
-    xs32, ws32 = _gl_nodes(32, a, b)
-    i16 = float(np.dot(ws16, f(xs16)))
-    i32 = float(np.dot(ws32, f(xs32)))
-    err = abs(i32 - i16)
-    if err <= tol or depth == 0:
-        return i32, err
-    m = 0.5 * (a + b)
-    l, el = _adaptive_gl(f, a, m, tol / 2, depth - 1)
-    r, er = _adaptive_gl(f, m, b, tol / 2, depth - 1)
-    return l + r, el + er
+    return float(v1 @ _engine(alg).varpi(Y[None])[0] @ v2)
 
 
 def sigma(alg: QuadraticLieAlgebra, p: PointV) -> TwoFormSample:
@@ -607,7 +581,11 @@ def lambda_det(alg: QuadraticLieAlgebra, t: float, p: PointV) -> float:
 
 
 def alpha(alg: QuadraticLieAlgebra, t: float, p: PointV) -> OneFormSample:
-    """Moser 1-form alpha_t (homotopy primitive of d sigma_t/dt)."""
+    """Moser 1-form alpha_t = iota_p [sigma(t p) - int_0^1 s sigma(t s p) ds].
+
+    This is the homotopy primitive of d(sigma_t)/dt, integrated by parts;
+    OutsideDomainError when its G7/K15 quadrature is unresolved.
+    """
     eng = _engine(alg)
     return OneFormSample(p, eng.alpha(t, p.as_array()[None])[0])
 

@@ -55,6 +55,21 @@ def sl3():
                          "domain_radius": 0.3})
 
 
+def dsigma_dt(eng, t, P, ht=1e-4):
+    """d(sigma_t)/dt by a second-order stencil in t (one-sided at t = 0, 1).
+
+    The oracle for d alpha_t = d sigma_t / dt: the engine's alpha never
+    differentiates in t.
+    """
+    if t == 0.0:
+        f0 = eng.sigma_t(0.0, P)
+        return (-3 * f0 + 4 * eng.sigma_t(ht, P) - eng.sigma_t(2 * ht, P)) / (2 * ht)
+    if t == 1.0:
+        return (3 * eng.sigma_t(1.0, P) - 4 * eng.sigma_t(1 - ht, P)
+                + eng.sigma_t(1 - 2 * ht, P)) / (2 * ht)
+    return (eng.sigma_t(t + ht, P) - eng.sigma_t(t - ht, P)) / (2 * ht)
+
+
 # ---------------------------------------------------------------------------
 # exact rational matrix arithmetic (independent oracle for the symbolic side)
 

@@ -17,6 +17,7 @@ from kvgeom.kvsolve import kv1_residual, solve_kv
 from kvgeom.matrixlie import builtin_algebras, get_algebra, matrix_exp
 
 from conftest import (
+    dsigma_dt,
     eval_lie_series_exact,
     exp_nilpotent,
     frac_mul,
@@ -221,7 +222,7 @@ def test_criterion_9_homotopy_identities():
         # d alpha_t = d sigma_t / dt at t = 0.6, batched FD per pair
         pts = sample_points(alg, 20, 62, 0.25)
         t = 0.6
-        Bmat = eng.dsigma_dt(t, pts)
+        Bmat = dsigma_dt(eng, t, pts)
         n2 = 2 * d
         e2 = np.eye(n2)
         for i in range(n2):
@@ -240,7 +241,7 @@ def test_criterion_9_homotopy_identities():
     q = sample_points(so3, 1, 63, 0.25)[0]
 
     def dalpha_residual(hh):
-        Bm = eng.dsigma_dt(0.6, q[None])[0]
+        Bm = dsigma_dt(eng, 0.6, q[None])[0]
         i, j = 0, 4
         e2 = np.eye(6)
         stack = np.stack([q + hh * e2[i], q - hh * e2[i],

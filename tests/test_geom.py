@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from kvgeom.geom import (
+    _G7_W,
+    _K15_S,
+    _K15_W,
+    _Engine,
     _engine,
     alpha,
     cartan_eta,
@@ -23,6 +27,7 @@ from kvgeom.geom import (
 from kvgeom.matrixlie import (
     OutsideDomainError,
     PointV,
+    _gl_nodes,
     ad_series,
     fn_dexp,
     fn_dexp_right,
@@ -30,6 +35,8 @@ from kvgeom.matrixlie import (
     load_algebra,
     matrix_exp,
 )
+
+from conftest import dsigma_dt
 
 ORIGIN3 = PointV(np.zeros(3), np.zeros(3))
 SAMPLE3 = PointV(np.array([0.2, -0.1, 0.15]), np.array([-0.05, 0.22, 0.1]))
@@ -121,6 +128,21 @@ class TestCartanEta:
         assert got == pytest.approx(expected, abs=1e-8)
 
 
+def _adaptive_gl(f, a, b, tol, depth=8):
+    """16/32-node Gauss-Legendre pair, bisected until |I32 - I16| <= tol."""
+    xs16, ws16 = _gl_nodes(16, a, b)
+    xs32, ws32 = _gl_nodes(32, a, b)
+    i16 = float(np.dot(ws16, f(xs16)))
+    i32 = float(np.dot(ws32, f(xs32)))
+    err = abs(i32 - i16)
+    if err <= tol or depth == 0:
+        return i32, err
+    m = 0.5 * (a + b)
+    l, el = _adaptive_gl(f, a, m, tol / 2, depth - 1)
+    r, er = _adaptive_gl(f, m, b, tol / 2, depth - 1)
+    return l + r, el + er
+
+
 class TestVarpi:
     def test_two_form_vanishes_at_origin(self, so3):
         v = varpi(so3, np.zeros(3), (np.array([1.0, 0, 0]), np.array([0, 1.0, 0])),
@@ -133,22 +155,29 @@ class TestVarpi:
         assert varpi(so3, Y, (), xi) == pytest.approx(-float(so3.pairing(Y, xi)))
 
     def test_adaptive_quadrature_matches_engine(self, all_algebras, sl3):
-        # the engine's closed form against the public adaptive quadrature
+        # the public 2-form (the engine's closed form) against an adaptive
+        # quadrature of t^2 eta3(tY; Y, v1, v2)
         cases = [(alg, sample_points(alg, 1, 17, alg.domain_radius)[0, :alg.dim])
                  for alg in [*all_algebras, sl3]]
         cases.append((all_algebras[0], np.array([0.3, -0.2, 0.5])))
         for alg, Y in cases:
             d = alg.dim
-            M = _engine(alg).varpi(Y[None])[0]
             for i in range(d):
                 for j in range(i + 1, d):
-                    v = varpi(alg, Y, (np.eye(d)[i], np.eye(d)[j]), np.zeros(d))
-                    assert v == pytest.approx(M[i, j], abs=1e-12)
+                    v1, v2 = np.eye(d)[i], np.eye(d)[j]
+
+                    def integrand(ts):
+                        return np.array([t * t * cartan_eta(alg, t * Y, (Y, v1, v2),
+                                                            np.zeros(d)) for t in ts])
+
+                    val, est = _adaptive_gl(integrand, 0.0, 1.0, 1e-10)
+                    assert est <= 1e-10
+                    v = varpi(alg, Y, (v1, v2), np.zeros(d))
+                    assert v == pytest.approx(val, abs=1e-12)
 
     def test_adaptive_quadrature_error_reporting(self):
         # a rough integrand defeats the subdivision and the achieved
         # estimate is reported
-        from kvgeom.geom import _adaptive_gl
         rng = np.random.default_rng(0)
         val, est = _adaptive_gl(lambda xs: rng.standard_normal(xs.shape),
                                 0.0, 1.0, tol=1e-12, depth=2)
@@ -410,7 +439,7 @@ class TestAlpha:
                 a_t = eng.alpha(t, q)
                 a_1 = eng.alpha(1.0, t * q)
                 rel = np.max(np.abs(a_t - a_1 / t)) / max(np.max(np.abs(a_t)), 1e-12)
-                assert rel <= 1e-5
+                assert rel <= 1e-12
 
     def test_exterior_derivative_matches_dsigma_dt(self, so3):
         # d alpha_t = d sigma_t / dt by FD exterior derivative
@@ -418,7 +447,7 @@ class TestAlpha:
         q = SAMPLE3.as_array()
         t = 0.6
         h = 1e-4
-        B = eng.dsigma_dt(t, q[None])[0]
+        B = dsigma_dt(eng, t, q[None])[0]
         worst = 0.0
         for i in range(6):
             for j in range(i + 1, 6):
@@ -446,6 +475,114 @@ class TestAlpha:
             assert np.max(np.abs(G.T @ ag - a)) <= 1e-6
 
 
+def _boundary_spheres(algebras, n=6, seed=71):
+    """n points per algebra with both factors on the domain's boundary sphere."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for alg in algebras:
+        u = rng.standard_normal((2 * n, alg.dim))
+        u *= alg.domain_radius / np.linalg.norm(u, axis=1, keepdims=True)
+        out.append((alg, np.concatenate([u[:n], u[n:]], axis=1)))
+    return out
+
+
+def _iota(P, S):
+    """iota_p of a stack of 2-forms S (..., B, n, n) at the points P (B, n)."""
+    return np.einsum('bu,...buv->...bv', P, S)
+
+
+def _alpha_by_parts(eng, t, P, nodes):
+    """iota_p [sigma(t p) - int_0^1 s sigma(t s p) ds] by Gauss-Legendre."""
+    s, w = _gl_nodes(nodes)
+    n2 = P.shape[1]
+    sig = eng.sigma((t * s[:, None, None] * P[None]).reshape(-1, n2))
+    vals = _iota(P, sig.reshape(nodes, *P.shape, n2))
+    return _iota(P, eng.sigma(t * P)) - np.tensordot(w * s, vals, axes=1)
+
+
+def _alpha_by_derivative(eng, t, P, h=1e-3, nodes=16):
+    """The derivative definition int_0^1 s iota_p beta_s ds of alpha_t, with
+    beta_s = d/dtau [tau sigma(tau s p)] at tau = t by a 4th-order stencil."""
+    s, w = _gl_nodes(nodes)
+    n2 = P.shape[1]
+
+    def f(tau):
+        sig = eng.sigma((tau * s[:, None, None] * P[None]).reshape(-1, n2))
+        return tau * sig.reshape(nodes, *P.shape, n2)
+
+    beta = (-f(t + 2 * h) + 8 * f(t + h) - 8 * f(t - h) + f(t - 2 * h)) / (12 * h)
+    return np.tensordot(w * s, _iota(P, beta), axes=1)
+
+
+def _rel(a, ref):
+    """Worst per-point error relative to the point's max-norm of ref."""
+    return float(np.max(np.max(np.abs(a - ref), axis=1) / np.max(np.abs(ref), axis=1)))
+
+
+class TestMoserQuadrature:
+    TIMES = (0.0, 0.37, 1.0)
+
+    def test_kronrod_constants_exact_on_polynomials(self):
+        # K15 integrates s^k over [0, 1] exactly for k <= 22, its G7 for k <= 13
+        assert np.all(np.diff(_K15_S) > 0) and 0 < _K15_S[0] and _K15_S[-1] < 1
+        assert np.allclose(_K15_S + _K15_S[::-1], 1.0, rtol=0, atol=1e-16)
+        for k in range(23):
+            exact = 1.0 / (k + 1)
+            assert abs(_K15_W @ _K15_S ** k - exact) <= 2e-16
+            if k <= 13:
+                assert abs(_G7_W @ _K15_S ** k - exact) <= 2e-16
+        assert abs(_G7_W @ _K15_S ** 14 - 1 / 15) > 1e-9
+
+    @staticmethod
+    def _fake_engine(so3, p, g):
+        # sigma(q) with the single entry g(s) at (0, 1), s = <q, p>/<p, p>
+        eng = _Engine(so3)
+
+        def fake_sigma(Q):
+            out = np.zeros((Q.shape[0], 6, 6))
+            s = Q @ p / (p @ p)
+            out[:, 0, 1], out[:, 1, 0] = g(s), -g(s)
+            return out
+
+        eng.sigma = fake_sigma
+        return eng
+
+    def test_gate_rejects_unresolved_integrand(self, so3):
+        p = np.array([0.3, -0.2, 0.1, 0.05, 0.2, -0.1])
+        eng = self._fake_engine(so3, p, lambda s: 1.0 / (1.0 + 400.0 * (s - 0.5) ** 2))
+        with pytest.raises(OutsideDomainError, match="K15 - G7"):
+            eng.alpha(1.0, p[None])
+        with pytest.raises(OutsideDomainError, match="K15 - G7"):
+            eng.moser_w(1.0, p[None])
+
+    def test_gate_passes_resolved_integrand(self, so3):
+        # control for the test above: sigma_01(s) = s^2 gives
+        # alpha = iota_p sigma(p) (1 - 1/4) with no gate
+        p = np.array([0.3, -0.2, 0.1, 0.05, 0.2, -0.1])
+        eng = self._fake_engine(so3, p, lambda s: s * s)
+        expected = 0.75 * np.array([-p[1], p[0], 0, 0, 0, 0])
+        assert np.max(np.abs(eng.alpha(1.0, p[None])[0] - expected)) <= 1e-16
+
+    def test_gate_quiet_on_boundary_spheres(self, all_algebras, sl3):
+        for alg, P in _boundary_spheres([*all_algebras, sl3]):
+            eng = _engine(alg)
+            for t in self.TIMES:
+                cov, M = eng._alpha_gauge(t, P)
+                assert np.all(np.isfinite(cov)) and np.all(np.isfinite(M))
+
+    def test_matches_gauss_legendre_by_parts(self, all_algebras, sl3):
+        for alg, P in _boundary_spheres([*all_algebras, sl3]):
+            eng = _engine(alg)
+            for t in self.TIMES:
+                assert _rel(eng.alpha(t, P), _alpha_by_parts(eng, t, P, 32)) <= 1e-14
+
+    def test_matches_derivative_definition(self, all_algebras, sl3):
+        for alg, P in _boundary_spheres([*all_algebras, sl3]):
+            eng = _engine(alg)
+            for t in self.TIMES:
+                assert _rel(eng.alpha(t, P), _alpha_by_derivative(eng, t, P)) <= 1e-9
+
+
 class TestMoser:
     def test_vanishes_at_origin(self, so3):
         for t in (0.0, 0.5, 1.0):
@@ -458,7 +595,7 @@ class TestMoser:
             v_t = eng.moser_w(t, q)
             v_1 = eng.moser_w(1.0, t * q)
             rel = np.max(np.abs(v_t - v_1 / t ** 2)) / max(np.max(np.abs(v_t)), 1e-12)
-            assert rel <= 1e-5
+            assert rel <= 1e-12
 
     def test_transport_stencil(self, all_algebras):
         # (Phi_{t+h}(p + h vbar) - Phi_{t-h}(p - h vbar))/2h ~ 0, vbar = -v_t
