@@ -97,22 +97,27 @@ def cmd_bch(cfg: RunConfig) -> int:
     return 0
 
 
-def _solve(cfg: RunConfig):
-    pair = kvsolve.solve_kv(cfg.degree, cfg.strategy)
+def _residual1(cfg: RunConfig, pair: kvsolve.KVPair) -> freelie.LieSeries:
     # through degree + 1: the top parts A_N, B_N first enter there
-    resid1 = kvsolve.kv1_residual(pair, cfg.degree + 1)
+    return kvsolve.kv1_residual(pair, cfg.degree + 1)
+
+
+def _residual2_report(cfg: RunConfig, pair: kvsolve.KVPair):
+    """The trace residual and its report entry (raw and folded by reversal)."""
     resid2 = cyclic.kv2_residual(pair.A, pair.B, cfg.degree)
-    folded = cyclic.fold_reversal(resid2)
-    return pair, resid1, resid2, folded
+    return resid2, {"raw": resid2.to_json_dict(),
+                    "mod_reversal": cyclic.fold_reversal(resid2).to_json_dict()}
 
 
 def cmd_solve_kv(cfg: RunConfig) -> int:
     try:
-        pair, resid1, resid2, folded = _solve(cfg)
+        pair = kvsolve.solve_kv(cfg.degree, cfg.strategy)
     except kvsolve.InfeasibleDegreeError as exc:
         _emit({"command": "solve-kv", "degree": cfg.degree, "strategy": cfg.strategy,
                "error": str(exc), "timestamp": _timestamp()}, cfg.out)
         return 1
+    resid1 = _residual1(cfg, pair)
+    _, resid2_report = _residual2_report(cfg, pair)
     report = {
         "command": "solve-kv",
         "degree": cfg.degree,
@@ -120,10 +125,7 @@ def cmd_solve_kv(cfg: RunConfig) -> int:
         "A": _series_entries(pair.A),
         "B": _series_entries(pair.B),
         "residual1": "0" if resid1.is_zero() else str(resid1),
-        "residual2_report": {
-            "raw": resid2.to_json_dict(),
-            "mod_reversal": folded.to_json_dict(),
-        },
+        "residual2_report": resid2_report,
         "timestamp": _timestamp(),
     }
     _emit(report, cfg.out)
@@ -131,7 +133,7 @@ def cmd_solve_kv(cfg: RunConfig) -> int:
 
 
 def cmd_check_kv1(cfg: RunConfig) -> int:
-    pair, resid1, _, _ = _solve(cfg)
+    resid1 = _residual1(cfg, kvsolve.solve_kv(cfg.degree, cfg.strategy))
     ok = resid1.is_zero()
     print(f"kv1 residual (degree {cfg.degree}, {cfg.strategy}): "
           f"{'0' if ok else 'NONZERO'}")
@@ -143,17 +145,17 @@ def cmd_check_kv1(cfg: RunConfig) -> int:
 
 def cmd_check_kv2(cfg: RunConfig) -> int:
     try:
-        pair, _, resid2, folded = _solve(cfg)
+        pair = kvsolve.solve_kv(cfg.degree, cfg.strategy)
     except kvsolve.InfeasibleDegreeError as exc:
         _emit({"command": "check-kv2", "degree": cfg.degree, "strategy": cfg.strategy,
                "error": str(exc), "timestamp": _timestamp()}, cfg.out)
         return 1
+    resid2, resid2_report = _residual2_report(cfg, pair)
     ok = resid2.is_zero()
     print(f"kv2 necklace residual (degree {cfg.degree}, {cfg.strategy}): "
           f"{'0' if ok else 'nonzero, see report'}")
     _emit({"command": "check-kv2", "degree": cfg.degree, "strategy": cfg.strategy,
-           "residual2_report": {"raw": resid2.to_json_dict(),
-                                "mod_reversal": folded.to_json_dict()},
+           "residual2_report": resid2_report,
            "pass": ok, "timestamp": _timestamp()}, cfg.out)
     return 0 if ok else 1
 
@@ -212,10 +214,8 @@ _TOL_FLAGS = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the JSON report to this path")
-    p.add_argument("--cache", help="BCH cache directory "
-                                   f"(or set ${CACHE_ENV})")
 
 
 def _add_numeric(p: argparse.ArgumentParser) -> None:
@@ -240,22 +240,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bch", help="Campbell-Hausdorff coefficients in the Lyndon basis")
     p.add_argument("--degree", type=int, default=8)
     p.add_argument("--order", choices=("XY", "YX"), default="XY")
-    _add_common(p)
+    p.add_argument("--cache", help=f"BCH cache directory (or set ${CACHE_ENV})")
+    _add_out(p)
 
     for name in ("solve-kv", "check-kv1", "check-kv2"):
         p = sub.add_parser(name)
         p.add_argument("--degree", type=int, default=8)
         p.add_argument("--strategy", choices=("eq1-only", "joint-eq1-eq2"),
                        default="eq1-only")
-        _add_common(p)
+        _add_out(p)
 
     p = sub.add_parser("geom-run", help="numeric verification sweep")
     _add_numeric(p)
-    _add_common(p)
+    _add_out(p)
 
     p = sub.add_parser("flow", help="Moser flow transport experiment")
     _add_numeric(p)
-    _add_common(p)
+    _add_out(p)
 
     return ap
 

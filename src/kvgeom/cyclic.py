@@ -3,8 +3,8 @@
 AssocSeries holds operator-valued series: a word w1...wk stands for the
 composition ad_{w1} o ... o ad_{wk}.  Taking a formal trace makes words
 equivalent under rotation; CyclicWordSeries stores each class by its
-lexicographically minimal rotation, with the empty word's coefficient
-(representing tr(1) = dim of the algebra) kept separately as a scalar.
+lexicographically minimal rotation, the empty word's coefficient
+representing tr(1) = dim of the algebra.
 
 The directional derivative delta_X F (resp. delta_Y F) of a Lie series is
 the operator series P with  d/ds F(X + s a, Y)|_{s=0} = P(ad_x, ad_y) . a.
@@ -21,160 +21,72 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .freelie import (
+    Assoc,
     LieSeries,
+    WordSeries,
     assoc_add,
-    assoc_mul,
-    assoc_scale,
     bch,
     exp_minus_one_over_s,
     format_fraction,
     lie_to_assoc,
     standard_factorization,
+    substitute_series,
     word_expansion,
 )
 
-Assoc = Dict[str, Fraction]
 
+class AssocSeries(WordSeries):
+    """Truncated series of words over {x, y} with rational coefficients; the
+    empty word is allowed (identity operator)."""
 
-class AssocSeries:
-    """Truncated series of words over {x, y} with rational coefficients.
+    __slots__ = ()
+    _rule = "has letters outside x, y"
 
-    Immutable by convention; canonical storage order is (degree, lex); the
-    empty word is allowed (identity operator).
-    """
+    @staticmethod
+    def _admits(word: str) -> bool:
+        return all(ch in "xy" for ch in word)
 
-    __slots__ = ("degree", "_c")
-
-    def __init__(self, degree: int, coeffs: Dict[str, Fraction] | None = None):
-        if degree < 0:
-            raise ValueError("truncation degree must be >= 0")
-        self.degree = degree
-        clean: Dict[str, Fraction] = {}
-        for w, c in sorted((coeffs or {}).items(), key=lambda it: (len(it[0]), it[0])):
-            c = Fraction(c)
-            if not c:
-                continue
-            if len(w) > degree:
-                raise ValueError(f"word {w!r} exceeds truncation degree {degree}")
-            if any(ch not in "xy" for ch in w):
-                raise ValueError(f"word {w!r} has letters outside x, y")
-            clean[w] = c
-        self._c = clean
-
-    def coefficient(self, word: str) -> Fraction:
-        return self._c.get(word, Fraction(0))
-
-    def items(self) -> List[Tuple[str, Fraction]]:
-        return list(self._c.items())
+    @staticmethod
+    def _show(word: str) -> str:
+        return word or "1"
 
     def as_dict(self) -> Assoc:
         return dict(self._c)
-
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def component(self, d: int) -> "AssocSeries":
-        return AssocSeries(self.degree, {w: c for w, c in self._c.items() if len(w) == d})
-
-    def __add__(self, other: "AssocSeries") -> "AssocSeries":
-        n = min(self.degree, other.degree)
-        out = {w: c for w, c in self._c.items() if len(w) <= n}
-        for w, c in other._c.items():
-            if len(w) <= n:
-                out[w] = out.get(w, Fraction(0)) + c
-        return AssocSeries(n, out)
-
-    def __sub__(self, other: "AssocSeries") -> "AssocSeries":
-        return self + other.scaled(Fraction(-1))
-
-    def scaled(self, factor) -> "AssocSeries":
-        f = Fraction(factor)
-        return AssocSeries(self.degree, {w: f * c for w, c in self._c.items()})
 
     def left_concat(self, letter: str) -> "AssocSeries":
         """Compose ad_letter on the left: word w becomes letter + w."""
         return AssocSeries(self.degree,
                            {letter + w: c for w, c in self._c.items() if len(w) < self.degree})
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AssocSeries) and self._c == other._c
 
-    def __hash__(self):
-        return hash(tuple(self._c.items()))
-
-    def __repr__(self) -> str:
-        if not self._c:
-            return "AssocSeries(0)"
-        body = " + ".join(f"({c})*{w or '1'}" for w, c in self._c.items())
-        return f"AssocSeries[N={self.degree}]({body})"
-
-
-class CyclicWordSeries:
+class CyclicWordSeries(WordSeries):
     """Rational combination of necklaces (words modulo rotation).
 
-    Keys are stored as their lexicographically minimal rotation; the empty
-    word's coefficient lives in .scalar.
+    Keys are stored as their lexicographically minimal rotation.  The empty
+    word carries tr(1): it is read as .scalar and left out of .items().
     """
 
-    __slots__ = ("degree", "scalar", "_c")
+    __slots__ = ()
+    _rule = "is not a minimal rotation"
 
     def __init__(self, degree: int, coeffs: Dict[str, Fraction] | None = None,
                  scalar: Fraction = Fraction(0)):
-        self.degree = degree
-        self.scalar = Fraction(scalar)
-        clean: Dict[str, Fraction] = {}
-        for w, c in sorted((coeffs or {}).items(), key=lambda it: (len(it[0]), it[0])):
-            c = Fraction(c)
-            if not c:
-                continue
-            if len(w) > degree:
-                raise ValueError(f"necklace {w!r} exceeds truncation degree {degree}")
-            if w != min_rotation(w):
-                raise ValueError(f"{w!r} is not a minimal rotation")
-            clean[w] = c
-        self._c = clean
+        super().__init__(degree, {**(coeffs or {}), "": scalar} if scalar else coeffs)
 
-    def coefficient(self, necklace: str) -> Fraction:
-        return self._c.get(necklace, Fraction(0))
+    @staticmethod
+    def _admits(word: str) -> bool:
+        return word == min_rotation(word)
+
+    @staticmethod
+    def _show(word: str) -> str:
+        return f"<{word}>" if word else "1"
+
+    @property
+    def scalar(self) -> Fraction:
+        return self.coefficient("")
 
     def items(self) -> List[Tuple[str, Fraction]]:
-        return list(self._c.items())
-
-    def is_zero(self) -> bool:
-        return not self._c and not self.scalar
-
-    def component(self, d: int) -> "CyclicWordSeries":
-        if d == 0:
-            return CyclicWordSeries(self.degree, {}, self.scalar)
-        return CyclicWordSeries(self.degree,
-                                {w: c for w, c in self._c.items() if len(w) == d})
-
-    def __add__(self, other: "CyclicWordSeries") -> "CyclicWordSeries":
-        n = min(self.degree, other.degree)
-        out = {w: c for w, c in self._c.items() if len(w) <= n}
-        for w, c in other._c.items():
-            if len(w) <= n:
-                out[w] = out.get(w, Fraction(0)) + c
-        return CyclicWordSeries(n, out, self.scalar + other.scalar)
-
-    def __sub__(self, other: "CyclicWordSeries") -> "CyclicWordSeries":
-        return self + other.scaled(Fraction(-1))
-
-    def scaled(self, factor) -> "CyclicWordSeries":
-        f = Fraction(factor)
-        return CyclicWordSeries(self.degree, {w: f * c for w, c in self._c.items()},
-                                f * self.scalar)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CyclicWordSeries)
-                and self._c == other._c and self.scalar == other.scalar)
-
-    def __repr__(self) -> str:
-        parts = []
-        if self.scalar:
-            parts.append(f"({self.scalar})*1")
-        parts += [f"({c})*<{w}>" for w, c in self._c.items()]
-        return f"CyclicWordSeries[N={self.degree}](" + (" + ".join(parts) or "0") + ")"
+        return [(w, c) for w, c in self._c.items() if w]
 
     def to_json_dict(self) -> dict:
         return {
@@ -234,18 +146,10 @@ def delta_derivative(series: LieSeries, slot: str, degree: int) -> AssocSeries:
 def cyclic_reduce(p: AssocSeries) -> CyclicWordSeries:
     """Project words onto necklaces (trace cyclicity); empty word -> scalar."""
     out: Dict[str, Fraction] = {}
-    scalar = Fraction(0)
     for w, c in p.items():
-        if not w:
-            scalar += c
-            continue
         m = min_rotation(w)
-        nc = out.get(m, Fraction(0)) + c
-        if nc:
-            out[m] = nc
-        else:
-            out.pop(m, None)
-    return CyclicWordSeries(p.degree, out, scalar)
+        out[m] = out.get(m, Fraction(0)) + c
+    return CyclicWordSeries(p.degree, out)
 
 
 # ---------------------------------------------------------------------------
@@ -263,21 +167,6 @@ def g_coefficients(n: int) -> List[Fraction]:
     for m in range(1, n + 1):
         g[m] = -sum((r[k] * g[m - k] for k in range(1, m + 1)), Fraction(0))
     return g
-
-
-def substitute_series(coeffs: List[Fraction], z: Assoc, degree: int) -> Assoc:
-    """sum_k coeffs[k] z^k truncated; z must have zero constant term."""
-    if z.get("", Fraction(0)):
-        raise ValueError("substitution requires zero constant term")
-    out: Assoc = {"": coeffs[0]} if coeffs[0] else {}
-    power: Assoc = {"": Fraction(1)}
-    for k in range(1, len(coeffs)):
-        power = assoc_mul(power, z, degree)
-        if not power:
-            break
-        if coeffs[k]:
-            out = assoc_add(out, assoc_scale(power, coeffs[k]))
-    return out
 
 
 def kv2_residual(A: LieSeries, B: LieSeries, degree: int) -> CyclicWordSeries:
@@ -299,7 +188,6 @@ def _trace_rhs(degree: int) -> CyclicWordSeries:
     `degree`; built once per degree and shared by every kv2_residual call."""
     g = g_coefficients(degree)
     z = lie_to_assoc(bch(degree, "XY"))
-    z = {w: c for w, c in z.items() if len(w) <= degree}
     gx = substitute_series(g, {"x": Fraction(1)}, degree)
     gy = substitute_series(g, {"y": Fraction(1)}, degree)
     gz = substitute_series(g, z, degree)
@@ -328,9 +216,5 @@ def fold_reversal(series: CyclicWordSeries) -> CyclicWordSeries:
             key, coeff = w, c
         else:
             key, coeff = r, c * sign
-        nc = out.get(key, Fraction(0)) + coeff
-        if nc:
-            out[key] = nc
-        else:
-            out.pop(key, None)
+        out[key] = out.get(key, Fraction(0)) + coeff
     return CyclicWordSeries(series.degree, out, series.scalar)

@@ -105,12 +105,6 @@ def assoc_add(a: Assoc, b: Assoc, scale: Fraction = Fraction(1)) -> Assoc:
     return out
 
 
-def assoc_scale(a: Assoc, scale: Fraction) -> Assoc:
-    if not scale:
-        return {}
-    return {w: scale * c for w, c in a.items()}
-
-
 def assoc_mul(a: Assoc, b: Assoc, max_degree: int) -> Assoc:
     out: Dict[str, Fraction] = {}
     for wa, ca in a.items():
@@ -133,43 +127,32 @@ def assoc_commutator(a: Assoc, b: Assoc, max_degree: int) -> Assoc:
     return assoc_add(assoc_mul(a, b, max_degree), assoc_mul(b, a, max_degree), Fraction(-1))
 
 
-def assoc_exp(a: Assoc, max_degree: int) -> Assoc:
-    """exp of an element with zero constant term, truncated."""
-    if "" in a and a[""]:
-        raise ValueError("assoc_exp requires zero constant term")
-    out: Assoc = {"": Fraction(1)}
-    term: Assoc = {"": Fraction(1)}
-    for k in range(1, max_degree + 1):
-        term = assoc_scale(assoc_mul(term, a, max_degree), Fraction(1, k))
-        if not term:
+def substitute_series(coeffs: Sequence[Fraction], z: Assoc, degree: int) -> Assoc:
+    """sum_k coeffs[k] z^k truncated; z must have zero constant term."""
+    if z.get("", Fraction(0)):
+        raise ValueError("substitution requires zero constant term")
+    out: Assoc = {"": coeffs[0]} if coeffs[0] else {}
+    power: Assoc = {"": Fraction(1)}
+    for k in range(1, len(coeffs)):
+        power = assoc_mul(power, z, degree)
+        if not power:
             break
-        out = assoc_add(out, term)
-    return out
-
-
-def assoc_log1p(u: Assoc, max_degree: int) -> Assoc:
-    """log(1 + u) for u with zero constant term, truncated."""
-    if "" in u and u[""]:
-        raise ValueError("assoc_log1p requires zero constant term")
-    out: Assoc = {}
-    term: Assoc = {"": Fraction(1)}
-    for k in range(1, max_degree + 1):
-        term = assoc_mul(term, u, max_degree)
-        if not term:
-            break
-        out = assoc_add(out, term, Fraction((-1) ** (k + 1), k))
+        if coeffs[k]:
+            out = assoc_add(out, power, coeffs[k])
     return out
 
 
 # ---------------------------------------------------------------------------
-# Lie series in the Lyndon basis
+# Word series; Lie series in the Lyndon basis
 
-class LieSeries:
-    """Graded Lie-algebra element, coefficients over the Lyndon basis.
+class WordSeries:
+    """Truncated series of words with rational coefficients.
 
     Immutable by convention: no method mutates self.  Words of degree
-    > self.degree are rejected; zero coefficients are dropped; iteration
-    order is (degree, lex).
+    > self.degree are rejected, as are words the subclass does not admit
+    (`_admits`, with `_rule` naming the rule in the error); zero
+    coefficients are dropped; iteration order is (degree, lex).  `_show`
+    prints a word in the repr.
     """
 
     __slots__ = ("degree", "_c")
@@ -185,10 +168,14 @@ class LieSeries:
                 continue
             if len(w) > degree:
                 raise ValueError(f"word {w!r} exceeds truncation degree {degree}")
-            if not is_lyndon(w):
-                raise ValueError(f"{w!r} is not a Lyndon word")
+            if not self._admits(w):
+                raise ValueError(f"{w!r} {self._rule}")
             clean[w] = c
         self._c = clean
+
+    @staticmethod
+    def _show(word: str) -> str:
+        return word
 
     # -- access ------------------------------------------------------------
     def coefficient(self, word: str) -> Fraction:
@@ -197,50 +184,58 @@ class LieSeries:
     def items(self) -> List[Tuple[str, Fraction]]:
         return list(self._c.items())
 
-    def words(self) -> List[str]:
-        return list(self._c)
+    def component(self, d: int):
+        return type(self)(self.degree, {w: c for w, c in self._c.items() if len(w) == d})
 
-    def component(self, d: int) -> "LieSeries":
-        return LieSeries(self.degree, {w: c for w, c in self._c.items() if len(w) == d})
-
-    def truncated(self, n: int) -> "LieSeries":
-        return LieSeries(n, {w: c for w, c in self._c.items() if len(w) <= n})
+    def truncated(self, n: int):
+        return type(self)(n, {w: c for w, c in self._c.items() if len(w) <= n})
 
     def is_zero(self) -> bool:
         return not self._c
 
     # -- algebra -----------------------------------------------------------
-    def __add__(self, other: "LieSeries") -> "LieSeries":
+    def __add__(self, other):
         n = min(self.degree, other.degree)
         out = {w: c for w, c in self._c.items() if len(w) <= n}
         for w, c in other._c.items():
             if len(w) <= n:
                 out[w] = out.get(w, Fraction(0)) + c
-        return LieSeries(n, out)
+        return type(self)(n, out)
 
-    def __sub__(self, other: "LieSeries") -> "LieSeries":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self) -> "LieSeries":
-        return LieSeries(self.degree, {w: -c for w, c in self._c.items()})
+    def __neg__(self):
+        return self.scaled(-1)
 
-    def scaled(self, factor) -> "LieSeries":
+    def scaled(self, factor):
         f = Fraction(factor)
-        return LieSeries(self.degree, {w: f * c for w, c in self._c.items()})
+        return type(self)(self.degree, {w: f * c for w, c in self._c.items()})
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LieSeries) and self._c == other._c
+        return type(other) is type(self) and self._c == other._c
 
     def __hash__(self):
         return hash(tuple(self._c.items()))
 
     def __repr__(self) -> str:
+        name = type(self).__name__
         if not self._c:
-            return "LieSeries(0)"
-        body = " + ".join(f"({c})*{w}" for w, c in self._c.items())
-        return f"LieSeries[N={self.degree}]({body})"
+            return f"{name}(0)"
+        body = " + ".join(f"({c})*{self._show(w)}" for w, c in self._c.items())
+        return f"{name}[N={self.degree}]({body})"
 
-    # -- constructors --------------------------------------------------------
+
+class LieSeries(WordSeries):
+    """Graded Lie-algebra element, coefficients over the Lyndon basis."""
+
+    __slots__ = ()
+    _rule = "is not a Lyndon word"
+    _admits = staticmethod(is_lyndon)
+
+    def words(self) -> List[str]:
+        return list(self._c)
+
     @staticmethod
     def zero(degree: int) -> "LieSeries":
         return LieSeries(degree, {})
@@ -330,19 +325,19 @@ def ad_series_apply(f: Sequence[Fraction], direction: str, target: LieSeries,
 def bch(degree: int, order: str = "XY") -> LieSeries:
     """Campbell-Hausdorff series log(e^X e^Y) (or log(e^Y e^X)), truncated.
 
-    Computed by exact exp/log composition in the truncated tensor algebra,
-    then projected to the Lyndon basis.  Exact rationals throughout.
+    Computed as log1p(e^X e^Y - 1) by series substitution in the truncated
+    tensor algebra, then projected to the Lyndon basis.  Exact rationals
+    throughout.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     if order not in ("XY", "YX"):
         raise ValueError("order must be 'XY' or 'YX'")
     first, second = ("x", "y") if order == "XY" else ("y", "x")
-    ea = assoc_exp({first: Fraction(1)}, degree)
-    eb = assoc_exp({second: Fraction(1)}, degree)
-    prod = assoc_mul(ea, eb, degree)
-    u = assoc_add(prod, {"": Fraction(1)}, Fraction(-1))
-    return assoc_to_lyndon(assoc_log1p(u, degree), degree)
+    ea = substitute_series(exp_series(degree), {first: Fraction(1)}, degree)
+    eb = substitute_series(exp_series(degree), {second: Fraction(1)}, degree)
+    u = assoc_add(assoc_mul(ea, eb, degree), {"": Fraction(1)}, Fraction(-1))
+    return assoc_to_lyndon(substitute_series(log1p_series(degree), u, degree), degree)
 
 
 def rescale(s: LieSeries, t) -> LieSeries:
@@ -372,11 +367,21 @@ def swap_generators(s: LieSeries) -> LieSeries:
 
 def negate_generators(s: LieSeries) -> LieSeries:
     """The substitution X -> -X, Y -> -Y (degree-d terms scale by (-1)^d)."""
-    return LieSeries(s.degree, {w: c * (-1) ** len(w) for w, c in s.items()})
+    return rescale(s, -1)
 
 
 # ---------------------------------------------------------------------------
 # Series coefficient tables (exact)
+
+def exp_series(n: int) -> List[Fraction]:
+    """e^s up to s^n: the coefficient of s^k is 1/k!."""
+    return [Fraction(1, math.factorial(k)) for k in range(n + 1)]
+
+
+def log1p_series(n: int) -> List[Fraction]:
+    """log(1 + s) up to s^n: the coefficient of s^k is (-1)^(k+1)/k for k >= 1."""
+    return [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, n + 1)]
+
 
 def exp_minus_one_over_s(n: int) -> List[Fraction]:
     """(e^s - 1)/s up to s^n: the coefficient of s^k is 1/(k+1)!."""

@@ -46,6 +46,9 @@ _SERIES_TERMS = 22          # terms for L/R series on ad (spectra stay small)
 _G_TERMS = 30               # terms for the Todd-type series (radius 2 pi)
 _ALPHA_GATE = 1e-12         # |K15 - G7| bound on the Moser 1-form, relative to 1 + |alpha|
 _DPHI_H = 1e-5              # base step for the differential of Phi_t
+_KV2_H = 1e-5               # step for the delta-derivatives of the trace residual
+_SCHOUTEN_H = 1e-4          # step for the Schouten bracket [P_t, P_t]
+_MODULAR_H = 1e-5           # base step for the divergence in modular_field
 _COND_LIMIT = 1e12
 _CHUNK = 4096
 
@@ -380,10 +383,10 @@ class _Engine:
         dets = np.split(dJ, 3)
         return np.sqrt(dets[0] * dets[1] / dets[2])
 
-    def kv2_residual(self, P: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    def kv2_residual(self, P: np.ndarray) -> np.ndarray:
         """|LHS - RHS| of the trace equation, delta-derivatives by FD."""
         d = self.d
-        D = _central_differences(lambda Q: np.stack(self.extract(Q), axis=1), P, h)
+        D = _central_differences(lambda Q: np.stack(self.extract(Q), axis=1), P, _KV2_H)
         # DA[:, :, j] = dA/dX_j, DB[:, :, j] = dB/dY_j
         DA = np.ascontiguousarray(D[:d, :, 0].transpose(1, 2, 0))
         DB = np.ascontiguousarray(D[d:, :, 1].transpose(1, 2, 0))
@@ -396,12 +399,12 @@ class _Engine:
         return np.abs(lhs - rhs)
 
     # -- structure checks ------------------------------------------------------
-    def schouten_max(self, t: float, P: np.ndarray, h: float = 1e-4) -> np.ndarray:
+    def schouten_max(self, t: float, P: np.ndarray) -> np.ndarray:
         """max |[P_t, P_t]^{ijk}| per point (FD assembly)."""
         Pt = self.p_t(t, P)
         # D[b, l, j, k] = d(P_t)_{jk}/dp_l
         D = np.ascontiguousarray(
-            _central_differences(lambda Q: self.p_t(t, Q), P, h).transpose(1, 0, 2, 3))
+            _central_differences(lambda Q: self.p_t(t, Q), P, _SCHOUTEN_H).transpose(1, 0, 2, 3))
         S = (np.einsum('bil,bljk->bijk', Pt, D)
              + np.einsum('bjl,blki->bijk', Pt, D)
              + np.einsum('bkl,blij->bijk', Pt, D))
@@ -501,21 +504,19 @@ def kirillov_P0(alg: QuadraticLieAlgebra, p: PointV) -> BivectorSample:
     return BivectorSample(p, eng.p0(p.as_array()[None])[0])
 
 
-def modular_field(alg: QuadraticLieAlgebra, volume: float,
-                  P_field: Callable[[np.ndarray], np.ndarray], p: PointV,
-                  h: float = 1e-5) -> np.ndarray:
+def modular_field(alg: QuadraticLieAlgebra,
+                  P_field: Callable[[np.ndarray], np.ndarray], p: PointV) -> np.ndarray:
     """Modular vector field of a bivector field w.r.t. a constant volume form.
 
     Components on the 2d coordinate Hamiltonians H_i = p_i, by central-FD
     divergence of the Hamiltonian fields v_{H_i} = -(P @ e_i).  P_field
     maps a stack of points (N, 2d) to bivectors (N, 2d, 2d); it is called
-    once, on the stack of the 2 * 2d perturbed points.  The volume
-    coefficient is constant (translation-invariant form), so it drops out
-    of the divergence; the argument is kept for interface fidelity.
+    once, on the stack of the 2 * 2d perturbed points.  The volume form is
+    the constant (translation-invariant) one, whose coefficient drops out
+    of the divergence.
     """
-    del volume
     q = p.as_array()
-    D = _central_differences(P_field, q[None], h * (1.0 + np.abs(q))[None])
+    D = _central_differences(P_field, q[None], _MODULAR_H * (1.0 + np.abs(q))[None])
     out = np.zeros(q.shape[0])
     for i in range(q.shape[0]):
         out += D[i, 0, i, :]  # sum_j d_j P_{j i} accumulated per j = i row

@@ -216,6 +216,35 @@ def _eq2_rows(d: int, residual0: cyclic.CyclicWordSeries
     return rows, rhs
 
 
+def _solve_degrees(degrees: Sequence[int], lhs: LieSeries,
+                   residual0: cyclic.CyclicWordSeries | None,
+                   coeffsA: Dict[str, Fraction], coeffsB: Dict[str, Fraction]) -> None:
+    """Solve the given degrees in turn, writing A_d and B_d into coeffsA/coeffsB.
+
+    Each degree's system is the degree-(d+1) component of the first
+    equation (inhomogeneity `lhs`) on top of the parts already in
+    coeffsA/coeffsB, plus the degree-d trace rows when `residual0` (the
+    trace residual of the zero pair) is given.  Free variables are zero;
+    raises InfeasibleDegreeError if some degree admits no solution.
+    """
+    for d in degrees:
+        words_d, rows, rhs = _eq1_rows(d, lhs.component(d + 1),
+                                       LieSeries(d, coeffsA), LieSeries(d, coeffsB))
+        if residual0 is not None:
+            rows2, rhs2 = _eq2_rows(d, residual0.component(d))
+            rows += rows2
+            rhs += rhs2
+        sol, _, (rank_lhs, rank_aug) = solve_exact(rows, rhs)
+        if rank_aug != rank_lhs:
+            raise InfeasibleDegreeError(d, rank_lhs, rank_aug, 2 * len(words_d))
+        k = len(words_d)
+        for w, a, b in zip(words_d, sol[:k], sol[k:]):
+            if a:
+                coeffsA[w] = a
+            if b:
+                coeffsB[w] = b
+
+
 def solve_kv(degree: int, strategy: str = "eq1-only") -> KVPair:
     """Solve the Kashiwara-Vergne system degree by degree, exactly.
 
@@ -230,29 +259,13 @@ def solve_kv(degree: int, strategy: str = "eq1-only") -> KVPair:
         raise ValueError(f"unknown strategy {strategy!r}")
     n = degree + 1
     lhs1 = bch(n, "YX") - LieSeries.generator("x", n) - LieSeries.generator("y", n)
+    residual0 = None
     if strategy == "joint-eq1-eq2":
         zero = LieSeries.zero(degree)
         residual0 = cyclic.kv2_residual(zero, zero, degree)
     coeffsA: Dict[str, Fraction] = {}
     coeffsB: Dict[str, Fraction] = {}
-    for d in range(1, degree + 1):
-        lowerA = LieSeries(degree, dict(coeffsA))
-        lowerB = LieSeries(degree, dict(coeffsB))
-        words_d, rows, rhs = _eq1_rows(d, lhs1.component(d + 1), lowerA, lowerB)
-        if strategy == "joint-eq1-eq2":
-            rows2, rhs2 = _eq2_rows(d, residual0.component(d))
-            rows += rows2
-            rhs += rhs2
-        sol, _, (rank_lhs, rank_aug) = solve_exact(rows, rhs)
-        if rank_aug != rank_lhs:
-            raise InfeasibleDegreeError(d, rank_lhs, rank_aug, 2 * len(words_d))
-        k = len(words_d)
-        for w, c in zip(words_d, sol[:k]):
-            if c:
-                coeffsA[w] = c
-        for w, c in zip(words_d, sol[k:]):
-            if c:
-                coeffsB[w] = c
+    _solve_degrees(range(1, degree + 1), lhs1, residual0, coeffsA, coeffsB)
     return KVPair(LieSeries(degree, coeffsA), LieSeries(degree, coeffsB),
                   degree, strategy)
 
@@ -276,20 +289,7 @@ def eq1_kernel_basis(d: int, degree_cap: int | None = None) -> List[KVPair]:
     for vec in kernel:
         coeffsA = {w: c for w, c in zip(words_d, vec[:k]) if c}
         coeffsB = {w: c for w, c in zip(words_d, vec[k:]) if c}
-        for dd in range(d + 1, cap + 1):
-            lowerA = LieSeries(cap, dict(coeffsA))
-            lowerB = LieSeries(cap, dict(coeffsB))
-            words_dd, rows_dd, rhs_dd = _eq1_rows(dd, zero, lowerA, lowerB)
-            sol, _, (r1, r2) = solve_exact(rows_dd, rhs_dd)
-            if r1 != r2:
-                raise InfeasibleDegreeError(dd, r1, r2, 2 * len(words_dd))
-            m = len(words_dd)
-            for w, c in zip(words_dd, sol[:m]):
-                if c:
-                    coeffsA[w] = c
-            for w, c in zip(words_dd, sol[m:]):
-                if c:
-                    coeffsB[w] = c
+        _solve_degrees(range(d + 1, cap + 1), zero, None, coeffsA, coeffsB)
         out.append(KVPair(LieSeries(cap, coeffsA), LieSeries(cap, coeffsB),
                           cap, "kernel"))
     return out

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from kvgeom import kvsolve
+from kvgeom import cyclic, kvsolve
 from kvgeom.cli import main
 from kvgeom.freelie import LieSeries, bch_cache_path, lyndon_basis
 
@@ -47,6 +47,20 @@ class TestBCH:
         assert open(path, "rb").read() == first
         assert strip_timestamp(out1) == strip_timestamp(out2)
 
+    # SHA-256 of the degree-8 bch report without its timestamp, dumped as
+    # in TestSolveCommands.SOLVE_KV_6_SHA256
+    BCH_8_SHA256 = {
+        "XY": "e0f55814f50866ab58d2122a3ea208e22db5fef5af2805055c2cab947581c946",
+        "YX": "0c9eb6a76945149eb4a4de32600d432e4f99bdfb1ca4302d8342c4e8b96cc0f3",
+    }
+
+    @pytest.mark.parametrize("order", sorted(BCH_8_SHA256))
+    def test_bch_report_golden(self, order, capsys):
+        code, out = run_cli(["bch", "--degree", "8", "--order", order], capsys)
+        assert code == 0
+        text = json.dumps(strip_timestamp(out), indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.BCH_8_SHA256[order]
+
     def test_cache_env_var(self, tmp_path, capsys, monkeypatch):
         cache = str(tmp_path / "envcache")
         monkeypatch.setenv("KVGEOM_CACHE_DIR", cache)
@@ -71,6 +85,19 @@ class TestSolveCommands:
         text = json.dumps(strip_timestamp(out), indent=2, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == self.SOLVE_KV_6_SHA256[strategy]
 
+    # the same digest for the degree-6 check-kv2 report, with its exit code:
+    # eq1-only leaves a nonzero raw necklace residual, joint closes it
+    CHECK_KV2_6 = {
+        "eq1-only": (1, "d71fca774a5c6c3a963f2e71e2bf832894196b764f541f124d81760e9aaad54d"),
+        "joint-eq1-eq2": (0, "f47a757bb2f99f6ac93b46d67c3ca74d7ea89b82a50be63f552260547a700def"),
+    }
+
+    @pytest.mark.parametrize("strategy", sorted(CHECK_KV2_6))
+    def test_check_kv2_report_golden(self, strategy, capsys):
+        code, out = run_cli(["check-kv2", "--degree", "6", "--strategy", strategy], capsys)
+        text = json.dumps(strip_timestamp(out), indent=2, sort_keys=True)
+        assert (code, hashlib.sha256(text.encode()).hexdigest()) == self.CHECK_KV2_6[strategy]
+
     def test_check_kv1_passes(self, capsys):
         code, out = run_cli(["check-kv1", "--degree", "5"], capsys)
         assert code == 0
@@ -91,6 +118,23 @@ class TestSolveCommands:
         code, out = run_cli(["solve-kv", "--degree", "4"], capsys)
         assert code == 1
         assert strip_timestamp(out)["residual1"] != "0"
+
+    def test_check_kv1_skips_trace_residual(self, capsys, monkeypatch):
+        def unused(*args):
+            raise AssertionError("check-kv1 does not report the trace residual")
+
+        monkeypatch.setattr(cyclic, "kv2_residual", unused)
+        code, out = run_cli(["check-kv1", "--degree", "3"], capsys)
+        assert code == 0 and strip_timestamp(out)["pass"] is True
+
+    def test_check_kv2_skips_first_residual(self, capsys, monkeypatch):
+        def unused(*args):
+            raise AssertionError("check-kv2 does not report the first residual")
+
+        monkeypatch.setattr(kvsolve, "kv1_residual", unused)
+        code, out = run_cli(["check-kv2", "--degree", "3",
+                             "--strategy", "joint-eq1-eq2"], capsys)
+        assert code == 0 and strip_timestamp(out)["pass"] is True
 
     def test_solve_kv_report_fields(self, capsys):
         code, out = run_cli(["solve-kv", "--degree", "3"], capsys)
@@ -183,6 +227,11 @@ class TestUsage:
     def test_missing_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
+        assert exc.value.code == 2
+
+    def test_cache_only_on_bch(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-kv", "--cache", str(tmp_path)])
         assert exc.value.code == 2
 
     def test_degree_guard(self, capsys):

@@ -78,7 +78,7 @@ class TestModularField:
     def test_quadratic_algebras_vanish(self, all_algebras):
         for alg in all_algebras:
             p = PointV(0.2 * np.ones(alg.dim) / alg.dim, -0.1 * np.ones(alg.dim))
-            w = modular_field(alg, 1.0, self._field(alg), p)
+            w = modular_field(alg, self._field(alg), p)
             assert np.max(np.abs(w)) <= 1e-7
 
     def test_abelian_exactly_zero(self):
@@ -88,12 +88,12 @@ class TestModularField:
             "form": "trace",
             "domain_radius": 1.0})
         p = PointV(np.array([0.3, 0.1]), np.array([-0.2, 0.4]))
-        w = modular_field(alg, 1.0, self._field(alg), p)
+        w = modular_field(alg, self._field(alg), p)
         assert np.max(np.abs(w)) == 0.0
 
     def test_gl2_sample(self, gl2):
         p = PointV(np.array([0.1, -0.2, 0.05, 0.15]), np.array([0.2, 0.0, -0.1, 0.1]))
-        w = modular_field(gl2, 1.0, self._field(gl2), p)
+        w = modular_field(gl2, self._field(gl2), p)
         assert np.max(np.abs(w)) <= 1e-7
 
 
