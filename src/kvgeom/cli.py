@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Dict, List, Optional
 
@@ -23,32 +22,6 @@ from .matrixlie import OutsideDomainError, builtin_algebras, get_algebra, load_a
 
 MAX_DEGREE = 10
 CACHE_ENV = "KVGEOM_CACHE_DIR"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    degree: int = 8
-    order: str = "XY"
-    strategy: str = "eq1-only"
-    algebra: str = "so3"
-    samples: int = 100
-    seed: int = 42
-    radius: float = 0.3
-    steps: int = 200
-    out: Optional[str] = None
-    cache: Optional[str] = None
-    algebra_file: Optional[str] = None
-    tolerances: Optional[Dict[str, float]] = None
-
-    def __post_init__(self):
-        if not 1 <= self.degree <= MAX_DEGREE:
-            raise ValueError(f"degree must be in 1..{MAX_DEGREE} "
-                             "(coefficient growth beyond that is impractical)")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.algebra == "all" and self.algebra_file:
-            raise ValueError("--algebra all cannot be combined with --algebra-file")
 
 
 def _timestamp() -> str:
@@ -69,104 +42,103 @@ def _series_entries(series: freelie.LieSeries) -> List[dict]:
     return [{"word": w, "c": format_fraction(c)} for w, c in series.items()]
 
 
-def _resolve_algebra(cfg: RunConfig):
-    if cfg.algebra_file:
-        return load_algebra(cfg.algebra_file)
-    return get_algebra(cfg.algebra)
+def _resolve_algebra(args: argparse.Namespace):
+    if args.algebra_file:
+        return load_algebra(args.algebra_file)
+    return get_algebra(args.algebra)
+
+
+def _tolerances(args: argparse.Namespace) -> Dict[str, float]:
+    """geom.DEFAULT_TOLERANCES with the --tol-* values given on the command line."""
+    tol = dict(geom.DEFAULT_TOLERANCES)
+    for flag, key in _TOL_FLAGS.items():
+        if getattr(args, flag, None) is not None:
+            tol[key] = getattr(args, flag)
+    return tol
 
 
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
-def cmd_bch(cfg: RunConfig) -> int:
-    cache = cfg.cache or os.environ.get(CACHE_ENV)
+def cmd_bch(args: argparse.Namespace) -> int:
+    cache = args.cache or os.environ.get(CACHE_ENV)
     if cache:
-        series = freelie.bch_cached(cfg.degree, cfg.order, cache)
+        series = freelie.bch_cached(args.degree, args.order, cache)
     else:
-        series = freelie.bch(cfg.degree, cfg.order)
+        series = freelie.bch(args.degree, args.order)
     for w, c in series.items():
         print(f"{w}: {format_fraction(c)}")
     report = {
         "command": "bch",
-        "degree": cfg.degree,
-        "order": cfg.order,
+        "degree": args.degree,
+        "order": args.order,
         "coeffs": _series_entries(series),
         "timestamp": _timestamp(),
     }
-    _emit(report, cfg.out)
+    _emit(report, args.out)
     return 0
 
 
-def _residual1(cfg: RunConfig, pair: kvsolve.KVPair) -> freelie.LieSeries:
+def _residual1(args: argparse.Namespace, pair: kvsolve.KVPair) -> freelie.LieSeries:
     # through degree + 1: the top parts A_N, B_N first enter there
-    return kvsolve.kv1_residual(pair, cfg.degree + 1)
+    return kvsolve.kv1_residual(pair, args.degree + 1)
 
 
-def _residual2_report(cfg: RunConfig, pair: kvsolve.KVPair):
+def _residual2_report(args: argparse.Namespace, pair: kvsolve.KVPair):
     """The trace residual and its report entry (raw and folded by reversal)."""
-    resid2 = cyclic.kv2_residual(pair.A, pair.B, cfg.degree)
+    resid2 = cyclic.kv2_residual(pair.A, pair.B, args.degree)
     return resid2, {"raw": resid2.to_json_dict(),
                     "mod_reversal": cyclic.fold_reversal(resid2).to_json_dict()}
 
 
-def cmd_solve_kv(cfg: RunConfig) -> int:
-    try:
-        pair = kvsolve.solve_kv(cfg.degree, cfg.strategy)
-    except kvsolve.InfeasibleDegreeError as exc:
-        _emit({"command": "solve-kv", "degree": cfg.degree, "strategy": cfg.strategy,
-               "error": str(exc), "timestamp": _timestamp()}, cfg.out)
-        return 1
-    resid1 = _residual1(cfg, pair)
-    _, resid2_report = _residual2_report(cfg, pair)
+def cmd_solve_kv(args: argparse.Namespace) -> int:
+    pair = kvsolve.solve_kv(args.degree, args.strategy)
+    resid1 = _residual1(args, pair)
+    _, resid2_report = _residual2_report(args, pair)
     report = {
         "command": "solve-kv",
-        "degree": cfg.degree,
-        "strategy": cfg.strategy,
+        "degree": args.degree,
+        "strategy": args.strategy,
         "A": _series_entries(pair.A),
         "B": _series_entries(pair.B),
         "residual1": "0" if resid1.is_zero() else str(resid1),
         "residual2_report": resid2_report,
         "timestamp": _timestamp(),
     }
-    _emit(report, cfg.out)
+    _emit(report, args.out)
     return 0 if resid1.is_zero() else 1
 
 
-def cmd_check_kv1(cfg: RunConfig) -> int:
-    resid1 = _residual1(cfg, kvsolve.solve_kv(cfg.degree, cfg.strategy))
+def cmd_check_kv1(args: argparse.Namespace) -> int:
+    resid1 = _residual1(args, kvsolve.solve_kv(args.degree, args.strategy))
     ok = resid1.is_zero()
-    print(f"kv1 residual (degree {cfg.degree}, {cfg.strategy}): "
+    print(f"kv1 residual (degree {args.degree}, {args.strategy}): "
           f"{'0' if ok else 'NONZERO'}")
-    _emit({"command": "check-kv1", "degree": cfg.degree, "strategy": cfg.strategy,
+    _emit({"command": "check-kv1", "degree": args.degree, "strategy": args.strategy,
            "residual1": "0" if ok else str(resid1), "pass": ok,
-           "timestamp": _timestamp()}, cfg.out)
+           "timestamp": _timestamp()}, args.out)
     return 0 if ok else 1
 
 
-def cmd_check_kv2(cfg: RunConfig) -> int:
-    try:
-        pair = kvsolve.solve_kv(cfg.degree, cfg.strategy)
-    except kvsolve.InfeasibleDegreeError as exc:
-        _emit({"command": "check-kv2", "degree": cfg.degree, "strategy": cfg.strategy,
-               "error": str(exc), "timestamp": _timestamp()}, cfg.out)
-        return 1
-    resid2, resid2_report = _residual2_report(cfg, pair)
+def cmd_check_kv2(args: argparse.Namespace) -> int:
+    pair = kvsolve.solve_kv(args.degree, args.strategy)
+    resid2, resid2_report = _residual2_report(args, pair)
     ok = resid2.is_zero()
-    print(f"kv2 necklace residual (degree {cfg.degree}, {cfg.strategy}): "
+    print(f"kv2 necklace residual (degree {args.degree}, {args.strategy}): "
           f"{'0' if ok else 'nonzero, see report'}")
-    _emit({"command": "check-kv2", "degree": cfg.degree, "strategy": cfg.strategy,
+    _emit({"command": "check-kv2", "degree": args.degree, "strategy": args.strategy,
            "residual2_report": resid2_report,
-           "pass": ok, "timestamp": _timestamp()}, cfg.out)
+           "pass": ok, "timestamp": _timestamp()}, args.out)
     return 0 if ok else 1
 
 
-def cmd_geom_run(cfg: RunConfig) -> int:
-    algs = builtin_algebras() if cfg.algebra == "all" else [_resolve_algebra(cfg)]
+def cmd_geom_run(args: argparse.Namespace) -> int:
+    algs = builtin_algebras() if args.algebra == "all" else [_resolve_algebra(args)]
     reports = []
     for alg in algs:
         rep = geom.run_geometry_suite(
-            alg, n_samples=cfg.samples, seed=cfg.seed, radius=cfg.radius,
-            steps=cfg.steps, tolerances=cfg.tolerances)
+            alg, n_samples=args.samples, seed=args.seed, radius=args.radius,
+            steps=args.steps, tolerances=_tolerances(args))
         reports.append(rep)
         res = rep["residuals"]
         print(f"[{alg.name}] eq1.max={res['eq1']['max']:.3e} "
@@ -176,41 +148,44 @@ def cmd_geom_run(cfg: RunConfig) -> int:
     all_pass = all(rep["pass"] for rep in reports)
     report = reports[0] if len(reports) == 1 else {"reports": reports, "pass": all_pass}
     report["timestamp"] = _timestamp()
-    _emit(report, cfg.out)
+    _emit(report, args.out)
     return 0 if all_pass else 1
 
 
-def cmd_flow(cfg: RunConfig) -> int:
-    alg = _resolve_algebra(cfg)
-    tol = dict(geom.DEFAULT_TOLERANCES)
-    if cfg.tolerances:
-        tol.update(cfg.tolerances)
-    P = geom.sample_points(alg, cfg.samples, cfg.seed, cfg.radius)
-    phi_drift, vol_drift = geom.transport_drift(alg, P, cfg.steps,
-                                                keep_every=max(2, cfg.steps // 10))
+def cmd_flow(args: argparse.Namespace) -> int:
+    alg = _resolve_algebra(args)
+    tol = _tolerances(args)
+    P = geom.sample_points(alg, args.samples, args.seed, args.radius)
+    phi_drift, vol_drift = geom.transport_drift(alg, P, args.steps,
+                                                keep_every=max(2, args.steps // 10))
     ok = phi_drift <= tol["transportPhi"] and vol_drift <= tol["transportVol"]
-    print(f"[{alg.name}] flow steps={cfg.steps} points={cfg.samples} "
+    print(f"[{alg.name}] flow steps={args.steps} points={args.samples} "
           f"maxPhiDrift={phi_drift:.3e} maxVolDrift={vol_drift:.3e} pass={ok}")
-    _emit({"command": "flow", "algebra": alg.name, "steps": cfg.steps,
-           "samples": cfg.samples, "seed": cfg.seed, "radius": cfg.radius,
+    _emit({"command": "flow", "algebra": alg.name, "steps": args.steps,
+           "samples": args.samples, "seed": args.seed, "radius": args.radius,
            "transportPhi": {"max": phi_drift}, "transportVol": {"max": vol_drift},
            "tolerances": {"transportPhi": tol["transportPhi"],
                           "transportVol": tol["transportVol"]},
-           "pass": ok, "timestamp": _timestamp()}, cfg.out)
+           "pass": ok, "timestamp": _timestamp()}, args.out)
     return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# --tol-* flags and the tolerance each sets: flow checks the transport
+# tolerances alone, geom-run all seven
+_FLOW_TOL_FLAGS = {
+    "tol_transport_phi": "transportPhi",
+    "tol_transport_vol": "transportVol",
+}
 _TOL_FLAGS = {
     "tol_eq1": "eq1",
     "tol_eq2": "eq2",
     "tol_kappa_lambda": "kappaVsLambda",
     "tol_jacobi": "jacobi",
     "tol_moment": "momentMap",
-    "tol_transport_phi": "transportPhi",
-    "tol_transport_vol": "transportVol",
+    **_FLOW_TOL_FLAGS,
 }
 
 
@@ -218,7 +193,7 @@ def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the JSON report to this path")
 
 
-def _add_numeric(p: argparse.ArgumentParser) -> None:
+def _add_numeric(p: argparse.ArgumentParser, tol_flags: Dict[str, str]) -> None:
     p.add_argument("--algebra", default="so3",
                    help="so3 | sl2 | gl2 | all (default so3)")
     p.add_argument("--algebra-file", help="JSON descriptor of a custom algebra")
@@ -226,7 +201,7 @@ def _add_numeric(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--radius", type=float, default=0.3)
     p.add_argument("--steps", type=int, default=200)
-    for flag in _TOL_FLAGS:
+    for flag in tol_flags:
         p.add_argument("--" + flag.replace("_", "-"), type=float, default=None)
 
 
@@ -251,37 +226,25 @@ def build_parser() -> argparse.ArgumentParser:
         _add_out(p)
 
     p = sub.add_parser("geom-run", help="numeric verification sweep")
-    _add_numeric(p)
+    _add_numeric(p, _TOL_FLAGS)
     _add_out(p)
 
     p = sub.add_parser("flow", help="Moser flow transport experiment")
-    _add_numeric(p)
+    _add_numeric(p, _FLOW_TOL_FLAGS)
     _add_out(p)
 
     return ap
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    tolerances = {}
-    for flag, key in _TOL_FLAGS.items():
-        v = getattr(args, flag, None)
-        if v is not None:
-            tolerances[key] = v
-    return RunConfig(
-        command=args.command,
-        degree=getattr(args, "degree", 8),
-        order=getattr(args, "order", "XY"),
-        strategy=getattr(args, "strategy", "eq1-only"),
-        algebra=getattr(args, "algebra", "so3"),
-        algebra_file=getattr(args, "algebra_file", None),
-        samples=getattr(args, "samples", 100),
-        seed=getattr(args, "seed", 42),
-        radius=getattr(args, "radius", 0.3),
-        steps=getattr(args, "steps", 200),
-        out=getattr(args, "out", None),
-        cache=getattr(args, "cache", None),
-        tolerances=tolerances or None,
-    )
+def _check_args(args: argparse.Namespace) -> None:
+    """The usage rules argparse does not state; ValueError if one fails."""
+    if not 1 <= getattr(args, "degree", 1) <= MAX_DEGREE:
+        raise ValueError(f"degree must be in 1..{MAX_DEGREE} "
+                         "(coefficient growth beyond that is impractical)")
+    if getattr(args, "samples", 1) < 1:
+        raise ValueError("samples must be >= 1")
+    if getattr(args, "algebra", None) == "all" and getattr(args, "algebra_file", None):
+        raise ValueError("--algebra all cannot be combined with --algebra-file")
 
 
 _DISPATCH = {
@@ -297,12 +260,13 @@ _DISPATCH = {
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _DISPATCH[cfg.command](cfg)
+        _check_args(args)
+        return _DISPATCH[args.command](args)
+    except kvsolve.InfeasibleDegreeError as exc:
+        # the solve commands report an infeasible degree and exit 1
+        _emit({"command": args.command, "degree": args.degree, "strategy": args.strategy,
+               "error": str(exc), "timestamp": _timestamp()}, args.out)
+        return 1
     except OutsideDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -40,6 +40,8 @@ from .matrixlie import (
     fn_dexp,
     fn_dexp_right,
     fn_todd,
+    kappa_t,
+    phi_t,
 )
 
 _SERIES_TERMS = 22          # terms for L/R series on ad (spectra stay small)
@@ -51,6 +53,7 @@ _SCHOUTEN_H = 1e-4          # step for the Schouten bracket [P_t, P_t]
 _MODULAR_H = 1e-5           # base step for the divergence in modular_field
 _COND_LIMIT = 1e12
 _CHUNK = 4096
+_SUITE_SUBSAMPLE = 20       # points of the suite's Jacobi, moment-map and flow checks
 
 # Gauss-Kronrod G7/K15 on [-1, 1], as in QUADPACK's qk15 (Piessens et al.
 # 1983): the Kronrod abscissae from the end point to the centre, their K15
@@ -79,9 +82,6 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
     "momentMap": 1e-5,
     "transportPhi": 1e-6,
     "transportVol": 1e-5,
-    "modular": 1e-7,
-    "equivariance": 1e-6,
-    "homotopy": 1e-5,
 }
 
 
@@ -199,13 +199,6 @@ class _Engine:
         out[:, d:, d:] = -self.alg.ad(P[:, d:]) @ self.Qi
         return 0.5 * (out - np.transpose(out, (0, 2, 1)))
 
-    def phi1(self, P: np.ndarray) -> np.ndarray:
-        """log(e^X e^Y) in coordinates (the unscaled product map)."""
-        d = self.d
-        ex = self.alg.exp_chart(P[:, :d])
-        ey = self.alg.exp_chart(P[:, d:])
-        return self.alg.log_chart(ex @ ey)
-
     def varpi(self, W: np.ndarray) -> np.ndarray:
         """Homotopy primitive of the Cartan-form pullback, as (B, d, d).
 
@@ -246,14 +239,14 @@ class _Engine:
         d = self.d
         B = P.shape[0]
         X, Y = P[:, :d], P[:, d:]
-        Z = self.phi1(P)
+        Z = phi_t(self.alg, 1.0, PointV(X, Y))
         # one table and one contraction for every series at X, Y and Z
         W = np.concatenate([X, Y, Z], axis=0)
         F, pw, r = ad_series(self.alg.ad(W), self.c_sigma)
         Lx = F[:B, 0]
         Ly, Ry, Eyn = F[B:2 * B, 0], F[B:2 * B, 1], F[B:2 * B, 2]
         Gzn = F[2 * B:, 3]
-        # d(phi1) by the dexp calculus, with Z = log(e^X e^Y) and
+        # dZ by the dexp calculus, with Z = log(e^X e^Y) and
         # L(s) = (1 - e^{-s})/s: dZ/dX = L(ad_Z)^{-1} e^{-ad_Y} L(ad_X) and
         # dZ/dY = L(ad_Z)^{-1} L(ad_Y)
         J = np.empty((B, d, 2 * d))
@@ -272,12 +265,10 @@ class _Engine:
     def psi(self, P: np.ndarray) -> np.ndarray:
         """Moment part Psi = Phi_0 - Phi_1 = X + Y - log(e^X e^Y)."""
         d = self.d
-        return P[:, :d] + P[:, d:] - self.phi1(P)
+        return P[:, :d] + P[:, d:] - self.phi_t_map(1.0, P)
 
     def sigma_t(self, t: float, P: np.ndarray) -> np.ndarray:
         """sigma_t = t * sigma(t p): the scaled family, zero at t = 0."""
-        if t == 0.0:
-            return np.zeros((P.shape[0], 2 * self.d, 2 * self.d))
         return t * self.sigma(t * P)
 
     def alpha(self, t: float, P: np.ndarray) -> np.ndarray:
@@ -312,10 +303,13 @@ class _Engine:
                 f"{_ALPHA_GATE:g} (1 + |alpha|))")
         if not want_gauge:
             return cov, None
-        M = np.broadcast_to(np.eye(n2), (B, n2, n2)).copy()
-        M += t * sig[-B:] @ self.p0(P)
+        return cov, self._gauge(t * sig[-B:], P)
+
+    def _gauge(self, sig_t: np.ndarray, P: np.ndarray) -> np.ndarray:
+        """1 + sigma_t P0 from sigma_t at P, with invertibility gates; (B, 2d, 2d)."""
+        M = np.eye(2 * self.d) + sig_t @ self.p0(P)
         self._check_gauge(M)
-        return cov, M
+        return M
 
     @staticmethod
     def _check_gauge(M: np.ndarray) -> None:
@@ -325,23 +319,11 @@ class _Engine:
         if np.any(np.linalg.cond(M) > _COND_LIMIT):
             raise OutsideDomainError("outside V: gauge factor ill conditioned")
 
-    def gauge_factor(self, t: float, P: np.ndarray) -> np.ndarray:
-        """1 + sigma_t P0 with invertibility gates; (B, 2d, 2d)."""
-        M = np.broadcast_to(np.eye(2 * self.d), (P.shape[0], 2 * self.d, 2 * self.d)).copy()
-        M += self.sigma_t(t, P) @ self.p0(P)
-        self._check_gauge(M)
-        return M
-
     def p_t(self, t: float, P: np.ndarray) -> np.ndarray:
-        if t == 0.0:
-            return self.p0(P)
-        M = self.gauge_factor(t, P)
-        return self.p0(P) @ np.linalg.inv(M)
+        return self.p0(P) @ np.linalg.inv(self._gauge(self.sigma_t(t, P), P))
 
     def lam(self, t: float, P: np.ndarray) -> np.ndarray:
-        if t == 0.0:
-            return np.ones(P.shape[0])
-        return np.sqrt(np.linalg.det(self.gauge_factor(t, P)))
+        return np.sqrt(np.linalg.det(self._gauge(self.sigma_t(t, P), P)))
 
     def moser_w(self, t: float, P: np.ndarray) -> np.ndarray:
         """v_t = -(P_t @ alpha_t)."""
@@ -363,9 +345,7 @@ class _Engine:
         d = self.d
         X, Y = P[:, :d], P[:, d:]
         A, Bv = self.extract(P)
-        ey = self.alg.exp_chart(Y)
-        ex = self.alg.exp_chart(X)
-        lhs = self.alg.log_chart(ey @ ex) - X - Y
+        lhs = phi_t(self.alg, 1.0, PointV(Y, X)) - X - Y
         B = P.shape[0]
         F = ad_series(self.alg.ad(np.concatenate([X, Y])), np.stack([self.cA, self.cB]))[0]
         rhs = (np.einsum('buv,bv->bu', F[:B, 0], A)
@@ -373,15 +353,7 @@ class _Engine:
         return np.max(np.abs(lhs - rhs), axis=-1)
 
     def kappa(self, t: float, P: np.ndarray) -> np.ndarray:
-        if t == 0.0:
-            return np.ones(P.shape[0])
-        d = self.d
-        W = np.concatenate([t * P[:, :d], t * P[:, d:], self.phi1(t * P)])
-        dJ = np.linalg.det(ad_series(self.alg.ad(W), self.cL[None])[0][:, 0])
-        if np.any(dJ <= 0.0):
-            raise OutsideDomainError("outside V: Jacobian of exp not positive")
-        dets = np.split(dJ, 3)
-        return np.sqrt(dets[0] * dets[1] / dets[2])
+        return kappa_t(self.alg, t, PointV.from_array(P, self.d))
 
     def kv2_residual(self, P: np.ndarray) -> np.ndarray:
         """|LHS - RHS| of the trace equation, delta-derivatives by FD."""
@@ -393,7 +365,8 @@ class _Engine:
         X, Y = P[:, :d], P[:, d:]
         lhs = (np.einsum('bij,bji->b', self.alg.ad(X), DA)
                + np.einsum('bij,bji->b', self.alg.ad(Y), DB))
-        F = ad_series(self.alg.ad(np.concatenate([X, Y, self.phi1(P)])), self.cG[None])[0]
+        Z = phi_t(self.alg, 1.0, PointV(X, Y))
+        F = ad_series(self.alg.ad(np.concatenate([X, Y, Z])), self.cG[None])[0]
         tr = np.split(np.trace(F[:, 0], axis1=-2, axis2=-1), 3)
         rhs = -0.5 * (tr[0] + tr[1] - tr[2] - d)
         return np.abs(lhs - rhs)
@@ -411,10 +384,7 @@ class _Engine:
         return np.max(np.abs(S), axis=(1, 2, 3))
 
     def phi_t_map(self, t: float, P: np.ndarray) -> np.ndarray:
-        d = self.d
-        if t == 0.0:
-            return P[:, :d] + P[:, d:]
-        return self.phi1(t * P) / t
+        return phi_t(self.alg, t, PointV.from_array(P, self.d))
 
     def dphi_t(self, t: float, P: np.ndarray) -> np.ndarray:
         h = _DPHI_H * (1.0 + np.abs(P))
@@ -504,8 +474,7 @@ def kirillov_P0(alg: QuadraticLieAlgebra, p: PointV) -> BivectorSample:
     return BivectorSample(p, eng.p0(p.as_array()[None])[0])
 
 
-def modular_field(alg: QuadraticLieAlgebra,
-                  P_field: Callable[[np.ndarray], np.ndarray], p: PointV) -> np.ndarray:
+def modular_field(P_field: Callable[[np.ndarray], np.ndarray], p: PointV) -> np.ndarray:
     """Modular vector field of a bivector field w.r.t. a constant volume form.
 
     Components on the 2d coordinate Hamiltonians H_i = p_i, by central-FD
@@ -668,9 +637,7 @@ def sample_points(alg: QuadraticLieAlgebra, n: int, seed: int,
 
 def run_geometry_suite(alg: QuadraticLieAlgebra, n_samples: int = 100,
                        seed: int = 42, radius: float = 0.3, steps: int = 200,
-                       tolerances: Dict[str, float] | None = None,
-                       flow_subsample: int = 20,
-                       check_subsample: int = 20) -> dict:
+                       tolerances: Dict[str, float] | None = None) -> dict:
     """Full numeric verification sweep for one algebra; returns the report."""
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -684,10 +651,10 @@ def run_geometry_suite(alg: QuadraticLieAlgebra, n_samples: int = 100,
 
     kl_max = 0.0
     for t in (0.25, 0.5, 1.0):
-        kl = np.abs(eng.kappa(t, P) - eng.lam(t, P)) / np.abs(eng.kappa(t, P))
-        kl_max = max(kl_max, float(np.max(kl)))
+        k = eng.kappa(t, P)
+        kl_max = max(kl_max, float(np.max(np.abs(k - eng.lam(t, P)) / np.abs(k))))
 
-    sub = P[:min(check_subsample, n_samples)]
+    sub = P[:_SUITE_SUBSAMPLE]
     jac_max = 0.0
     for t in (0.25, 0.5, 1.0):
         jac_max = max(jac_max, float(np.max(eng.schouten_max(t, sub))))
@@ -697,8 +664,7 @@ def run_geometry_suite(alg: QuadraticLieAlgebra, n_samples: int = 100,
     for t in (0.25, 0.5, 1.0):
         mom_max = max(mom_max, eng.moment_residual(t, sub, xis))
 
-    phi_drift, vol_drift = transport_drift(
-        alg, P[:min(flow_subsample, n_samples)], steps, keep_every=max(1, steps // 20))
+    phi_drift, vol_drift = transport_drift(alg, sub, steps, keep_every=max(1, steps // 20))
 
     residuals = {
         "eq1": {"max": float(np.max(eq1)), "mean": float(np.mean(eq1))},

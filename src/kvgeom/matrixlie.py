@@ -30,7 +30,6 @@ built.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Tuple
 
@@ -196,12 +195,14 @@ class PointV:
     Y: np.ndarray
 
     def as_array(self) -> np.ndarray:
-        return np.concatenate([np.asarray(self.X, float), np.asarray(self.Y, float)])
+        """X and Y joined on the last axis: (2d,), or (..., 2d) for stacks."""
+        return np.concatenate([np.asarray(self.X, float), np.asarray(self.Y, float)],
+                              axis=-1)
 
     @staticmethod
     def from_array(p: np.ndarray, d: int) -> "PointV":
         p = np.asarray(p, dtype=float)
-        return PointV(p[:d], p[d:])
+        return PointV(p[..., :d], p[..., d:])
 
 
 # ---------------------------------------------------------------------------
@@ -498,23 +499,30 @@ def jacobian_J(alg: QuadraticLieAlgebra, X: Vec) -> float | np.ndarray:
 # the interpolation Phi_t and the density kappa_t
 
 def phi_t(alg: QuadraticLieAlgebra, t: float, p: PointV) -> Vec:
-    """(1/t) log(e^{tX} e^{tY}) in basis coordinates; X + Y at t = 0."""
+    """(1/t) log(e^{tX} e^{tY}) in basis coordinates; X + Y at t = 0.
+
+    X and Y are points (d,) or stacks (..., d) of the same shape, and so is
+    the result.
+    """
     X = np.asarray(p.X, dtype=float)
     Y = np.asarray(p.Y, dtype=float)
     if t == 0.0:
         return X + Y
-    E = alg.exp_chart(t * np.stack([X, Y]))
-    return alg.log_chart(E[0] @ E[1]) / t
+    E = alg.exp_chart(t * np.stack([X, Y]).reshape(-1, alg.dim))
+    n = len(E) // 2
+    return alg.log_chart(E[:n] @ E[n:]).reshape(X.shape) / t
 
 
-def kappa_t(alg: QuadraticLieAlgebra, t: float, p: PointV) -> float:
-    """J^{1/2}(tX) J^{1/2}(tY) / J^{1/2}(t Phi_t); equals 1 at t = 0."""
-    if t == 0.0:
-        return 1.0
+def kappa_t(alg: QuadraticLieAlgebra, t: float, p: PointV) -> float | np.ndarray:
+    """J^{1/2}(tX) J^{1/2}(tY) / J^{1/2}(t Phi_t); exactly 1 at t = 0.
+
+    A point gives a float, a stacked PointV (..., d) an array (...).
+    """
     X = np.asarray(p.X, float)
     Y = np.asarray(p.Y, float)
     J = jacobian_J(alg, np.stack([t * X, t * Y, t * phi_t(alg, t, p)]))
-    return math.sqrt(J[0]) * math.sqrt(J[1]) / math.sqrt(J[2])
+    k = np.sqrt(J[0]) * np.sqrt(J[1]) / np.sqrt(J[2])
+    return float(k) if k.ndim == 0 else k
 
 
 # ---------------------------------------------------------------------------

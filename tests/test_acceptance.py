@@ -156,8 +156,7 @@ def test_criterion_7_poisson_sanity(sweeps):
         from kvgeom.geom import modular_field
         from kvgeom.matrixlie import PointV
         for q in sub[:5]:
-            w = modular_field(alg, lambda v: eng.p0(v),
-                              PointV.from_array(q, alg.dim))
+            w = modular_field(lambda v: eng.p0(v), PointV.from_array(q, alg.dim))
             worst_mod = max(worst_mod, float(np.max(np.abs(w))))
     ok = (worst_jac <= TOL_JACOBI and worst_mom <= TOL_MOMENT
           and worst_mod <= TOL_MODULAR)

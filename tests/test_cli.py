@@ -136,6 +136,17 @@ class TestSolveCommands:
                              "--strategy", "joint-eq1-eq2"], capsys)
         assert code == 0 and strip_timestamp(out)["pass"] is True
 
+    @pytest.mark.parametrize("command", ["solve-kv", "check-kv1", "check-kv2"])
+    def test_infeasible_degree_reported(self, command, capsys, monkeypatch):
+        def infeasible(degree, strategy="eq1-only"):
+            raise kvsolve.InfeasibleDegreeError(degree, 3, 4, 5)
+
+        monkeypatch.setattr(kvsolve, "solve_kv", infeasible)
+        code, out = run_cli([command, "--degree", "4"], capsys)
+        doc = strip_timestamp(out)
+        assert code == 1
+        assert doc["command"] == command and "infeasible" in doc["error"]
+
     def test_solve_kv_report_fields(self, capsys):
         code, out = run_cli(["solve-kv", "--degree", "3"], capsys)
         assert code == 0
@@ -216,6 +227,17 @@ class TestFlowCommand:
         doc = strip_timestamp(out)
         assert doc["pass"] is True
         assert doc["transportPhi"]["max"] <= 1e-6
+
+
+    def test_flow_takes_only_transport_tolerances(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["flow", "--samples", "1", "--steps", "4", "--tol-eq1", "1e-18"])
+        assert exc.value.code == 2
+        code, out = run_cli(["flow", "--samples", "1", "--seed", "3", "--radius", "0.2",
+                             "--steps", "10", "--tol-transport-vol", "1e-30"], capsys)
+        doc = strip_timestamp(out)
+        assert code == 1 and doc["pass"] is False
+        assert doc["tolerances"]["transportVol"] == 1e-30
 
 
 class TestUsage:

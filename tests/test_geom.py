@@ -34,9 +34,11 @@ from kvgeom.matrixlie import (
     fn_todd,
     load_algebra,
     matrix_exp,
+    phi_t,
 )
 
 from conftest import dsigma_dt
+from test_matrixlie import oracle_analytic_ad
 
 ORIGIN3 = PointV(np.zeros(3), np.zeros(3))
 SAMPLE3 = PointV(np.array([0.2, -0.1, 0.15]), np.array([-0.05, 0.22, 0.1]))
@@ -78,7 +80,7 @@ class TestModularField:
     def test_quadratic_algebras_vanish(self, all_algebras):
         for alg in all_algebras:
             p = PointV(0.2 * np.ones(alg.dim) / alg.dim, -0.1 * np.ones(alg.dim))
-            w = modular_field(alg, self._field(alg), p)
+            w = modular_field(self._field(alg), p)
             assert np.max(np.abs(w)) <= 1e-7
 
     def test_abelian_exactly_zero(self):
@@ -88,12 +90,12 @@ class TestModularField:
             "form": "trace",
             "domain_radius": 1.0})
         p = PointV(np.array([0.3, 0.1]), np.array([-0.2, 0.4]))
-        w = modular_field(alg, self._field(alg), p)
+        w = modular_field(self._field(alg), p)
         assert np.max(np.abs(w)) == 0.0
 
     def test_gl2_sample(self, gl2):
         p = PointV(np.array([0.1, -0.2, 0.05, 0.15]), np.array([0.2, 0.0, -0.1, 0.1]))
-        w = modular_field(gl2, self._field(gl2), p)
+        w = modular_field(self._field(gl2), p)
         assert np.max(np.abs(w)) <= 1e-7
 
 
@@ -287,9 +289,16 @@ class TestSeriesKernel:
         with pytest.raises(OutsideDomainError, match="series tail"):
             eng.eq1_residual(P)
         with pytest.raises(OutsideDomainError, match="series tail"):
-            eng.kappa(1.0, P)
-        with pytest.raises(OutsideDomainError, match="series tail"):
             eng.sigma(P)
+        # kappa takes the 48-term table, which still converges there (its
+        # own gate stands): it matches the eigendecomposition oracle
+        d = wide.dim
+        X, Y = P[:, :d], P[:, d:]
+        Z = phi_t(wide, 1.0, PointV(X, Y))
+        J = [np.array([np.linalg.det(oracle_analytic_ad(wide, fn_dexp, w)) for w in W])
+             for W in (X, Y, Z)]
+        ref = np.sqrt(J[0] * J[1] / J[2])
+        assert np.max(np.abs(eng.kappa(1.0, P) - ref) / np.abs(ref)) <= 1e-12
 
     def test_tail_gate_quiet_on_builtin_domains(self, all_algebras):
         # both factors on the boundary sphere of each built-in's domain
@@ -376,6 +385,16 @@ class TestGauge:
     def test_t_zero_returns_p0(self, so3):
         p = SAMPLE3
         assert np.allclose(gauge_P(so3, 0.0, p).matrix, kirillov_P0(so3, p).matrix)
+
+    def test_t_zero_exact(self, all_algebras, sl3):
+        # no branch at t = 0: sigma_t, the gauge factor and its determinant
+        # give exactly 0, P0 and 1 there
+        for alg in [*all_algebras, sl3]:
+            eng = _engine(alg)
+            P = sample_points(alg, 12, 42, 0.3)
+            assert np.array_equal(eng.sigma_t(0.0, P), np.zeros((12, 2 * alg.dim, 2 * alg.dim)))
+            assert np.array_equal(eng.p_t(0.0, P), eng.p0(P))
+            assert np.array_equal(eng.lam(0.0, P), np.ones(12))
 
     def test_origin_any_t(self, so3):
         for t in (0.3, 1.0):
@@ -741,8 +760,7 @@ class TestRichardson:
 
 class TestSuiteRunner:
     def test_small_report_passes(self, so3):
-        rep = run_geometry_suite(so3, n_samples=4, seed=7, radius=0.25,
-                                 steps=40, flow_subsample=2, check_subsample=3)
+        rep = run_geometry_suite(so3, n_samples=4, seed=7, radius=0.25, steps=40)
         assert rep["pass"] is True
         assert set(rep["residuals"]) == {"eq1", "eq2", "kappaVsLambda", "jacobi",
                                          "momentMap", "transportPhi", "transportVol"}

@@ -363,7 +363,37 @@ class TestJacobian:
             assert jacobian_J(alg, X) == pytest.approx(jacobian_J(alg, -X), rel=1e-11)
 
 
+def _stack_cases(all_algebras, sl3):
+    """30 points of each built-in algebra and of sl3, as a (30, 2d) stack."""
+    rng = np.random.default_rng(83)
+    cases = []
+    for alg in [*all_algebras, sl3]:
+        u = rng.standard_normal((30, 2 * alg.dim))
+        cases.append((alg, 0.3 * u / np.linalg.norm(u, axis=1, keepdims=True)))
+    return cases
+
+
+class TestPointV:
+    def test_stack_round_trip(self, all_algebras, sl3):
+        for alg, P in _stack_cases(all_algebras, sl3):
+            p = PointV.from_array(P, alg.dim)
+            assert p.X.shape == p.Y.shape == (30, alg.dim)
+            assert np.array_equal(p.as_array(), P)
+            one = PointV.from_array(P[4], alg.dim)
+            assert np.array_equal(one.X, P[4, :alg.dim])
+            assert np.array_equal(one.as_array(), P[4])
+
+
 class TestPhiT:
+    def test_stack_matches_per_point(self, all_algebras, sl3):
+        for alg, P in _stack_cases(all_algebras, sl3):
+            d = alg.dim
+            for t in (0.0, 0.37, 1.0):
+                Z = phi_t(alg, t, PointV.from_array(P, d))
+                assert Z.shape == (30, d)
+                for q, z in zip(P, Z):
+                    assert np.array_equal(z, phi_t(alg, t, PointV(q[:d], q[d:])))
+
     def test_t_zero(self, so3):
         p = PointV(np.array([0.2, -0.1, 0.15]), np.array([-0.05, 0.22, 0.1]))
         assert np.allclose(phi_t(so3, 0.0, p), p.X + p.Y)
@@ -408,6 +438,22 @@ class TestPhiT:
 
 
 class TestKappaT:
+    def test_stack_matches_per_point(self, all_algebras, sl3):
+        for alg, P in _stack_cases(all_algebras, sl3):
+            d = alg.dim
+            for t in (0.0, 0.37, 1.0):
+                K = kappa_t(alg, t, PointV.from_array(P, d))
+                assert K.shape == (30,)
+                for q, k in zip(P, K):
+                    one = kappa_t(alg, t, PointV(q[:d], q[d:]))
+                    assert type(one) is float and one == k
+
+    def test_t_zero_exact(self, all_algebras, sl3):
+        # no branch at t = 0: the formula itself gives exactly 1
+        for alg, P in _stack_cases(all_algebras, sl3):
+            p = PointV.from_array(P, alg.dim)
+            assert np.array_equal(kappa_t(alg, 0.0, p), np.ones(30))
+
     def test_t_zero(self, so3):
         p = PointV(np.array([0.2, -0.1, 0.15]), np.array([-0.05, 0.22, 0.1]))
         assert kappa_t(so3, 0.0, p) == 1.0
