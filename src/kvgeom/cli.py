@@ -243,6 +243,8 @@ def _check_args(args: argparse.Namespace) -> None:
                          "(coefficient growth beyond that is impractical)")
     if getattr(args, "samples", 1) < 1:
         raise ValueError("samples must be >= 1")
+    if getattr(args, "steps", 1) < 1:
+        raise ValueError("steps must be >= 1")
     if getattr(args, "algebra", None) == "all" and getattr(args, "algebra_file", None):
         raise ValueError("--algebra all cannot be combined with --algebra-file")
 

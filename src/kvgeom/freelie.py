@@ -9,7 +9,9 @@ rational coefficients), manipulated there, and projected back to Lyndon
 coordinates.  The projection uses the triangularity of the Lyndon basis:
 the expansion of the bracketing of a Lyndon word w is w plus a combination
 of lexicographically larger words of the same degree, so a greedy sweep in
-lex order recovers the coordinates.
+lex order recovers the coordinates.  The same sweep builds, in integers,
+the matrices of ad_x and ad_y between consecutive degrees (`ad_matrix`);
+`ad_series_apply` runs on those and never leaves the Lyndon basis.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import math
 import os
 import tempfile
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 ALPHABET = ("x", "y")
 
@@ -260,14 +263,15 @@ def lie_to_assoc(s: LieSeries) -> Assoc:
     return out
 
 
-def assoc_to_lyndon(p: Assoc, degree: int) -> LieSeries:
-    """Project a Lie element given in the tensor algebra to Lyndon coordinates.
+def _lyndon_sweep(remaining: Dict[str, Fraction]) -> Dict[str, Fraction]:
+    """Lyndon coordinates of a Lie element without constant term, given by
+    its words in the tensor algebra, by the triangular lex sweep; consumes
+    `remaining`.
 
-    Raises ValueError if the input is not a Lie element up to the truncation.
+    Works over any exact coefficients: integer input gives integer output,
+    since each expansion has leading coefficient 1.  Raises ValueError on a
+    word that no Lie element can leave.
     """
-    remaining = {w: c for w, c in p.items() if 0 < len(w) <= degree and c}
-    if any((not w) and c for w, c in p.items()):
-        raise ValueError("constant term present: not a Lie element")
     coeffs: Dict[str, Fraction] = {}
     for d in sorted({len(w) for w in remaining}):
         while True:
@@ -280,12 +284,44 @@ def assoc_to_lyndon(p: Assoc, degree: int) -> LieSeries:
             c0 = remaining[w0]
             coeffs[w0] = c0
             for word, k in word_expansion(w0):
-                nc = remaining.get(word, Fraction(0)) - c0 * k
+                nc = remaining.get(word, 0) - c0 * k
                 if nc:
                     remaining[word] = nc
                 else:
                     remaining.pop(word, None)
-    return LieSeries(degree, coeffs)
+    return coeffs
+
+
+def assoc_to_lyndon(p: Assoc, degree: int) -> LieSeries:
+    """Project a Lie element given in the tensor algebra to Lyndon coordinates.
+
+    Raises ValueError if the input is not a Lie element up to the truncation.
+    """
+    if any((not w) and c for w, c in p.items()):
+        raise ValueError("constant term present: not a Lie element")
+    return LieSeries(degree, _lyndon_sweep(
+        {w: c for w, c in p.items() if 0 < len(w) <= degree and c}))
+
+
+@functools.lru_cache(maxsize=None)
+def ad_matrix(letter: str, d: int) -> Mapping[str, Tuple[Tuple[str, int], ...]]:
+    """ad_letter from degree d to degree d + 1 on the Lyndon basis.
+
+    Maps each Lyndon word w of degree d to the Lyndon coordinates of
+    [letter, w], as ((word, integer coefficient), ...) in lex order.  The
+    Lyndon basis is a Z-basis of the free Lie ring, so the entries are
+    integers.  Read-only: the memo hands the same mapping to every caller.
+    """
+    if letter not in ALPHABET:
+        raise ValueError(f"unknown generator {letter!r}")
+    cols = {}
+    for w in lyndon_basis(d):
+        comm: Dict[str, int] = {}
+        for word, k in word_expansion(w):
+            comm[letter + word] = comm.get(letter + word, 0) + k
+            comm[word + letter] = comm.get(word + letter, 0) - k
+        cols[w] = tuple(sorted(_lyndon_sweep({u: c for u, c in comm.items() if c}).items()))
+    return MappingProxyType(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -303,22 +339,34 @@ def ad_series_apply(f: Sequence[Fraction], direction: str, target: LieSeries,
     """Apply sum_k f[k] (ad_direction)^k to target, truncated at degree.
 
     f lists the power-series coefficients f0, f1, ...; it must reach at
-    least index `degree` (longer is fine).
+    least index `degree` (longer is fine).  Each power of ad is a sparse
+    integer mat-vec through `ad_matrix` on the target's numerators over a
+    common denominator; the f[k] enter over theirs, so the only division is
+    the final one per word.
     """
     if direction not in ALPHABET:
         raise ValueError(f"unknown generator {direction!r}")
     if len(f) < degree + 1:
         raise ValueError(f"need series coefficients up to index {degree}")
-    gen = LieSeries.generator(direction, degree)
-    acc = target.truncated(degree)
-    out = acc.scaled(f[0])
+    f = [Fraction(c) for c in f[:degree + 1]]
+    f_den = math.lcm(*(c.denominator for c in f))
+    weights = [c.numerator * (f_den // c.denominator) for c in f]
+    terms = [(w, c) for w, c in target.items() if len(w) <= degree]
+    den = math.lcm(*(c.denominator for _, c in terms))
+    acc = {w: c.numerator * (den // c.denominator) for w, c in terms}
+    out = {w: weights[0] * n for w, n in acc.items()}
     for k in range(1, degree + 1):
-        if acc.is_zero():
+        image: Dict[str, int] = {}
+        for w, n in acc.items():
+            if len(w) < degree:
+                for w1, m in ad_matrix(direction, len(w))[w]:
+                    image[w1] = image.get(w1, 0) + m * n
+        acc = {w: n for w, n in image.items() if n}
+        if not acc:
             break
-        acc = lie_bracket(gen, acc, degree)
-        if f[k]:
-            out = out + acc.scaled(f[k])
-    return out
+        for w, n in acc.items():
+            out[w] = out.get(w, 0) + weights[k] * n
+    return LieSeries(degree, {w: Fraction(n, f_den * den) for w, n in out.items()})
 
 
 @functools.lru_cache(maxsize=None)

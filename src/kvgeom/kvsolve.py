@@ -7,14 +7,18 @@ The first equation,
 is linear in (A, B) degree by degree: the degree-d parts of A and B enter
 the degree-(d+1) component (ad raises degree by one), together with known
 contributions from lower degrees.  Each degree is an exact linear system
-over the rationals, solved by Gaussian elimination; free variables are set
-to zero under a fixed column order (A-coefficients before B-coefficients,
-words in lex order).  The joint strategy appends the degreewise components
-of the trace equation, which is affine in (A, B).
+over the rationals; its coefficients for the eq1 block are the integer
+matrices of ad_x and ad_y on the Lyndon basis (`freelie.ad_matrix`).  It is
+solved by fraction-free Gauss-Jordan elimination on rows scaled to
+integers; free variables are set to zero under a fixed column order
+(A-coefficients before B-coefficients, words in lex order).  The joint
+strategy appends the degreewise components of the trace equation, which
+is affine in (A, B).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -23,10 +27,10 @@ import numpy as np
 from . import cyclic
 from .freelie import (
     LieSeries,
+    ad_matrix,
     ad_series_apply,
     bch,
     exp_minus_one,
-    lie_bracket,
     lyndon_basis,
     one_minus_exp_neg,
     standard_factorization,
@@ -74,8 +78,18 @@ def kv1_residual(pair: KVPair, degree: int) -> LieSeries:
 # ---------------------------------------------------------------------------
 # exact linear algebra
 
-def _rref(rows: List[List[Fraction]], ncols: int) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
+def _rref(rows: List[List[int]], ncols: int) -> Tuple[List[List[int]], List[int]]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Returns (rows, pivot column indices) in reduced echelon form up to a
+    nonzero integer factor per row: pivot row i is zero in every pivot
+    column but pivots[i], and dividing it by its entry there gives the
+    RREF row.  Pivots are taken over the first ncols columns, the first
+    nonzero entry at or below the current row in each; trailing rows with
+    no entry left are dropped.  Every row stays a nonzero multiple of the
+    row that elimination over the rationals holds, with its content
+    divided out, so the zero pattern, and with it the pivots, match.
+    """
     mat = [row[:] for row in rows]
     pivots: List[int] = []
     r = 0
@@ -84,12 +98,14 @@ def _rref(rows: List[List[Fraction]], ncols: int) -> Tuple[List[List[Fraction]],
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
+        prow = mat[r]
+        p = prow[c]
         for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+            f = mat[i][c]
+            if i != r and f:
+                row = [p * a - f * b for a, b in zip(mat[i], prow)]
+                g = math.gcd(*row)
+                mat[i] = [v // g for v in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -101,6 +117,9 @@ def solve_exact(rows: List[List[Fraction]], rhs: List[Fraction]
                 ) -> Tuple[List[Fraction], List[List[Fraction]], Tuple[int, int]]:
     """Solve M x = b exactly; free variables zero.
 
+    Entries are Fractions or ints.  Each row of [M | b] is scaled to
+    integers by the lcm of its denominators and eliminated by `_rref`; a
+    solution entry is the one division of its RREF row by the pivot.
     Pivots are chosen scanning columns right to left, so the free variables
     (zeroed) are the earliest columns under the fixed ordering: with
     A-coefficients listed before B-coefficients this prefers solutions
@@ -108,38 +127,31 @@ def solve_exact(rows: List[List[Fraction]], rhs: List[Fraction]
     (rank M, rank [M|b])); callers inspect the ranks for feasibility.
     """
     n = len(rows[0]) if rows else 0
-    aug = [row[::-1] + [b] for row, b in zip(rows, rhs)]
+    aug = []
+    for row, b in zip(rows, rhs):
+        entries = row[::-1] + [b]
+        scale = math.lcm(*(v.denominator for v in entries))
+        aug.append([v.numerator * (scale // v.denominator) for v in entries])
     red, pivots = _rref(aug, n)
     rank_aug = len([row for row in red if any(row)])
     rank_lhs = len(pivots)
     sol = [Fraction(0)] * n
     if rank_aug == rank_lhs:
         for i, c in enumerate(pivots):
-            sol[n - 1 - c] = red[i][n]
+            sol[n - 1 - c] = Fraction(red[i][n], red[i][c])
     kernel: List[List[Fraction]] = []
     free_cols = [c for c in range(n) if c not in pivots]
     for fc in free_cols:
         vec = [Fraction(0)] * n
         vec[n - 1 - fc] = Fraction(1)
         for i, c in enumerate(pivots):
-            vec[n - 1 - c] = -red[i][fc]
+            vec[n - 1 - c] = Fraction(-red[i][fc], red[i][c])
         kernel.append(vec)
     return sol, kernel, (rank_lhs, rank_aug)
 
 
 # ---------------------------------------------------------------------------
 # system assembly
-
-def _bracket_columns(direction: str, words: Sequence[str], degree: int
-                     ) -> Dict[str, Dict[str, Fraction]]:
-    """For each basis word w, the Lyndon coordinates of [gen, w] one degree up."""
-    gen = LieSeries.generator(direction, degree)
-    cols = {}
-    for w in words:
-        col = lie_bracket(gen, LieSeries(degree, {w: Fraction(1)}), degree)
-        cols[w] = dict(col.items())
-    return cols
-
 
 def _eq1_rows(d: int, lhs: LieSeries, lowerA: LieSeries, lowerB: LieSeries
               ) -> Tuple[List[str], List[List[Fraction]], List[Fraction]]:
@@ -153,8 +165,6 @@ def _eq1_rows(d: int, lhs: LieSeries, lowerA: LieSeries, lowerB: LieSeries
     words_d = lyndon_basis(d)
     words_d1 = lyndon_basis(d + 1)
     n = d + 1
-    colsA = _bracket_columns("x", words_d, n)
-    colsB = _bracket_columns("y", words_d, n)
 
     # known part: LHS_{d+1} minus the lower-degree operator contributions
     fA = one_minus_exp_neg(n)
@@ -163,13 +173,16 @@ def _eq1_rows(d: int, lhs: LieSeries, lowerA: LieSeries, lowerB: LieSeries
         + ad_series_apply(fB, "y", lowerB.truncated(n), n).component(d + 1)
     target = lhs - known
 
-    rows = []
-    rhs = []
-    for w1 in words_d1:
-        row = [colsA[w].get(w1, Fraction(0)) for w in words_d]
-        row += [colsB[w].get(w1, Fraction(0)) for w in words_d]
-        rows.append(row)
-        rhs.append(target.coefficient(w1))
+    # the degree-d parts enter through the first-order terms f1 ad = ad
+    # (f1 = 1 for both series): the columns are those of ad_x and ad_y
+    index = {w: i for i, w in enumerate(words_d1)}
+    k = len(words_d)
+    rows = [[0] * (2 * k) for _ in words_d1]
+    for j, w in enumerate(words_d):
+        for offset, letter in ((0, "x"), (k, "y")):
+            for w1, m in ad_matrix(letter, d)[w]:
+                rows[index[w1]][offset + j] = m
+    rhs = [target.coefficient(w1) for w1 in words_d1]
     return words_d, rows, rhs
 
 

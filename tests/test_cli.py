@@ -85,6 +85,35 @@ class TestSolveCommands:
         text = json.dumps(strip_timestamp(out), indent=2, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == self.SOLVE_KV_6_SHA256[strategy]
 
+    # SHA-256 of the A, B and residual2_report entries of the degree-9
+    # solve-kv report, each dumped as above: degree 9 is the deepest the
+    # suite solves, so the integer ad matrices and elimination are pinned
+    # where the systems are largest
+    SOLVE_KV_9_SHA256 = {
+        "eq1-only": {
+            "A": "e0493c0484d0abef941d0ea5e38125089ced1ec1db49a1664b59f75de1da3e16",
+            "B": "33304199f4ed14cfb0a4194432f6d7974e9e93bee91f36e4381692ca829ae96a",
+            "residual2_report":
+                "f4d5eb7a8768358741bd740d4d54be0162100c23b98b84c408169244437d8be0",
+        },
+        "joint-eq1-eq2": {
+            "A": "2e2145ac2b73bfe83160fecc8c20e2063795a967c3d676b94656361bb3fcb24c",
+            "B": "a4161fcdc3ce31992a8e2e16ae00b1e63ea73c382226a35d6df05f92656a8b98",
+            "residual2_report":
+                "d532b7ffa732b1dd50381d93d5ad552ccdfdb5825fbc074f2edd287e80d24f1e",
+        },
+    }
+
+    @pytest.mark.parametrize("strategy", sorted(SOLVE_KV_9_SHA256))
+    def test_solve_kv_degree_9_golden(self, strategy, capsys):
+        code, out = run_cli(["solve-kv", "--degree", "9", "--strategy", strategy], capsys)
+        assert code == 0
+        doc = strip_timestamp(out)
+        digests = {key: hashlib.sha256(json.dumps(doc[key], indent=2, sort_keys=True)
+                                       .encode()).hexdigest()
+                   for key in self.SOLVE_KV_9_SHA256[strategy]}
+        assert digests == self.SOLVE_KV_9_SHA256[strategy]
+
     # the same digest for the degree-6 check-kv2 report, with its exit code:
     # eq1-only leaves a nonzero raw necklace residual, joint closes it
     CHECK_KV2_6 = {
@@ -259,3 +288,12 @@ class TestUsage:
     def test_degree_guard(self, capsys):
         code = main(["bch", "--degree", "11"])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["flow", "geom-run"])
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_steps_guard(self, command, steps, capsys):
+        # a usage error, not the ZeroDivisionError (0) or IndexError (-1)
+        # the flow would raise
+        code = main([command, "--samples", "1", "--steps", steps])
+        assert code == 2
+        assert "steps must be >= 1" in capsys.readouterr().err

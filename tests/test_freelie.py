@@ -7,17 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kvgeom import freelie
 from kvgeom.freelie import (
     LieSeries,
+    ad_matrix,
     ad_series_apply,
     assoc_to_lyndon,
     bch,
     bch_cached,
     bch_cache_path,
+    exp_minus_one,
+    exp_minus_one_over_s,
+    exp_series,
     is_lyndon,
     lie_bracket,
     lie_to_assoc,
     load_bch_cache,
+    log1p_series,
     lyndon_basis,
     lyndon_words_upto,
     negate_generators,
@@ -139,7 +145,91 @@ class TestBracket:
             assoc_to_lyndon({"xy": F(1)}, 2)   # xy alone is not a Lie element
 
 
+class TestAdMatrix:
+    @pytest.mark.parametrize("letter", ["x", "y"])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_columns_are_lie_brackets(self, letter, d):
+        # oracle: the bracket through the tensor algebra, over Fractions
+        cols = ad_matrix(letter, d)
+        assert list(cols) == lyndon_basis(d)
+        gen = LieSeries.generator(letter, d + 1)
+        for w in lyndon_basis(d):
+            expect = lie_bracket(gen, LieSeries(d + 1, {w: F(1)}), d + 1)
+            assert cols[w] == tuple(expect.items())
+            assert all(type(c) is int for _, c in cols[w])
+
+    def test_read_only(self):
+        with pytest.raises(TypeError):
+            ad_matrix("x", 2)["xy"] = ()
+
+    def test_unknown_letter(self):
+        with pytest.raises(ValueError):
+            ad_matrix("z", 2)
+
+
+def ad_series_apply_by_brackets(f, direction, target, degree):
+    """ad_series_apply through the tensor algebra, one lie_bracket per power: the oracle."""
+    gen = LieSeries.generator(direction, degree)
+    acc = target.truncated(degree)
+    out = acc.scaled(f[0])
+    for k in range(1, degree + 1):
+        if acc.is_zero():
+            break
+        acc = lie_bracket(gen, acc, degree)
+        if f[k]:
+            out = out + acc.scaled(f[k])
+    return out
+
+
+def random_lie_series(rng, degree, top):
+    """Random rational coefficients on a random subset of the Lyndon words up to top."""
+    coeffs = {w: F(int(rng.integers(-9, 10)), int(rng.integers(1, 13)))
+              for w in lyndon_words_upto(top) if rng.random() < 0.6}
+    return LieSeries(degree, coeffs)
+
+
 class TestAdSeriesApply:
+    TABLES = {
+        "1-exp(-s)": one_minus_exp_neg,
+        "exp(s)-1": exp_minus_one,
+        "exp": exp_series,
+        "log1p": log1p_series,
+        "(exp(s)-1)/s": exp_minus_one_over_s,
+    }
+
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    @pytest.mark.parametrize("direction", ["x", "y"])
+    def test_matches_bracket_loop(self, table, direction):
+        rng = np.random.default_rng(sorted(self.TABLES).index(table))
+        for degree in range(1, 8):
+            f = self.TABLES[table](degree + 2)
+            for top in {1, max(1, degree - 2), degree}:
+                target = random_lie_series(rng, degree, top)
+                assert (ad_series_apply(f, direction, target, degree)
+                        == ad_series_apply_by_brackets(f, direction, target, degree))
+
+    def test_random_tables_and_short_targets(self):
+        # rational tables with zero entries; targets truncated below or above
+        # the requested degree
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            degree = int(rng.integers(1, 8))
+            f = [F(int(rng.integers(-3, 4)), int(rng.integers(1, 8)))
+                 for _ in range(degree + 1)]
+            top = int(rng.integers(1, 9))
+            target = random_lie_series(rng, top, top)
+            direction = "xy"[int(rng.integers(2))]
+            assert (ad_series_apply(f, direction, target, degree)
+                    == ad_series_apply_by_brackets(f, direction, target, degree))
+
+    def test_no_bracket_call(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("ad_series_apply brackets through ad_matrix")
+
+        monkeypatch.setattr(freelie, "lie_bracket", unused)
+        out = ad_series_apply(one_minus_exp_neg(4), "x", LieSeries.generator("y", 4), 4)
+        assert out.coefficient("xy") == 1
+
     def test_identity_series(self):
         f = [F(0), F(1), F(0), F(0)]
         Y = LieSeries.generator("y", 3)

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from kvgeom import kvsolve
 from kvgeom.cyclic import kv2_residual
 from kvgeom.freelie import LieSeries, ad_series_apply, exp_minus_one, one_minus_exp_neg
 from kvgeom.kvsolve import (
@@ -72,6 +74,136 @@ class TestSolveKV:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             solve_kv(2, "newton")
+
+
+def rref_fraction(rows, ncols):
+    """Gauss-Jordan over Fractions, the oracle for the integer `_rref`:
+    (RREF rows, pivot columns), trailing zero rows dropped."""
+    mat = [row[:] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = Fraction(1) / mat[r][c]
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r] + [row for row in mat[r:] if any(row)], pivots
+
+
+def solve_by_fractions(rows, rhs):
+    """solve_exact's contract on rref_fraction: (solution, kernel, ranks, pivots)."""
+    n = len(rows[0]) if rows else 0
+    aug = [[F(v) for v in row[::-1]] + [F(b)] for row, b in zip(rows, rhs)]
+    red, pivots = rref_fraction(aug, n)
+    rank_aug = len([row for row in red if any(row)])
+    rank_lhs = len(pivots)
+    sol = [F(0)] * n
+    if rank_aug == rank_lhs:
+        for i, c in enumerate(pivots):
+            sol[n - 1 - c] = red[i][n]
+    kernel = []
+    for fc in [c for c in range(n) if c not in pivots]:
+        vec = [F(0)] * n
+        vec[n - 1 - fc] = F(1)
+        for i, c in enumerate(pivots):
+            vec[n - 1 - c] = -red[i][fc]
+        kernel.append(vec)
+    return sol, kernel, (rank_lhs, rank_aug), (red, pivots)
+
+
+def assert_matches_fraction_oracle(rows, rhs):
+    sol, kernel, ranks = solve_exact(rows, rhs)
+    o_sol, o_kernel, o_ranks, (o_red, o_pivots) = solve_by_fractions(rows, rhs)
+    assert ranks == o_ranks
+    assert sol == o_sol and kernel == o_kernel
+    assert all(type(v) is Fraction for v in sol + sum(kernel, []))
+    # the integer rows are the rational RREF rows up to one factor per row
+    n = len(rows[0]) if rows else 0
+    aug = []
+    for row, b in zip(rows, rhs):
+        entries = [F(v) for v in row[::-1]] + [F(b)]
+        scale = math.lcm(*(v.denominator for v in entries))
+        aug.append([int(v * scale) for v in entries])
+    red, pivots = kvsolve._rref(aug, n)
+    assert pivots == o_pivots and len(red) == len(o_red)
+    for i, row in enumerate(red):
+        lead = row[pivots[i]] if i < len(pivots) else next(v for v in row if v)
+        scaled = [F(v, lead) for v in row]
+        if i < len(pivots):
+            assert scaled == o_red[i]
+        else:
+            # a left-over row is zero on M; only its (nonzero) b entry remains
+            assert scaled[:n] == o_red[i][:n] == [0] * n and o_red[i][n]
+
+
+def random_system(rng, m, n, rank, infeasible=False):
+    """An m x n rational system of rank <= rank; consistent unless infeasible."""
+    def rat():
+        return F(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
+
+    basis = [[rat() for _ in range(n)] for _ in range(rank)]
+    rows = []
+    for _ in range(m):
+        w = [F(int(rng.integers(-2, 3))) for _ in range(rank)]
+        rows.append([sum((wi * b[j] for wi, b in zip(w, basis)), F(0)) for j in range(n)])
+    x = [rat() for _ in range(n)]
+    rhs = [sum((a * xi for a, xi in zip(row, x)), F(0)) for row in rows]
+    if infeasible:
+        rhs = [b + int(rng.integers(1, 3)) for b in rhs]
+    return rows, rhs
+
+
+class TestEliminationOracle:
+    @pytest.mark.parametrize("strategy", ["eq1-only", "joint-eq1-eq2"])
+    def test_every_solve_kv_system(self, strategy, monkeypatch):
+        systems = []
+
+        def recording(rows, rhs):
+            systems.append(([row[:] for row in rows], rhs[:]))
+            return solve(rows, rhs)
+
+        solve = kvsolve.solve_exact
+        monkeypatch.setattr(kvsolve, "solve_exact", recording)
+        solve_kv(8, strategy)
+        eq1_kernel_basis(1, 4)
+        monkeypatch.undo()
+        assert len(systems) == 8 + 1 + 3 * 3
+        for rows, rhs in systems:
+            assert_matches_fraction_oracle(rows, rhs)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_systems(self, seed):
+        rng = np.random.default_rng(seed)
+        for m, n, rank in ((4, 4, 4), (5, 3, 3), (7, 4, 2), (3, 6, 2), (6, 6, 0), (1, 5, 1)):
+            for infeasible in (False, True):
+                rows, rhs = random_system(rng, m, n, rank, infeasible)
+                assert_matches_fraction_oracle(rows, rhs)
+
+    def test_zero_rows_and_columns(self):
+        rows = [[F(0), F(2), F(0)], [F(0), F(0), F(0)], [F(0), F(1, 3), F(0)],
+                [F(0), F(0), F(0)]]
+        for rhs in ([F(4), F(0), F(2, 3), F(0)], [F(4), F(1), F(2, 3), F(-5)]):
+            assert_matches_fraction_oracle(rows, rhs)
+        assert_matches_fraction_oracle([[F(0)] * 3] * 2, [F(0), F(0)])
+        assert_matches_fraction_oracle([[F(0)] * 3] * 2, [F(1), F(-2)])
+        assert_matches_fraction_oracle([], [])
+
+    def test_more_rows_than_columns(self):
+        rows = [[F(1), F(2)], [F(3), F(4)], [F(5), F(6)], [F(-1, 2), F(7)]]
+        assert_matches_fraction_oracle(rows, [F(1), F(2), F(3), F(4)])
+        rows = [[F(1), F(2)], [F(2), F(4)], [F(3), F(6)]]
+        assert_matches_fraction_oracle(rows, [F(1), F(2), F(3)])
+        assert_matches_fraction_oracle(rows, [F(1), F(3), F(5)])
 
 
 class TestKernel:
