@@ -17,6 +17,7 @@ the matrices of ad_x and ad_y between consecutive degrees (`ad_matrix`);
 from __future__ import annotations
 
 import functools
+import heapq
 import json
 import math
 import os
@@ -271,14 +272,19 @@ def _lyndon_sweep(remaining: Dict[str, Fraction]) -> Dict[str, Fraction]:
     Works over any exact coefficients: integer input gives integer output,
     since each expansion has leading coefficient 1.  Raises ValueError on a
     word that no Lie element can leave.
+
+    One heap of words per degree: the expansion of a Lyndon word w0 has w0
+    as its smallest word, so every word it adds comes after w0, and a word
+    popped after its coefficient cancelled is skipped.
     """
     coeffs: Dict[str, Fraction] = {}
     for d in sorted({len(w) for w in remaining}):
-        while True:
-            words_d = [w for w in remaining if len(w) == d]
-            if not words_d:
-                break
-            w0 = min(words_d)
+        heap = [w for w in remaining if len(w) == d]
+        heapq.heapify(heap)
+        while heap:
+            w0 = heapq.heappop(heap)
+            if w0 not in remaining:
+                continue
             if not is_lyndon(w0):
                 raise ValueError(f"input is not a Lie element (stray word {w0!r})")
             c0 = remaining[w0]
@@ -286,6 +292,8 @@ def _lyndon_sweep(remaining: Dict[str, Fraction]) -> Dict[str, Fraction]:
             for word, k in word_expansion(w0):
                 nc = remaining.get(word, 0) - c0 * k
                 if nc:
+                    if word not in remaining:
+                        heapq.heappush(heap, word)
                     remaining[word] = nc
                 else:
                     remaining.pop(word, None)

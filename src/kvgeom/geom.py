@@ -47,10 +47,7 @@ from .matrixlie import (
 _SERIES_TERMS = 22          # terms for L/R series on ad (spectra stay small)
 _G_TERMS = 30               # terms for the Todd-type series (radius 2 pi)
 _ALPHA_GATE = 1e-12         # |K15 - G7| bound on the Moser 1-form, relative to 1 + |alpha|
-_DPHI_H = 1e-5              # base step for the differential of Phi_t
-_KV2_H = 1e-5               # step for the delta-derivatives of the trace residual
-_SCHOUTEN_H = 1e-4          # step for the Schouten bracket [P_t, P_t]
-_MODULAR_H = 1e-5           # base step for the divergence in modular_field
+_FD_STEP = 1e-5             # central differences: step _FD_STEP (1 + |p_i|) in p_i
 _COND_LIMIT = 1e12
 _CHUNK = 4096
 _SUITE_SUBSAMPLE = 20       # points of the suite's Jacobi, moment-map and flow checks
@@ -133,18 +130,18 @@ def _cumulative_simpson(f: np.ndarray, dt: float) -> np.ndarray:
 # batched engine
 
 def _central_differences(field: Callable[[np.ndarray], np.ndarray],
-                         P: np.ndarray, h) -> np.ndarray:
+                         P: np.ndarray) -> np.ndarray:
     """Central differences of a batched field along every coordinate.
 
-    P is a stack (B, n) of points and h a scalar step or one step per point
-    and coordinate (B, n).  The field is called once, on the stack of the
-    2n B points p + h_i e_i, p - h_i e_i.  Returns D (n, B, ...) with
+    P is a stack (B, n) of points; the step in p_i is h_i = _FD_STEP (1 + |p_i|),
+    the one step rule of the module.  The field is called once, on the stack
+    of the 2n B points p + h_i e_i, p - h_i e_i.  Returns D (n, B, ...) with
     D[i] = (f(p + h_i e_i) - f(p - h_i e_i)) / (2 h_i).  Callers that want
     another axis order copy it to C order, since einsum's summation order
     follows the memory layout of its operands.
     """
     B, n = P.shape
-    h = np.broadcast_to(h, P.shape)
+    h = _FD_STEP * (1.0 + np.abs(P))
     stack = np.repeat(P[None], 2 * n, axis=0)
     for i in range(n):
         stack[2 * i, :, i] += h[:, i]
@@ -153,6 +150,18 @@ def _central_differences(field: Callable[[np.ndarray], np.ndarray],
     vals = vals.reshape((2 * n, B) + vals.shape[1:])
     step = (2 * h.T).reshape((n, B) + (1,) * (vals.ndim - 2))
     return (vals[0::2] - vals[1::2]) / step
+
+
+def _dphi(F: np.ndarray, B: int) -> np.ndarray:
+    """dPhi_t = [dPhi_t/dX, dPhi_t/dY] at B points, as (B, d, 2d).
+
+    F holds the engine's four sigma series (L, R, e^{-s}, L^{-1}) from one
+    ad_series call on the stack [tX, tY, tPhi_t] of 3B points.  By the dexp
+    calculus, with Z = t Phi_t = log(e^{tX} e^{tY}) and L(s) = (1 - e^{-s})/s:
+    dPhi_t/dX = L(ad_Z)^{-1} e^{-ad_tY} L(ad_tX), dPhi_t/dY = L(ad_Z)^{-1} L(ad_tY).
+    """
+    Lx, Ly, Eyn, Gzn = F[:B, 0], F[B:2 * B, 0], F[B:2 * B, 2], F[2 * B:, 3]
+    return np.concatenate([Gzn @ Eyn @ Lx, Gzn @ Ly], axis=-1)
 
 
 class _Engine:
@@ -243,21 +252,14 @@ class _Engine:
         # one table and one contraction for every series at X, Y and Z
         W = np.concatenate([X, Y, Z], axis=0)
         F, pw, r = ad_series(self.alg.ad(W), self.c_sigma)
-        Lx = F[:B, 0]
-        Ly, Ry, Eyn = F[B:2 * B, 0], F[B:2 * B, 1], F[B:2 * B, 2]
-        Gzn = F[2 * B:, 3]
-        # dZ by the dexp calculus, with Z = log(e^X e^Y) and
-        # L(s) = (1 - e^{-s})/s: dZ/dX = L(ad_Z)^{-1} e^{-ad_Y} L(ad_X) and
-        # dZ/dY = L(ad_Z)^{-1} L(ad_Y)
-        J = np.empty((B, d, 2 * d))
-        J[:, :, :d] = Gzn @ Eyn @ Lx
-        J[:, :, d:] = Gzn @ Ly
+        J = _dphi(F, B)
         wX, wY, wZ = np.split(self._varpi_from_powers(W, pw, r), 3, axis=0)
         Jt = np.transpose(J, (0, 2, 1))
         S = Jt @ wZ @ J
         S[:, :d, :d] -= wX
         S[:, d:, d:] -= wY
-        C = -0.5 * np.transpose(Lx, (0, 2, 1)) @ (self.Q @ Ry)
+        # the Maurer-Cartan cross term -1/2 L(ad_X)^T Q R(ad_Y)
+        C = -0.5 * np.transpose(F[:B, 0], (0, 2, 1)) @ (self.Q @ F[B:2 * B, 1])
         S[:, :d, d:] += C
         S[:, d:, :d] -= np.transpose(C, (0, 2, 1))
         return 0.5 * (S - np.transpose(S, (0, 2, 1)))
@@ -358,7 +360,7 @@ class _Engine:
     def kv2_residual(self, P: np.ndarray) -> np.ndarray:
         """|LHS - RHS| of the trace equation, delta-derivatives by FD."""
         d = self.d
-        D = _central_differences(lambda Q: np.stack(self.extract(Q), axis=1), P, _KV2_H)
+        D = _central_differences(lambda Q: np.stack(self.extract(Q), axis=1), P)
         # DA[:, :, j] = dA/dX_j, DB[:, :, j] = dB/dY_j
         DA = np.ascontiguousarray(D[:d, :, 0].transpose(1, 2, 0))
         DB = np.ascontiguousarray(D[d:, :, 1].transpose(1, 2, 0))
@@ -377,7 +379,7 @@ class _Engine:
         Pt = self.p_t(t, P)
         # D[b, l, j, k] = d(P_t)_{jk}/dp_l
         D = np.ascontiguousarray(
-            _central_differences(lambda Q: self.p_t(t, Q), P, _SCHOUTEN_H).transpose(1, 0, 2, 3))
+            _central_differences(lambda Q: self.p_t(t, Q), P).transpose(1, 0, 2, 3))
         S = (np.einsum('bil,bljk->bijk', Pt, D)
              + np.einsum('bjl,blki->bijk', Pt, D)
              + np.einsum('bkl,blij->bijk', Pt, D))
@@ -387,9 +389,10 @@ class _Engine:
         return phi_t(self.alg, t, PointV.from_array(P, self.d))
 
     def dphi_t(self, t: float, P: np.ndarray) -> np.ndarray:
-        h = _DPHI_H * (1.0 + np.abs(P))
-        D = _central_differences(lambda Q: self.phi_t_map(t, Q), P, h)
-        return np.ascontiguousarray(D.transpose(1, 2, 0))
+        """dPhi_t at each point, as (B, d, 2d), in closed form (see _dphi)."""
+        d = self.d
+        W = t * np.concatenate([P[:, :d], P[:, d:], self.phi_t_map(t, P)])
+        return _dphi(ad_series(self.alg.ad(W), self.c_sigma)[0], P.shape[0])
 
     def moment_residual(self, t: float, P: np.ndarray, xis: np.ndarray) -> float:
         """max | xi_M + P_t d<Phi_t, xi> | over points and test elements."""
@@ -448,13 +451,8 @@ class _Engine:
         return ts[keep], traj[keep], dens[keep]
 
     def _divergence_w(self, t: float, q: np.ndarray) -> np.ndarray:
-        """div of the Moser field at (t, q) by scaled central differences."""
-        D = _central_differences(lambda Q: self.moser_w(t, Q), q,
-                                 1e-4 * (1.0 + np.abs(q)))
-        div = np.zeros(q.shape[0])
-        for i in range(q.shape[1]):
-            div += D[i, :, i]
-        return div
+        """div of the Moser field at (t, q) by central differences."""
+        return np.einsum('ibi->b', _central_differences(lambda Q: self.moser_w(t, Q), q))
 
 
 def _engine(alg: QuadraticLieAlgebra) -> _Engine:
@@ -484,12 +482,8 @@ def modular_field(P_field: Callable[[np.ndarray], np.ndarray], p: PointV) -> np.
     the constant (translation-invariant) one, whose coefficient drops out
     of the divergence.
     """
-    q = p.as_array()
-    D = _central_differences(P_field, q[None], _MODULAR_H * (1.0 + np.abs(q))[None])
-    out = np.zeros(q.shape[0])
-    for i in range(q.shape[0]):
-        out += D[i, 0, i, :]  # sum_j d_j P_{j i} accumulated per j = i row
-    return out
+    # component k is sum_i d_i P_{ik}
+    return np.einsum('iik->k', _central_differences(P_field, p.as_array()[None])[:, 0])
 
 
 def cartan_eta(alg: QuadraticLieAlgebra, X: Vec, vectors: Sequence[Vec],
@@ -620,9 +614,9 @@ def transport_drift(alg: QuadraticLieAlgebra, P: np.ndarray, steps: int,
 def sample_points(alg: QuadraticLieAlgebra, n: int, seed: int,
                   radius: float) -> np.ndarray:
     """n points (X, Y), each uniform in the coordinate ball of the radius."""
-    if radius > alg.domain_radius:
-        raise ValueError(f"radius {radius} exceeds the {alg.name} domain "
-                         f"radius {alg.domain_radius}")
+    if not 0 <= radius <= alg.domain_radius:    # False for nan as well
+        raise ValueError(f"radius {radius} is not in [0, {alg.domain_radius}], "
+                         f"the {alg.name} domain radius")
     rng = np.random.default_rng(seed)
     d = alg.dim
 

@@ -133,8 +133,9 @@ def solve_exact(rows: List[List[Fraction]], rhs: List[Fraction]
         scale = math.lcm(*(v.denominator for v in entries))
         aug.append([v.numerator * (scale // v.denominator) for v in entries])
     red, pivots = _rref(aug, n)
-    rank_aug = len([row for row in red if any(row)])
     rank_lhs = len(pivots)
+    # the rows past the pivot rows are zero on M; any of them spans b
+    rank_aug = rank_lhs + (len(red) > rank_lhs)
     sol = [Fraction(0)] * n
     if rank_aug == rank_lhs:
         for i, c in enumerate(pivots):

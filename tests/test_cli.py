@@ -297,3 +297,13 @@ class TestUsage:
         code = main([command, "--samples", "1", "--steps", steps])
         assert code == 2
         assert "steps must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["flow", "geom-run"])
+    @pytest.mark.parametrize("radius", ["-5", "-0.45", "nan"])
+    def test_radius_guard(self, command, radius, capsys):
+        # a usage error, not a report of a negative radius (-0.45), an
+        # OutsideDomainError from the so3 chart (-5) or a failure in exp_chart (nan)
+        code = main([command, "--algebra", "so3", "--samples", "1", "--steps", "1",
+                     "--radius", radius])
+        assert code == 2
+        assert f"radius {float(radius)} is not in" in capsys.readouterr().err

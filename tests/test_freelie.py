@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -186,6 +187,50 @@ def random_lie_series(rng, degree, top):
     coeffs = {w: F(int(rng.integers(-9, 10)), int(rng.integers(1, 13)))
               for w in lyndon_words_upto(top) if rng.random() < 0.6}
     return LieSeries(degree, coeffs)
+
+
+def lyndon_sweep_by_min(remaining):
+    """The lex sweep that rescans every remaining word with min after each
+    subtraction: the oracle for freelie._lyndon_sweep."""
+    coeffs = {}
+    for d in sorted({len(w) for w in remaining}):
+        while True:
+            words_d = [w for w in remaining if len(w) == d]
+            if not words_d:
+                break
+            w0 = min(words_d)
+            if not is_lyndon(w0):
+                raise ValueError(f"input is not a Lie element (stray word {w0!r})")
+            c0 = remaining[w0]
+            coeffs[w0] = c0
+            for word, k in freelie.word_expansion(w0):
+                nc = remaining.get(word, 0) - c0 * k
+                if nc:
+                    remaining[word] = nc
+                else:
+                    remaining.pop(word, None)
+    return coeffs
+
+
+class TestLyndonSweep:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_min_sweep(self, seed):
+        rng = np.random.default_rng(seed)
+        u, v = random_lie_series(rng, 8, 5), random_lie_series(rng, 8, 4)
+        inputs = [freelie.lie_to_assoc(u),
+                  freelie.assoc_commutator(freelie.lie_to_assoc(u), freelie.lie_to_assoc(v), 8)]
+        words = [w for w in freelie.lie_to_assoc(u) if len(w) > 1]
+        inputs.append({**inputs[0], words[int(rng.integers(len(words)))]: F(7)})
+        for p in inputs:
+            got, expect = dict(p), dict(p)
+            try:
+                want = lyndon_sweep_by_min(expect)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    freelie._lyndon_sweep(got)
+            else:
+                assert list(freelie._lyndon_sweep(got).items()) == list(want.items())
+                assert got == expect == {}
 
 
 class TestAdSeriesApply:

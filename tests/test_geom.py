@@ -8,6 +8,7 @@ from kvgeom.geom import (
     _K15_S,
     _K15_W,
     _Engine,
+    _central_differences,
     _engine,
     alpha,
     cartan_eta,
@@ -688,6 +689,27 @@ class TestStructure:
             xis = 0.5 * rng.standard_normal((5, alg.dim))
             for t in (0.25, 0.5, 1.0):
                 assert eng.moment_residual(t, q, xis) <= 1e-5
+
+
+def dphi_by_differences(eng, t, P):
+    """dPhi_t by central differences of Phi_t, (B, d, 2d): the oracle for
+    the closed form."""
+    return _central_differences(lambda Q: eng.phi_t_map(t, Q), P).transpose(1, 2, 0)
+
+
+class TestDphi:
+    def test_closed_form_matches_differences(self, all_algebras, sl3):
+        for alg in [*all_algebras, sl3]:
+            eng = _engine(alg)
+            P = sample_points(alg, 6, 59, 0.3)
+            for t in (0.0, 0.25, 0.5, 1.0):
+                J = eng.dphi_t(t, P)
+                assert J.shape == (6, alg.dim, 2 * alg.dim)
+                assert np.max(np.abs(J - dphi_by_differences(eng, t, P))) <= 1e-9
+
+    def test_identity_blocks_at_t_zero(self, so3):
+        J = _engine(so3).dphi_t(0.0, sample_points(so3, 3, 61, 0.3))
+        assert np.array_equal(J, np.broadcast_to(np.hstack([np.eye(3)] * 2), J.shape))
 
 
 class TestFlow:

@@ -105,8 +105,9 @@ def solve_by_fractions(rows, rhs):
     n = len(rows[0]) if rows else 0
     aug = [[F(v) for v in row[::-1]] + [F(b)] for row, b in zip(rows, rhs)]
     red, pivots = rref_fraction(aug, n)
-    rank_aug = len([row for row in red if any(row)])
     rank_lhs = len(pivots)
+    # rank [M | b] on its own: pivots over every column, b's included
+    rank_aug = len(rref_fraction(aug, n + 1)[1])
     sol = [F(0)] * n
     if rank_aug == rank_lhs:
         for i, c in enumerate(pivots):
@@ -205,6 +206,11 @@ class TestEliminationOracle:
         assert_matches_fraction_oracle(rows, [F(1), F(2), F(3)])
         assert_matches_fraction_oracle(rows, [F(1), F(3), F(5)])
 
+    def test_rank_of_augmented_matrix(self):
+        # three inconsistent left-over rows add one to the rank, not three
+        assert solve_exact([[1], [1], [1]], [1, 2, 3])[2] == (1, 2)
+        assert_matches_fraction_oracle([[F(1)], [F(1)], [F(1)]], [F(1), F(2), F(3)])
+
 
 class TestKernel:
     def test_infeasible_system_reports_ranks(self):
@@ -212,6 +218,13 @@ class TestKernel:
         rhs = [F(1), F(2)]
         _, _, (r1, r2) = solve_exact(rows, rhs)
         assert r1 == 1 and r2 == 2
+
+    def test_infeasible_degree_prints_augmented_rank(self, monkeypatch):
+        monkeypatch.setattr(kvsolve, "_eq1_rows",
+                            lambda *args: (["x"], [[1], [1], [1]], [1, 2, 3]))
+        with pytest.raises(InfeasibleDegreeError, match=r"rank\(\[M\|b\]\) = 2,") as err:
+            solve_kv(1)
+        assert (err.value.rank_lhs, err.value.rank_aug) == (1, 2)
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
     def test_kernel_vectors_preserve_solutions(self, degree):
