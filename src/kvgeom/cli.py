@@ -21,7 +21,6 @@ from .freelie import format_fraction
 from .matrixlie import OutsideDomainError, builtin_algebras, get_algebra, load_algebra
 
 MAX_DEGREE = 10
-CACHE_ENV = "KVGEOM_CACHE_DIR"
 
 
 def _timestamp() -> str:
@@ -61,11 +60,7 @@ def _tolerances(args: argparse.Namespace) -> Dict[str, float]:
 # subcommand implementations
 
 def cmd_bch(args: argparse.Namespace) -> int:
-    cache = args.cache or os.environ.get(CACHE_ENV)
-    if cache:
-        series = freelie.bch_cached(args.degree, args.order, cache)
-    else:
-        series = freelie.bch(args.degree, args.order)
+    series = freelie.bch(args.degree, args.order)
     for w, c in series.items():
         print(f"{w}: {format_fraction(c)}")
     report = {
@@ -134,6 +129,8 @@ def cmd_check_kv2(args: argparse.Namespace) -> int:
 
 def cmd_geom_run(args: argparse.Namespace) -> int:
     algs = builtin_algebras() if args.algebra == "all" else [_resolve_algebra(args)]
+    for alg in algs:    # a usage error before any sweep prints
+        geom.check_radius(alg, args.radius)
     reports = []
     for alg in algs:
         rep = geom.run_geometry_suite(
@@ -215,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bch", help="Campbell-Hausdorff coefficients in the Lyndon basis")
     p.add_argument("--degree", type=int, default=8)
     p.add_argument("--order", choices=("XY", "YX"), default="XY")
-    p.add_argument("--cache", help=f"BCH cache directory (or set ${CACHE_ENV})")
     _add_out(p)
 
     for name in ("solve-kv", "check-kv1", "check-kv2"):
@@ -239,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_args(args: argparse.Namespace) -> None:
     """The usage rules argparse does not state; ValueError if one fails."""
     if not 1 <= getattr(args, "degree", 1) <= MAX_DEGREE:
-        raise ValueError(f"degree must be in 1..{MAX_DEGREE} "
-                         "(coefficient growth beyond that is impractical)")
+        raise ValueError(f"degree must be in 1..{MAX_DEGREE} (the dense exact "
+                         "elimination of the joint solve is impractical beyond that)")
     if getattr(args, "samples", 1) < 1:
         raise ValueError("samples must be >= 1")
     if getattr(args, "steps", 1) < 1:

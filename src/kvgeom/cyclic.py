@@ -17,6 +17,7 @@ factorisation of each Lyndon word (Alekseev-Torossian, arXiv:0802.4300).
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -24,13 +25,11 @@ from .freelie import (
     Assoc,
     LieSeries,
     WordSeries,
-    assoc_add,
-    bch,
     exp_minus_one_over_s,
     format_fraction,
-    lie_to_assoc,
+    log1p_over_s,
     standard_factorization,
-    substitute_series,
+    u_series,
     word_expansion,
 )
 
@@ -185,14 +184,17 @@ def kv2_residual(A: LieSeries, B: LieSeries, degree: int) -> CyclicWordSeries:
 @functools.lru_cache(maxsize=None)
 def _trace_rhs(degree: int) -> CyclicWordSeries:
     """RHS of the trace equation, -1/2 cyc(g(x) + g(y) - g(z) - 1), through
-    `degree`; built once per degree and shared by every kv2_residual call."""
-    g = g_coefficients(degree)
-    z = lie_to_assoc(bch(degree, "XY"))
-    gx = substitute_series(g, {"x": Fraction(1)}, degree)
-    gy = substitute_series(g, {"y": Fraction(1)}, degree)
-    gz = substitute_series(g, z, degree)
-    bracket = assoc_add(assoc_add(gx, gy), gz, Fraction(-1))
-    bracket = assoc_add(bracket, {"": Fraction(1)}, Fraction(-1))
+    `degree`; built once per degree and shared by every kv2_residual call.
+
+    e^z = e^X e^Y, so g(z) = log1p(u)/u = sum_k (-1)^k u^k/(k+1) with
+    u = e^X e^Y - 1, summed by the integer kernel `u_series`; g(x) and g(y)
+    are one word per degree.  The constant terms cancel.
+    """
+    words, den = u_series(log1p_over_s(degree), "XY", degree)
+    bracket = {w: Fraction(-n, den * math.factorial(len(w))) for w, n in words.items()}
+    for m, c in enumerate(g_coefficients(degree)[1:], 1):
+        for letter in "xy":
+            bracket[letter * m] = bracket.get(letter * m, Fraction(0)) + c
     return cyclic_reduce(AssocSeries(degree, bracket)).scaled(Fraction(-1, 2))
 
 

@@ -2,26 +2,29 @@
 
 Lie elements are stored in the Lyndon-word basis (lexicographic order with
 x < y, standard-factorization bracketing).  All coefficients are
-fractions.Fraction; no floats enter this module.
+fractions.Fraction or integers; no floats enter this module.
 
-Internally a Lie element is expanded into the tensor algebra (words with
-rational coefficients), manipulated there, and projected back to Lyndon
-coordinates.  The projection uses the triangularity of the Lyndon basis:
-the expansion of the bracketing of a Lyndon word w is w plus a combination
-of lexicographically larger words of the same degree, so a greedy sweep in
-lex order recovers the coordinates.  The same sweep builds, in integers,
-the matrices of ad_x and ad_y between consecutive degrees (`ad_matrix`);
-`ad_series_apply` runs on those and never leaves the Lyndon basis.
+A Lie element can be expanded into the tensor algebra (words with exact
+coefficients) and projected back to Lyndon coordinates.  The projection
+uses the triangularity of the Lyndon basis: the expansion of the
+bracketing of a Lyndon word w is w plus a combination of lexicographically
+larger words of the same degree, so a greedy sweep in lex order recovers
+the coordinates.  The same sweep builds, in integers, the matrices of ad_x
+and ad_y between consecutive degrees (`ad_matrix`); `ad_series_apply` runs
+on those and never leaves the Lyndon basis.
+
+Power series in u = e^X e^Y - 1 (`u_series`) are summed in integers: a
+word of length m is kept as an integer over den * m!, so u itself is one
+word x^i y^j per split with coefficient binom(m, i).  `bch` is log1p(u)
+on that kernel, projected by the same sweep, and the trace equation's
+g(z) = log1p(u)/u in `cyclic` uses it as well.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
-import json
 import math
-import os
-import tempfile
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
@@ -129,21 +132,6 @@ def assoc_mul(a: Assoc, b: Assoc, max_degree: int) -> Assoc:
 
 def assoc_commutator(a: Assoc, b: Assoc, max_degree: int) -> Assoc:
     return assoc_add(assoc_mul(a, b, max_degree), assoc_mul(b, a, max_degree), Fraction(-1))
-
-
-def substitute_series(coeffs: Sequence[Fraction], z: Assoc, degree: int) -> Assoc:
-    """sum_k coeffs[k] z^k truncated; z must have zero constant term."""
-    if z.get("", Fraction(0)):
-        raise ValueError("substitution requires zero constant term")
-    out: Assoc = {"": coeffs[0]} if coeffs[0] else {}
-    power: Assoc = {"": Fraction(1)}
-    for k in range(1, len(coeffs)):
-        power = assoc_mul(power, z, degree)
-        if not power:
-            break
-        if coeffs[k]:
-            out = assoc_add(out, power, coeffs[k])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -377,23 +365,63 @@ def ad_series_apply(f: Sequence[Fraction], direction: str, target: LieSeries,
     return LieSeries(degree, {w: Fraction(n, f_den * den) for w, n in out.items()})
 
 
+def u_series(coeffs: Sequence[Fraction], order: str,
+             degree: int) -> Tuple[Dict[str, int], int]:
+    """sum_{k>=1} coeffs[k] u^k with u = e^a e^b - 1, truncated at degree,
+    where (a, b) = (x, y) for order "XY" and (y, x) for "YX".
+
+    Returns (words, den): a word w of length m has the coefficient
+    words[w] / (den * m!), with den the lcm of the denominators of coeffs.
+    coeffs[0] is ignored.  Scaled by m!, u is one word a^i b^j per split of
+    m with coefficient binom(m, i), and a word of length la times one of
+    length lb gains binom(la + lb, la), so every coefficient is an integer
+    (Goldberg, Duke Math. J. 23, 1956).  Powers are built length bucket by
+    length bucket, so no product longer than the degree is formed.
+    """
+    if order not in ("XY", "YX"):
+        raise ValueError("order must be 'XY' or 'YX'")
+    a, b = ("x", "y") if order == "XY" else ("y", "x")
+    coeffs = [Fraction(c) for c in coeffs[:degree + 1]]
+    if len(coeffs) < degree + 1:
+        raise ValueError(f"need series coefficients up to index {degree}")
+    den = math.lcm(*(c.denominator for c in coeffs[1:]))
+    weights = [0] + [c.numerator * (den // c.denominator) for c in coeffs[1:]]
+    u = [[]] + [[(a * i + b * (m - i), math.comb(m, i)) for i in range(m + 1)]
+                for m in range(1, degree + 1)]
+    power = [dict(bucket) for bucket in u]    # u^k by length, empty below k
+    out: Dict[str, int] = {}
+    for k in range(1, degree + 1):
+        if weights[k]:
+            for bucket in power[k:]:
+                for w, c in bucket.items():
+                    out[w] = out.get(w, 0) + weights[k] * c
+        nxt: List[Dict[str, int]] = [{} for _ in range(degree + 1)]
+        for la in range(k, degree):
+            for lb in range(1, degree - la + 1):
+                scale, acc = math.comb(la + lb, la), nxt[la + lb]
+                for wb, cb in u[lb]:
+                    cb *= scale
+                    for wa, ca in power[la].items():
+                        w = wa + wb
+                        acc[w] = acc.get(w, 0) + ca * cb
+        power = nxt
+    return {w: c for w, c in out.items() if c}, den
+
+
 @functools.lru_cache(maxsize=None)
 def bch(degree: int, order: str = "XY") -> LieSeries:
     """Campbell-Hausdorff series log(e^X e^Y) (or log(e^Y e^X)), truncated.
 
-    Computed as log1p(e^X e^Y - 1) by series substitution in the truncated
-    tensor algebra, then projected to the Lyndon basis.  Exact rationals
-    throughout.
+    log1p(u) with u = e^X e^Y - 1, by the integer kernel `u_series`; the
+    integer words are projected to the Lyndon basis by the lex sweep, which
+    never mixes lengths, and each Lyndon coefficient is divided by its
+    length's den * m! once.  Exact throughout.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    if order not in ("XY", "YX"):
-        raise ValueError("order must be 'XY' or 'YX'")
-    first, second = ("x", "y") if order == "XY" else ("y", "x")
-    ea = substitute_series(exp_series(degree), {first: Fraction(1)}, degree)
-    eb = substitute_series(exp_series(degree), {second: Fraction(1)}, degree)
-    u = assoc_add(assoc_mul(ea, eb, degree), {"": Fraction(1)}, Fraction(-1))
-    return assoc_to_lyndon(substitute_series(log1p_series(degree), u, degree), degree)
+    words, den = u_series(log1p_series(degree), order, degree)
+    return LieSeries(degree, {w: Fraction(n, den * math.factorial(len(w)))
+                              for w, n in _lyndon_sweep(words).items()})
 
 
 def rescale(s: LieSeries, t) -> LieSeries:
@@ -429,14 +457,14 @@ def negate_generators(s: LieSeries) -> LieSeries:
 # ---------------------------------------------------------------------------
 # Series coefficient tables (exact)
 
-def exp_series(n: int) -> List[Fraction]:
-    """e^s up to s^n: the coefficient of s^k is 1/k!."""
-    return [Fraction(1, math.factorial(k)) for k in range(n + 1)]
-
-
 def log1p_series(n: int) -> List[Fraction]:
     """log(1 + s) up to s^n: the coefficient of s^k is (-1)^(k+1)/k for k >= 1."""
     return [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, n + 1)]
+
+
+def log1p_over_s(n: int) -> List[Fraction]:
+    """log(1 + s)/s up to s^n: the coefficient of s^k is (-1)^k/(k+1)."""
+    return [Fraction((-1) ** k, k + 1) for k in range(n + 1)]
 
 
 def exp_minus_one_over_s(n: int) -> List[Fraction]:
@@ -456,62 +484,7 @@ def exp_minus_one(n: int) -> List[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# BCH cache files
+# Report formatting
 
 def format_fraction(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
-
-
-def _cache_payload(series: LieSeries, order: str) -> str:
-    coeffs = [{"word": w, "c": format_fraction(c)} for w, c in series.items()]
-    doc = {"degree": series.degree, "order": order, "coeffs": coeffs}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def bch_cache_path(cache_dir: str, degree: int, order: str) -> str:
-    return os.path.join(cache_dir, f"bch_{order.lower()}_{degree}.json")
-
-
-def write_bch_cache(series: LieSeries, order: str, path: str) -> None:
-    """Atomic write: serialize to a temp file in the same directory, then rename."""
-    payload = _cache_payload(series, order)
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def load_bch_cache(path: str) -> Tuple[LieSeries, str]:
-    with open(path, "r") as fh:
-        doc = json.load(fh)
-    order = doc["order"]
-    series = LieSeries(doc["degree"],
-                       {e["word"]: Fraction(e["c"]) for e in doc["coeffs"]})
-    # reload must reserialize byte-identically
-    if _cache_payload(series, order) != _read_text(path):
-        raise ValueError(f"cache file {path} is not in canonical form")
-    return series, order
-
-
-def _read_text(path: str) -> str:
-    with open(path, "r") as fh:
-        return fh.read()
-
-
-def bch_cached(degree: int, order: str, cache_dir: str) -> LieSeries:
-    """Load the BCH series from the cache directory, computing and writing on miss."""
-    path = bch_cache_path(cache_dir, degree, order)
-    if os.path.exists(path):
-        series, cached_order = load_bch_cache(path)
-        if series.degree == degree and cached_order == order:
-            return series
-    series = bch(degree, order)
-    write_bch_cache(series, order, path)
-    return series

@@ -611,12 +611,17 @@ def transport_drift(alg: QuadraticLieAlgebra, P: np.ndarray, steps: int,
 # ---------------------------------------------------------------------------
 # sample sweeps and the report
 
-def sample_points(alg: QuadraticLieAlgebra, n: int, seed: int,
-                  radius: float) -> np.ndarray:
-    """n points (X, Y), each uniform in the coordinate ball of the radius."""
+def check_radius(alg: QuadraticLieAlgebra, radius: float) -> None:
+    """ValueError unless 0 <= radius <= the algebra's domain radius."""
     if not 0 <= radius <= alg.domain_radius:    # False for nan as well
         raise ValueError(f"radius {radius} is not in [0, {alg.domain_radius}], "
                          f"the {alg.name} domain radius")
+
+
+def sample_points(alg: QuadraticLieAlgebra, n: int, seed: int,
+                  radius: float) -> np.ndarray:
+    """n points (X, Y), each uniform in the coordinate ball of the radius."""
+    check_radius(alg, radius)
     rng = np.random.default_rng(seed)
     d = alg.dim
 

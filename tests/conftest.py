@@ -1,5 +1,6 @@
 """Shared fixtures, exact-arithmetic oracle helpers, acceptance reporting."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -195,3 +196,47 @@ def eval_lie_series_float(series, alg, X, Y):
     for w, c in series.items():
         acc = acc + float(c) * value(w)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# power series in the truncated tensor algebra over Fractions (the oracle
+# for freelie.u_series, bch and cyclic._trace_rhs)
+
+def exp_series(n):
+    """e^s up to s^n: the coefficient of s^k is 1/k!."""
+    return [Fraction(1, math.factorial(k)) for k in range(n + 1)]
+
+
+def substitute_series(coeffs, z, degree):
+    """sum_k coeffs[k] z^k truncated, word by word; z must have zero constant term."""
+    from kvgeom.freelie import assoc_add, assoc_mul
+
+    if z.get("", Fraction(0)):
+        raise ValueError("substitution requires zero constant term")
+    out = {"": coeffs[0]} if coeffs[0] else {}
+    power = {"": Fraction(1)}
+    for k in range(1, len(coeffs)):
+        power = assoc_mul(power, z, degree)
+        if not power:
+            break
+        if coeffs[k]:
+            out = assoc_add(out, power, coeffs[k])
+    return out
+
+
+def u_by_substitution(order, degree):
+    """e^a e^b - 1 as a dict of words, from the exp table at each generator."""
+    from kvgeom.freelie import assoc_add, assoc_mul
+
+    a, b = ("x", "y") if order == "XY" else ("y", "x")
+    ea = substitute_series(exp_series(degree), {a: Fraction(1)}, degree)
+    eb = substitute_series(exp_series(degree), {b: Fraction(1)}, degree)
+    return assoc_add(assoc_mul(ea, eb, degree), {"": Fraction(1)}, Fraction(-1))
+
+
+def bch_by_substitution(degree, order):
+    """log1p(e^a e^b - 1) by substitution, projected to the Lyndon basis."""
+    from kvgeom.freelie import assoc_to_lyndon, log1p_series
+
+    u = u_by_substitution(order, degree)
+    return assoc_to_lyndon(substitute_series(log1p_series(degree), u, degree), degree)

@@ -8,7 +8,10 @@ tests turn either loss into a failure.
 """
 
 import ast
+import functools
+import gc
 import importlib.util
+import types
 from pathlib import Path
 
 import kvgeom
@@ -90,3 +93,34 @@ def test_runner_names_exist():
     names = _runner_names()
     assert CALLED <= names
     assert {name for name in names if not _resolves(*name)} == set()
+
+
+def _runner_method(cls_name: str, name: str):
+    """A method of a bench/run.py class, compiled on its own from the parse,
+    so that the runner's import-time set-up does not run in the tests."""
+    tree = ast.parse(RUNNER.read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == cls_name)
+    fn = next(node for node in cls.body
+              if isinstance(node, ast.FunctionDef) and node.name == name)
+    namespace = {}
+    exec(compile(ast.Module(body=[fn], type_ignores=[]), str(RUNNER), "exec"), namespace)
+    return namespace[name]
+
+
+SYMBOLIC_MODULES = {"kvgeom.freelie", "kvgeom.cyclic", "kvgeom.kvsolve"}
+LRU_WRAPPER = type(functools.lru_cache(maxsize=None)(lambda: None))
+
+
+def test_clear_memos_reaches_every_symbolic_memo(capsys):
+    # every memo of the symbolic modules, wherever it sits, found from the
+    # heap rather than from the module namespaces clear_memos walks: a memo
+    # it missed would stay warm across the benchmark's ops
+    assert kvgeom.cli.main(["solve-kv", "--degree", "5", "--strategy", "joint-eq1-eq2"]) == 0
+    capsys.readouterr()
+    memos = [obj for obj in gc.get_objects()
+             if isinstance(obj, LRU_WRAPPER) and obj.__module__ in SYMBOLIC_MODULES]
+    assert any(memo.cache_info().currsize for memo in memos)
+    _runner_method("SymSolve", "clear_memos")(types.SimpleNamespace(kv=kvgeom))
+    assert {memo.__qualname__: memo.cache_info().currsize for memo in memos} == {
+        memo.__qualname__: 0 for memo in memos}

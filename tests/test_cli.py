@@ -1,12 +1,11 @@
 import hashlib
 import json
-import os
 
 import pytest
 
 from kvgeom import cyclic, kvsolve
 from kvgeom.cli import main
-from kvgeom.freelie import LieSeries, bch_cache_path, lyndon_basis
+from kvgeom.freelie import LieSeries, lyndon_basis
 
 
 def run_cli(args, capsys):
@@ -35,17 +34,13 @@ class TestBCH:
         doc = json.load(open(out_path))
         assert doc["degree"] == 3 and doc["order"] == "XY"
 
-    def test_cache_deleted_and_recomputed_identically(self, tmp_path, capsys):
-        cache = str(tmp_path / "cache")
-        code, out1 = run_cli(["bch", "--degree", "4", "--cache", cache], capsys)
-        assert code == 0
-        path = bch_cache_path(cache, 4, "XY")
-        first = open(path, "rb").read()
-        os.unlink(path)
-        code, out2 = run_cli(["bch", "--degree", "4", "--cache", cache], capsys)
-        assert code == 0
-        assert open(path, "rb").read() == first
-        assert strip_timestamp(out1) == strip_timestamp(out2)
+    def test_cache_flag_removed(self, tmp_path, capsys):
+        # bch has no on-disk cache: --cache is an unknown flag
+        cache = tmp_path / "cache"
+        with pytest.raises(SystemExit) as exc:
+            main(["bch", "--degree", "4", "--cache", str(cache)])
+        assert exc.value.code == 2
+        assert not cache.exists()
 
     # SHA-256 of the degree-8 bch report without its timestamp, dumped as
     # in TestSolveCommands.SOLVE_KV_6_SHA256
@@ -61,12 +56,12 @@ class TestBCH:
         text = json.dumps(strip_timestamp(out), indent=2, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == self.BCH_8_SHA256[order]
 
-    def test_cache_env_var(self, tmp_path, capsys, monkeypatch):
-        cache = str(tmp_path / "envcache")
-        monkeypatch.setenv("KVGEOM_CACHE_DIR", cache)
-        code, _ = run_cli(["bch", "--degree", "2"], capsys)
-        assert code == 0
-        assert os.path.exists(bch_cache_path(cache, 2, "XY"))
+    def test_cache_env_var_ignored(self, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "envcache"
+        monkeypatch.setenv("KVGEOM_CACHE_DIR", str(cache))
+        code, out = run_cli(["bch", "--degree", "2"], capsys)
+        assert code == 0 and "xy: 1/2" in out
+        assert not cache.exists()
 
 
 class TestSolveCommands:
@@ -307,3 +302,12 @@ class TestUsage:
                      "--radius", radius])
         assert code == 2
         assert f"radius {float(radius)} is not in" in capsys.readouterr().err
+
+    def test_radius_checked_on_every_algebra_before_any_sweep(self, capsys):
+        # 0.45 is inside the so3 and sl2 domains (0.5) and outside gl2's (0.4)
+        code = main(["geom-run", "--algebra", "all", "--radius", "0.45",
+                     "--samples", "1", "--steps", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "radius 0.45 is not in [0, 0.4], the gl2 domain radius" in captured.err

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kvgeom import cyclic
 from kvgeom.cyclic import (
     AssocSeries,
     CyclicWordSeries,
@@ -12,13 +13,26 @@ from kvgeom.cyclic import (
     g_coefficients,
     kv2_residual,
     min_rotation,
-    substitute_series,
 )
-from kvgeom.freelie import LieSeries, lie_to_assoc, lyndon_words_upto
+from kvgeom.freelie import LieSeries, assoc_add, lie_to_assoc, lyndon_words_upto
 from kvgeom.kvsolve import solve_kv
 from kvgeom.matrixlie import get_algebra
 
+from conftest import bch_by_substitution, substitute_series
+
 F = Fraction
+
+
+def trace_rhs_by_substitution(degree):
+    """-1/2 cyc(g(x) + g(y) - g(z) - 1) with g substituted word by word at
+    x, y and z = log(e^X e^Y): the oracle for cyclic._trace_rhs."""
+    g = g_coefficients(degree)
+    z = lie_to_assoc(bch_by_substitution(degree, "XY"))
+    gx = substitute_series(g, {"x": F(1)}, degree)
+    gy = substitute_series(g, {"y": F(1)}, degree)
+    gz = substitute_series(g, z, degree)
+    bracket = assoc_add(assoc_add(assoc_add(gx, gy), gz, F(-1)), {"": F(1)}, F(-1))
+    return cyclic_reduce(AssocSeries(degree, bracket)).scaled(F(-1, 2))
 
 
 class TestMinRotation:
@@ -192,6 +206,10 @@ class TestKV2Residual:
     def test_substitute_requires_no_constant(self):
         with pytest.raises(ValueError):
             substitute_series([F(1), F(1)], {"": F(1)}, 2)
+
+    def test_trace_rhs_matches_substitution_oracle(self):
+        for d in range(1, 9):
+            assert repr(cyclic._trace_rhs(d)) == repr(trace_rhs_by_substitution(d))
 
 
 class TestMatrixEvaluationConsistency:

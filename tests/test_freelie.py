@@ -1,5 +1,4 @@
-import json
-import os
+import math
 import re
 from fractions import Fraction
 
@@ -15,15 +14,11 @@ from kvgeom.freelie import (
     ad_series_apply,
     assoc_to_lyndon,
     bch,
-    bch_cached,
-    bch_cache_path,
     exp_minus_one,
     exp_minus_one_over_s,
-    exp_series,
     is_lyndon,
     lie_bracket,
     lie_to_assoc,
-    load_bch_cache,
     log1p_series,
     lyndon_basis,
     lyndon_words_upto,
@@ -33,17 +28,21 @@ from kvgeom.freelie import (
     rescale,
     standard_factorization,
     swap_generators,
-    write_bch_cache,
+    u_series,
 )
 
 from conftest import (
+    bch_by_substitution,
     eval_lie_series_exact,
     exp_nilpotent,
+    exp_series,
     frac_add,
     frac_mul,
     is_zero_matrix,
     log_unitriangular,
     random_strict_upper,
+    substitute_series,
+    u_by_substitution,
 )
 
 F = Fraction
@@ -332,6 +331,46 @@ class TestBCH:
         for n in (3, 5):
             assert negate_generators(bch(n, "YX")).scaled(F(-1)) == bch(n, "XY")
 
+    @pytest.mark.parametrize("order", ["XY", "YX"])
+    def test_matches_substitution_oracle(self, order):
+        for d in range(1, 9):
+            assert repr(bch(d, order)) == repr(bch_by_substitution(d, order))
+
+    def test_rejects_unknown_order(self):
+        with pytest.raises(ValueError, match="order"):
+            bch(3, "XX")
+
+
+class TestUSeries:
+    @pytest.mark.parametrize("order", ["XY", "YX"])
+    def test_matches_substitution_oracle(self, order):
+        # rational tables with zero entries; coeffs[0] is ignored
+        rng = np.random.default_rng(5)
+        for degree in range(1, 8):
+            f = [F(int(rng.integers(-3, 4)), int(rng.integers(1, 8)))
+                 for _ in range(degree + 1)]
+            words, den = u_series(f, order, degree)
+            assert all(type(n) is int and n for n in words.values())
+            got = {w: F(n, den * math.factorial(len(w))) for w, n in words.items()}
+            expect = substitute_series([F(0)] + f[1:], u_by_substitution(order, degree), degree)
+            assert got == expect
+
+    def test_u_is_one_binomial_word_per_split(self):
+        words, den = u_series([F(0), F(1), F(0), F(0)], "YX", 3)
+        assert den == 1
+        assert words == {"y": 1, "x": 1, "yy": 1, "yx": 2, "xx": 1,
+                         "yyy": 1, "yyx": 3, "yxx": 3, "xxx": 1}
+
+    def test_sweep_rejects_a_stray_word(self):
+        # u itself is not a Lie element: the integer sweep stops at xx
+        words, _ = u_series([F(0), F(1), F(0), F(0)], "XY", 3)
+        with pytest.raises(ValueError, match="stray word 'xx'"):
+            freelie._lyndon_sweep(words)
+
+    def test_requires_enough_coefficients(self):
+        with pytest.raises(ValueError):
+            u_series([F(0), F(1)], "XY", 2)
+
 
 class TestRescale:
     def test_identity_at_one(self):
@@ -344,32 +383,6 @@ class TestRescale:
     def test_degree_two_scaling(self):
         s = LieSeries(2, {"xy": F(1, 2)})
         assert rescale(s, F(1, 2)) == LieSeries(2, {"xy": F(1, 8)})
-
-
-class TestCacheFile:
-    def test_roundtrip_byte_identical(self, tmp_path):
-        series = bch(4, "XY")
-        path = str(tmp_path / "bch.json")
-        write_bch_cache(series, "XY", path)
-        first = open(path, "rb").read()
-        loaded, order = load_bch_cache(path)
-        assert order == "XY" and loaded == series
-        write_bch_cache(loaded, order, path)
-        assert open(path, "rb").read() == first
-
-    def test_bch_cached_creates_and_reuses(self, tmp_path):
-        cache = str(tmp_path)
-        s1 = bch_cached(3, "YX", cache)
-        assert os.path.exists(bch_cache_path(cache, 3, "YX"))
-        s2 = bch_cached(3, "YX", cache)
-        assert s1 == s2 == bch(3, "YX")
-
-    def test_schema_fields(self, tmp_path):
-        path = str(tmp_path / "c.json")
-        write_bch_cache(bch(2, "XY"), "XY", path)
-        doc = json.load(open(path))
-        assert doc["degree"] == 2 and doc["order"] == "XY"
-        assert {"word": "xy", "c": "1/2"} in doc["coeffs"]
 
 
 class TestLieSeriesType:

@@ -16,7 +16,15 @@ from kvgeom.kvsolve import (
     solve_exact,
     solve_kv,
 )
-from kvgeom.matrixlie import matrix_exp
+from kvgeom.matrixlie import (
+    PointV,
+    analytic_ad,
+    fn_dexp,
+    fn_dexp_right,
+    get_algebra,
+    matrix_exp,
+    phi_t,
+)
 
 F = Fraction
 
@@ -288,3 +296,29 @@ class TestEvaluatePair:
         scale = max(np.max(np.abs(A0)), np.max(np.abs(B0)), 1.0)
         assert np.max(np.abs(A1 - Adg @ A0)) <= 1e-8 * scale
         assert np.max(np.abs(B1 - Adg @ B0)) <= 1e-8 * scale
+
+
+class TestTruncationOrder:
+    """The degree-N pair solves eq1 exactly through degree N + 1, so at
+    (tX, tY) its numeric eq1 residual falls as t^(N+2)."""
+
+    @staticmethod
+    def eq1_residual(alg, pair, X, Y):
+        # log(e^Y e^X) - X - Y - [(1 - e^{-ad_X}) A + (e^{ad_Y} - 1) B]
+        A, B = evaluate_pair(pair, alg, X, Y)
+        lhs = phi_t(alg, 1.0, PointV(Y, X)) - X - Y
+        rhs = (analytic_ad(alg, fn_dexp, X) @ alg.bracket(X, A)
+               + analytic_ad(alg, fn_dexp_right, Y) @ alg.bracket(Y, B))
+        return float(np.max(np.abs(lhs - rhs)))
+
+    @pytest.mark.parametrize("name", ["so3", "sl2", "gl2"])
+    @pytest.mark.parametrize("degree", [3, 4])
+    def test_eq1_residual_slope(self, name, degree):
+        alg = get_algebra(name)
+        pair = solve_kv(degree)
+        X, Y = np.random.default_rng(4).standard_normal((2, alg.dim))
+        X, Y = X / np.linalg.norm(X), Y / np.linalg.norm(Y)
+        ts = np.array([0.05, 0.12, 0.3])
+        resid = [self.eq1_residual(alg, pair, t * X, t * Y) for t in ts]
+        slope = np.polyfit(np.log(ts), np.log(resid), 1)[0]
+        assert slope >= degree + 1.7, (resid, slope)
