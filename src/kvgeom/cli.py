@@ -268,7 +268,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OutsideDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

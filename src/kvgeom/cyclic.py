@@ -52,11 +52,6 @@ class AssocSeries(WordSeries):
     def as_dict(self) -> Assoc:
         return dict(self._c)
 
-    def left_concat(self, letter: str) -> "AssocSeries":
-        """Compose ad_letter on the left: word w becomes letter + w."""
-        return AssocSeries(self.degree,
-                           {letter + w: c for w, c in self._c.items() if len(w) < self.degree})
-
 
 class CyclicWordSeries(WordSeries):
     """Rational combination of necklaces (words modulo rotation).
@@ -142,6 +137,21 @@ def delta_derivative(series: LieSeries, slot: str, degree: int) -> AssocSeries:
     return AssocSeries(degree, p)
 
 
+@functools.lru_cache(maxsize=None)
+def trace_column(word: str, letter: str) -> Tuple[Tuple[str, int], ...]:
+    """cyc(letter . P_word), P_word the operator series of the Lyndon word
+    `word` in the slot of `letter`: ((necklace, integer coefficient), ...).
+
+    The trace equation's column of the coefficient of `word` in A (letter
+    x) or B (letter y), read directly off `_word_derivative`.
+    """
+    acc: Dict[str, int] = {}
+    for w, c in _word_derivative(word, letter):
+        m = min_rotation(letter + w)
+        acc[m] = acc.get(m, 0) + c
+    return tuple(sorted((m, c) for m, c in acc.items() if c))
+
+
 def cyclic_reduce(p: AssocSeries) -> CyclicWordSeries:
     """Project words onto necklaces (trace cyclicity); empty word -> scalar."""
     out: Dict[str, Fraction] = {}
@@ -174,11 +184,16 @@ def kv2_residual(A: LieSeries, B: LieSeries, degree: int) -> CyclicWordSeries:
     LHS = cyc(x . delta_X(A) + y . delta_Y(B));
     RHS = -1/2 cyc(g(x) + g(y) - g(z) - 1),  g(s) = s/(e^s - 1),
     with z the image of log(e^X e^Y) under the bracket-to-commutator
-    homomorphism.  Scalar parts cancel since g(0) = 1.
+    homomorphism.  Scalar parts cancel since g(0) = 1.  The LHS sums
+    `trace_column` over the words of A and B of length <= degree.
     """
-    lhs_assoc = (delta_derivative(A, "X", degree).left_concat("x")
-                 + delta_derivative(B, "Y", degree).left_concat("y"))
-    return cyclic_reduce(lhs_assoc) - _trace_rhs(degree)
+    lhs: Dict[str, Fraction] = {}
+    for series, letter in ((A, "x"), (B, "y")):
+        for w, c in series.items():
+            if len(w) <= degree:
+                for m, k in trace_column(w, letter):
+                    lhs[m] = lhs.get(m, Fraction(0)) + c * k
+    return CyclicWordSeries(degree, lhs) - _trace_rhs(degree)
 
 
 @functools.lru_cache(maxsize=None)

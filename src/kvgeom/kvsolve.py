@@ -5,15 +5,16 @@ The first equation,
     log(e^Y e^X) - X - Y = (1 - e^{-ad_X}) A + (e^{ad_Y} - 1) B,
 
 is linear in (A, B) degree by degree: the degree-d parts of A and B enter
-the degree-(d+1) component (ad raises degree by one), together with known
-contributions from lower degrees.  Each degree is an exact linear system
-over the rationals; its coefficients for the eq1 block are the integer
-matrices of ad_x and ad_y on the Lyndon basis (`freelie.ad_matrix`).  It is
-solved by fraction-free Gauss-Jordan elimination on rows scaled to
-integers; free variables are set to zero under a fixed column order
-(A-coefficients before B-coefficients, words in lex order).  The joint
-strategy appends the degreewise components of the trace equation, which
-is affine in (A, B).
+the degree-(d+1) component (ad raises degree by one) through ad_x and ad_y,
+whose integer matrices on the Lyndon basis (`freelie.ad_matrix`) are the
+eq1 block.  The degree loop keeps one running residual, the left side minus
+the operator (`_eq1_operator`) on the parts solved so far; its
+degree-(d+1) coefficients are the right-hand side.  The joint strategy
+appends the degree-d necklace components of the trace equation, whose
+columns are `cyclic.trace_column`.  Each degree is solved by fraction-free
+Gauss-Jordan elimination on rows scaled to integers; free variables are set
+to zero under a fixed column order (A-coefficients before B-coefficients,
+words in lex order).
 """
 
 from __future__ import annotations
@@ -65,14 +66,16 @@ class InfeasibleDegreeError(RuntimeError):
             f"rank(M) = {rank_lhs}, rank([M|b]) = {rank_aug}, unknowns = {n_unknowns}")
 
 
+def _eq1_operator(A: LieSeries, B: LieSeries, n: int) -> LieSeries:
+    """(1 - e^{-ad_X}) A + (e^{ad_Y} - 1) B through degree n, exact."""
+    return (ad_series_apply(one_minus_exp_neg(n), "x", A, n)
+            + ad_series_apply(exp_minus_one(n), "y", B, n))
+
+
 def kv1_residual(pair: KVPair, degree: int) -> LieSeries:
     """[bch(YX) - X - Y] - [(1 - e^{-ad_X}) A + (e^{ad_Y} - 1) B], exact."""
     lhs = bch(degree, "YX") - LieSeries.generator("x", degree) - LieSeries.generator("y", degree)
-    fA = one_minus_exp_neg(degree)
-    fB = exp_minus_one(degree)
-    rhs = (ad_series_apply(fA, "x", pair.A.truncated(degree), degree)
-           + ad_series_apply(fB, "y", pair.B.truncated(degree), degree))
-    return lhs - rhs
+    return lhs - _eq1_operator(pair.A, pair.B, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -154,109 +157,74 @@ def solve_exact(rows: List[List[Fraction]], rhs: List[Fraction]
 # ---------------------------------------------------------------------------
 # system assembly
 
-def _eq1_rows(d: int, lhs: LieSeries, lowerA: LieSeries, lowerB: LieSeries
-              ) -> Tuple[List[str], List[List[Fraction]], List[Fraction]]:
-    """Rows of the degree-(d+1) component of the first equation.
+def _eq1_rows(d: int) -> List[List[int]]:
+    """Rows of the degree-(d+1) component of the first equation in (A_d, B_d).
 
-    `lhs` is the degree-(d+1) component of the Campbell-Hausdorff
-    inhomogeneity log(e^Y e^X) - X - Y (zero for the homogeneous
-    continuation of kernel vectors).  Unknown order: A-coefficients then
-    B-coefficients, words in lex order.
+    The degree-d parts enter through the first-order terms f1 ad = ad
+    (f1 = 1 for both series): the columns are those of ad_x and ad_y, one
+    row per Lyndon word of degree d + 1.  Unknown order: A-coefficients
+    then B-coefficients, words in lex order.
     """
     words_d = lyndon_basis(d)
-    words_d1 = lyndon_basis(d + 1)
-    n = d + 1
-
-    # known part: LHS_{d+1} minus the lower-degree operator contributions
-    fA = one_minus_exp_neg(n)
-    fB = exp_minus_one(n)
-    known = ad_series_apply(fA, "x", lowerA.truncated(n), n).component(d + 1) \
-        + ad_series_apply(fB, "y", lowerB.truncated(n), n).component(d + 1)
-    target = lhs - known
-
-    # the degree-d parts enter through the first-order terms f1 ad = ad
-    # (f1 = 1 for both series): the columns are those of ad_x and ad_y
-    index = {w: i for i, w in enumerate(words_d1)}
+    index = {w: i for i, w in enumerate(lyndon_basis(d + 1))}
     k = len(words_d)
-    rows = [[0] * (2 * k) for _ in words_d1]
+    rows = [[0] * (2 * k) for _ in index]
     for j, w in enumerate(words_d):
         for offset, letter in ((0, "x"), (k, "y")):
             for w1, m in ad_matrix(letter, d)[w]:
                 rows[index[w1]][offset + j] = m
-    rhs = [target.coefficient(w1) for w1 in words_d1]
-    return words_d, rows, rhs
+    return rows
 
 
-def _necklaces(d: int) -> List[str]:
-    seen = set()
-    for bits in range(2 ** d):
-        w = "".join("xy"[(bits >> i) & 1] for i in range(d))
-        seen.add(cyclic.min_rotation(w))
-    return sorted(seen)
-
-
-def _eq2_rows(d: int, residual0: cyclic.CyclicWordSeries
-              ) -> Tuple[List[List[Fraction]], List[Fraction]]:
+def _eq2_rows(d: int, rhs_d: cyclic.CyclicWordSeries
+              ) -> Tuple[List[List[int]], List[Fraction]]:
     """Degree-d necklace component of the trace equation, linear in (A_d, B_d).
 
-    `residual0` is the degree-d component of the trace residual of the zero
-    pair.
+    `rhs_d` is the degree-d component of the trace right-hand side.  One
+    row per necklace that a column or `rhs_d` holds; any other necklace
+    gives an all-zero row, which elimination drops.
     """
     words_d = lyndon_basis(d)
-    necks = _necklaces(d)
-    idx = {m: i for i, m in enumerate(necks)}
-
-    def lhs_column(word: str, slot: str) -> List[Fraction]:
-        s = LieSeries(d, {word: Fraction(1)})
-        letter = "x" if slot == "X" else "y"
-        contrib = cyclic.cyclic_reduce(
-            cyclic.delta_derivative(s, slot, d).left_concat(letter))
-        col = [Fraction(0)] * len(necks)
-        for m, c in contrib.items():
-            col[idx[m]] = c
-        return col
-
-    colsA = [lhs_column(w, "X") for w in words_d]
-    colsB = [lhs_column(w, "Y") for w in words_d]
-
-    # residual(0,0) = LHS(0,0) - RHS = -RHS; the equation LHS(A,B) = RHS reads
-    # LHS(A,B) + residual(0,0) = 0
-    rhs = [-residual0.coefficient(m) for m in necks]
-
-    rows = []
-    for i in range(len(necks)):
-        rows.append([colsA[j][i] for j in range(len(words_d))]
-                    + [colsB[j][i] for j in range(len(words_d))])
-    return rows, rhs
+    cols = [dict(cyclic.trace_column(w, letter)) for letter in "xy" for w in words_d]
+    necks = sorted({m for col in cols for m in col} | {m for m, _ in rhs_d.items()})
+    rows = [[col.get(m, 0) for col in cols] for m in necks]
+    return rows, [rhs_d.coefficient(m) for m in necks]
 
 
 def _solve_degrees(degrees: Sequence[int], lhs: LieSeries,
-                   residual0: cyclic.CyclicWordSeries | None,
+                   trace_rhs: cyclic.CyclicWordSeries | None,
                    coeffsA: Dict[str, Fraction], coeffsB: Dict[str, Fraction]) -> None:
     """Solve the given degrees in turn, writing A_d and B_d into coeffsA/coeffsB.
 
-    Each degree's system is the degree-(d+1) component of the first
-    equation (inhomogeneity `lhs`) on top of the parts already in
-    coeffsA/coeffsB, plus the degree-d trace rows when `residual0` (the
-    trace residual of the zero pair) is given.  Free variables are zero;
-    raises InfeasibleDegreeError if some degree admits no solution.
+    The running residual starts as the inhomogeneity `lhs` minus the eq1
+    operator on the parts already in coeffsA/coeffsB; each degree's eq1
+    right-hand side is its degree-(d+1) component.  The degree-d trace rows
+    are added when `trace_rhs` (the trace right-hand side) is given.  Free
+    variables are zero; raises InfeasibleDegreeError if some degree admits
+    no solution.
     """
+    n = lhs.degree
+    solved = _eq1_operator(LieSeries(n, coeffsA), LieSeries(n, coeffsB), n)
+    # a plain dict: it is read one word at a time and updated in place
+    residual = dict((lhs - solved).items())
     for d in degrees:
-        words_d, rows, rhs = _eq1_rows(d, lhs.component(d + 1),
-                                       LieSeries(d, coeffsA), LieSeries(d, coeffsB))
-        if residual0 is not None:
-            rows2, rhs2 = _eq2_rows(d, residual0.component(d))
+        words_d = lyndon_basis(d)
+        k = len(words_d)
+        rows = _eq1_rows(d)
+        rhs = [residual.get(w, Fraction(0)) for w in lyndon_basis(d + 1)]
+        if trace_rhs is not None:
+            rows2, rhs2 = _eq2_rows(d, trace_rhs.component(d))
             rows += rows2
             rhs += rhs2
         sol, _, (rank_lhs, rank_aug) = solve_exact(rows, rhs)
         if rank_aug != rank_lhs:
-            raise InfeasibleDegreeError(d, rank_lhs, rank_aug, 2 * len(words_d))
-        k = len(words_d)
-        for w, a, b in zip(words_d, sol[:k], sol[k:]):
-            if a:
-                coeffsA[w] = a
-            if b:
-                coeffsB[w] = b
+            raise InfeasibleDegreeError(d, rank_lhs, rank_aug, 2 * k)
+        partA = {w: a for w, a in zip(words_d, sol[:k]) if a}
+        partB = {w: b for w, b in zip(words_d, sol[k:]) if b}
+        coeffsA.update(partA)
+        coeffsB.update(partB)
+        for w, c in _eq1_operator(LieSeries(n, partA), LieSeries(n, partB), n).items():
+            residual[w] = residual.get(w, Fraction(0)) - c
 
 
 def solve_kv(degree: int, strategy: str = "eq1-only") -> KVPair:
@@ -273,13 +241,10 @@ def solve_kv(degree: int, strategy: str = "eq1-only") -> KVPair:
         raise ValueError(f"unknown strategy {strategy!r}")
     n = degree + 1
     lhs1 = bch(n, "YX") - LieSeries.generator("x", n) - LieSeries.generator("y", n)
-    residual0 = None
-    if strategy == "joint-eq1-eq2":
-        zero = LieSeries.zero(degree)
-        residual0 = cyclic.kv2_residual(zero, zero, degree)
+    trace_rhs = cyclic._trace_rhs(degree) if strategy == "joint-eq1-eq2" else None
     coeffsA: Dict[str, Fraction] = {}
     coeffsB: Dict[str, Fraction] = {}
-    _solve_degrees(range(1, degree + 1), lhs1, residual0, coeffsA, coeffsB)
+    _solve_degrees(range(1, degree + 1), lhs1, trace_rhs, coeffsA, coeffsB)
     return KVPair(LieSeries(degree, coeffsA), LieSeries(degree, coeffsB),
                   degree, strategy)
 
@@ -295,15 +260,15 @@ def eq1_kernel_basis(d: int, degree_cap: int | None = None) -> List[KVPair]:
     """
     cap = degree_cap or d
     words_d = lyndon_basis(d)
-    zero = LieSeries.zero(cap + 1)
-    _, rows, _ = _eq1_rows(d, zero, zero, zero)
+    rows = _eq1_rows(d)
     _, kernel, _ = solve_exact(rows, [Fraction(0)] * len(rows))
     out = []
     k = len(words_d)
     for vec in kernel:
         coeffsA = {w: c for w, c in zip(words_d, vec[:k]) if c}
         coeffsB = {w: c for w, c in zip(words_d, vec[k:]) if c}
-        _solve_degrees(range(d + 1, cap + 1), zero, None, coeffsA, coeffsB)
+        _solve_degrees(range(d + 1, cap + 1), LieSeries.zero(cap + 1), None,
+                       coeffsA, coeffsB)
         out.append(KVPair(LieSeries(cap, coeffsA), LieSeries(cap, coeffsB),
                           cap, "kernel"))
     return out

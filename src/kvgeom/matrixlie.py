@@ -78,6 +78,12 @@ class QuadraticLieAlgebra:
             raise AlgebraValidationError("basis must be a (d, n, n) array")
         if self.Q.shape != (d, d):
             raise AlgebraValidationError("form must be d x d")
+        # every tolerance check below is False on NaN
+        if not (np.all(np.isfinite(self.basis)) and np.all(np.isfinite(self.Q))):
+            raise AlgebraValidationError("basis and form must be finite")
+        if not (np.isfinite(self.domain_radius) and self.domain_radius > 0):
+            raise AlgebraValidationError(
+                f"domain radius {self.domain_radius} is not finite and positive")
         if np.max(np.abs(self.Q - self.Q.T)) > _VALIDATION_TOL:
             raise AlgebraValidationError("form is not symmetric")
         if abs(np.linalg.det(self.Q)) < 1e-10:
@@ -584,6 +590,8 @@ def load_algebra(source) -> QuadraticLieAlgebra:
             doc = json.load(fh)
     else:
         doc = source
+    if not isinstance(doc, dict):
+        raise AlgebraValidationError("descriptor must be a JSON object")
     basis = np.asarray(doc["basis"], dtype=float)
     form = doc.get("form", "trace")
     if isinstance(form, str):

@@ -280,6 +280,18 @@ class TestUsage:
             main(["solve-kv", "--cache", str(tmp_path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("case", ["missing", "list"])
+    def test_bad_algebra_file_exits_2(self, case, tmp_path, capsys):
+        # a usage error, not a FileNotFoundError or TypeError traceback
+        path = tmp_path / "descriptor.json"
+        if case == "list":
+            path.write_text(json.dumps([[[1, 0], [0, 0]]]))
+        code = main(["flow", "--algebra-file", str(path), "--samples", "1",
+                     "--steps", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_degree_guard(self, capsys):
         code = main(["bch", "--degree", "11"])
         assert code == 2

@@ -13,6 +13,7 @@ from kvgeom.cyclic import (
     g_coefficients,
     kv2_residual,
     min_rotation,
+    trace_column,
 )
 from kvgeom.freelie import LieSeries, assoc_add, lie_to_assoc, lyndon_words_upto
 from kvgeom.kvsolve import solve_kv
@@ -179,6 +180,43 @@ class TestGSeries:
         r = exp_minus_one_over_s(12)
         conv = [sum(g[k] * r[m - k] for k in range(m + 1)) for m in range(13)]
         assert conv[0] == 1 and all(c == 0 for c in conv[1:])
+
+
+def trace_lhs_by_operator_series(A, B, degree):
+    """cyc(x . delta_X(A) + y . delta_Y(B)) through `degree`, composed as
+    operator series: the oracle for cyclic.trace_column."""
+    words = {}
+    for series, slot in ((A, "X"), (B, "Y")):
+        letter = slot.lower()
+        p = delta_derivative(series.truncated(degree), slot, degree)
+        for w, c in p.items():
+            if len(w) < degree:
+                words[letter + w] = words.get(letter + w, F(0)) + c
+    return cyclic_reduce(AssocSeries(degree, words))
+
+
+class TestTraceColumn:
+    @pytest.mark.parametrize("letter", ["x", "y"])
+    def test_matches_operator_series(self, letter):
+        for w in lyndon_words_upto(7):
+            s = LieSeries(len(w), {w: F(1)})
+            zero = LieSeries.zero(len(w))
+            A, B = (s, zero) if letter == "x" else (zero, s)
+            expected = trace_lhs_by_operator_series(A, B, len(w))
+            assert dict(trace_column(w, letter)) == dict(expected.items()), w
+
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_kv2_residual_matches_operator_series(self, degree):
+        # the pair reaches one degree past the residual's, which truncates it
+        rng = np.random.default_rng(degree)
+        words = lyndon_words_upto(degree + 1)
+
+        def random_series():
+            return LieSeries(degree + 1, {w: F(int(rng.integers(-3, 4))) for w in words})
+
+        A, B = random_series(), random_series()
+        expected = trace_lhs_by_operator_series(A, B, degree) - cyclic._trace_rhs(degree)
+        assert repr(kv2_residual(A, B, degree)) == repr(expected)
 
 
 class TestKV2Residual:

@@ -7,6 +7,7 @@ import pytest
 from kvgeom import kvsolve
 from kvgeom.cyclic import kv2_residual
 from kvgeom.freelie import LieSeries, ad_series_apply, exp_minus_one, one_minus_exp_neg
+from kvgeom.geom import _central_differences
 from kvgeom.kvsolve import (
     InfeasibleDegreeError,
     KVPair,
@@ -21,6 +22,7 @@ from kvgeom.matrixlie import (
     analytic_ad,
     fn_dexp,
     fn_dexp_right,
+    fn_todd,
     get_algebra,
     matrix_exp,
     phi_t,
@@ -228,8 +230,10 @@ class TestKernel:
         assert r1 == 1 and r2 == 2
 
     def test_infeasible_degree_prints_augmented_rank(self, monkeypatch):
-        monkeypatch.setattr(kvsolve, "_eq1_rows",
-                            lambda *args: (["x"], [[1], [1], [1]], [1, 2, 3]))
+        # whatever degree 1 assembles, solve the system [[1], [1], [1]] | [1, 2, 3]
+        solve = kvsolve.solve_exact
+        monkeypatch.setattr(kvsolve, "solve_exact",
+                            lambda rows, rhs: solve([[1], [1], [1]], [1, 2, 3]))
         with pytest.raises(InfeasibleDegreeError, match=r"rank\(\[M\|b\]\) = 2,") as err:
             solve_kv(1)
         assert (err.value.rank_lhs, err.value.rank_aug) == (1, 2)
@@ -300,7 +304,9 @@ class TestEvaluatePair:
 
 class TestTruncationOrder:
     """The degree-N pair solves eq1 exactly through degree N + 1, so at
-    (tX, tY) its numeric eq1 residual falls as t^(N+2)."""
+    (tX, tY) its numeric eq1 residual falls as t^(N+2); the joint pair
+    solves the trace equation through degree N, so its numeric trace
+    residual falls as t^(N+1)."""
 
     @staticmethod
     def eq1_residual(alg, pair, X, Y):
@@ -322,3 +328,30 @@ class TestTruncationOrder:
         resid = [self.eq1_residual(alg, pair, t * X, t * Y) for t in ts]
         slope = np.polyfit(np.log(ts), np.log(resid), 1)[0]
         assert slope >= degree + 1.7, (resid, slope)
+
+    @staticmethod
+    def trace_residual(alg, pair, X, Y):
+        # tr(ad_X d_X A) + tr(ad_Y d_Y B) + 1/2 tr(g(ad_X) + g(ad_Y) - g(ad_Z) - 1)
+        d = alg.dim
+
+        def pair_at(Q):
+            return np.stack([np.stack(evaluate_pair(pair, alg, q[:d], q[d:])) for q in Q])
+
+        D = _central_differences(pair_at, np.concatenate([X, Y])[None])[:, 0]
+        # Jacobians dA_i/dX_j = D[j, 0, i] and dB_i/dY_j = D[d + j, 1, i]
+        lhs = np.trace(alg.ad(X) @ D[:d, 0].T) + np.trace(alg.ad(Y) @ D[d:, 1].T)
+        Z = phi_t(alg, 1.0, PointV(X, Y))
+        g = [np.trace(analytic_ad(alg, fn_todd, W)) for W in (X, Y, Z)]
+        return abs(lhs + 0.5 * (g[0] + g[1] - g[2] - d))
+
+    @pytest.mark.parametrize("name", ["so3", "sl2", "gl2"])
+    @pytest.mark.parametrize("degree", [3, 4])
+    def test_trace_residual_slope(self, name, degree):
+        alg = get_algebra(name)
+        pair = solve_kv(degree, "joint-eq1-eq2")
+        X, Y = np.random.default_rng(4).standard_normal((2, alg.dim))
+        X, Y = X / np.linalg.norm(X), Y / np.linalg.norm(Y)
+        ts = np.array([0.1, 0.2, 0.4])
+        resid = [self.trace_residual(alg, pair, t * X, t * Y) for t in ts]
+        slope = np.polyfit(np.log(ts), np.log(resid), 1)[0]
+        assert slope >= degree + 0.8, (resid, slope)

@@ -67,6 +67,23 @@ class TestBuiltins:
         with pytest.raises(AlgebraValidationError):
             QuadraticLieAlgebra("open", np.stack([e12, e21]), np.eye(2), 0.5)
 
+    @pytest.mark.parametrize("field,value", [
+        ("basis", np.nan), ("form", np.nan), ("form", np.inf),
+        ("domain_radius", np.inf), ("domain_radius", np.nan),
+        ("domain_radius", 0.0), ("domain_radius", -0.5),
+    ])
+    def test_non_finite_descriptor_rejected(self, so3, field, value):
+        # a NaN passes every "> tol" check, and one in the basis would reach
+        # the SVD of the closure check
+        doc = {"name": "bad", "basis": so3.basis.copy(), "form": so3.Q.copy(),
+               "domain_radius": 0.5}
+        if field == "domain_radius":
+            doc[field] = value
+        else:
+            doc[field][0, 0] = value
+        with pytest.raises(AlgebraValidationError):
+            load_algebra(doc)
+
     def test_json_loading_and_abelian(self, tmp_path):
         doc = {
             "name": "abelian2",
