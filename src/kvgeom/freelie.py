@@ -137,6 +137,10 @@ def assoc_commutator(a: Assoc, b: Assoc, max_degree: int) -> Assoc:
 # ---------------------------------------------------------------------------
 # Word series; Lie series in the Lyndon basis
 
+def _degree_lex(item: Tuple[str, Fraction]) -> Tuple[int, str]:
+    return len(item[0]), item[0]
+
+
 class WordSeries:
     """Truncated series of words with rational coefficients.
 
@@ -154,7 +158,7 @@ class WordSeries:
             raise ValueError("truncation degree must be >= 0")
         self.degree = degree
         clean: Dict[str, Fraction] = {}
-        for w, c in sorted((coeffs or {}).items(), key=lambda it: (len(it[0]), it[0])):
+        for w, c in sorted((coeffs or {}).items(), key=_degree_lex):
             c = Fraction(c)
             if not c:
                 continue
@@ -185,24 +189,40 @@ class WordSeries:
     def is_zero(self) -> bool:
         return not self._c
 
+    @classmethod
+    def _from_valid(cls, degree: int, coeffs: Dict[str, Fraction]):
+        """A series from Fraction coefficients on admitted words of length
+        <= degree, such as arithmetic on valid series of this type yields:
+        drops zeros and orders the words, without checking them again."""
+        out = object.__new__(cls)
+        out.degree = degree
+        out._c = {w: c for w, c in sorted(coeffs.items(), key=_degree_lex) if c}
+        return out
+
     # -- algebra -----------------------------------------------------------
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """self + sign * other, truncated to the lower degree: one series."""
         n = min(self.degree, other.degree)
         out = {w: c for w, c in self._c.items() if len(w) <= n}
         for w, c in other._c.items():
             if len(w) <= n:
-                out[w] = out.get(w, Fraction(0)) + c
-        return type(self)(n, out)
+                out[w] = out.get(w, 0) + sign * c
+        if type(other) is not type(self):
+            return type(self)(n, out)      # other's words must pass self's rule
+        return self._from_valid(n, out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self):
         return self.scaled(-1)
 
     def scaled(self, factor):
         f = Fraction(factor)
-        return type(self)(self.degree, {w: f * c for w, c in self._c.items()})
+        return self._from_valid(self.degree, {w: f * c for w, c in self._c.items()})
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self._c == other._c

@@ -21,10 +21,14 @@ converged, or its value is not finite, OutsideDomainError.
 
 Chart maps: a descriptor whose basis is the standard so(3) basis
 _hat3(e_1), _hat3(e_2), _hat3(e_3) uses the Rodrigues formulas, one of 2 x 2
-matrices uses the 2 x 2 closed forms, and every other descriptor uses one
-batched scipy.linalg.expm and the batched, gated logarithm _logm_checked.
+matrices uses the 2 x 2 closed forms, and every other descriptor uses the
+batched exponential _expm and the batched, gated logarithm _logm_checked.
 The choice is made once, from the verified basis, when the descriptor is
-built.
+built.  _expm is the degree-13 Pade approximant with scaling and squaring
+(Higham 2005) in plain numpy: the scaling is chosen and the squarings are
+masked per matrix, so a stack gives bitwise each matrix's own result.  It
+also serves matrix_exp and the round-trip gate of _logm_checked.  An
+exponential that is not finite raises OutsideDomainError.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .cyclic import g_coefficients
 from .freelie import exp_minus_one_over_s, one_minus_exp_neg
@@ -48,6 +51,13 @@ _LOG_PADE_NODES = 8     # Gauss-Legendre nodes: the [8/8] Pade of log(I + E)
 _SQRT_TOL = 1e-8        # Denman-Beavers: one step past ||M_k - I||_1 <= tol
 _SQRT_MAX_ITER = 50     # Denman-Beavers steps per square root
 _MAX_SQRTS = 40         # square roots per matrix
+_EXPM_THETA = 5.371920351148152   # ||A||_1 bound of the degree-13 Pade (Higham 2005)
+# the [13/13] Pade coefficients of exp, b_0 ... b_13, over b_0: a pivot of
+# exactly 1 in V - U, so that exp(0) is exactly I
+_EXPM_PADE = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0))
 
 
 class AlgebraValidationError(ValueError):
@@ -176,9 +186,8 @@ class QuadraticLieAlgebra:
         X = np.atleast_2d(_finite(X, "exp_chart"))
         if self.chart == "so3":
             return _so3_exp(X)
-        if self.chart == "2x2":
-            return _exp_2x2(self.to_matrix(X))
-        return scipy.linalg.expm(self.to_matrix(X))
+        M = self.to_matrix(X)
+        return _exp_checked(_exp_2x2(M) if self.chart == "2x2" else _expm(M), "exp_chart")
 
     def log_chart(self, M: np.ndarray) -> Vec:
         """Principal log of chart matrices back to coordinates, batched."""
@@ -222,9 +231,53 @@ def _finite(M, where: str) -> np.ndarray:
     return M
 
 
+def _exp_checked(E: np.ndarray, where: str) -> np.ndarray:
+    """E, unless the exponential overflowed: OutsideDomainError."""
+    if not np.all(np.isfinite(E)):
+        raise OutsideDomainError(f"{where}: the exponential is not finite")
+    return E
+
+
 def matrix_exp(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring with Pade approximants)."""
-    return scipy.linalg.expm(_finite(M, "matrix_exp"))
+    """Matrix exponential of one matrix or a stack (..., n, n).
+
+    OutsideDomainError if the exponential overflows.
+    """
+    return _exp_checked(_expm(_finite(M, "matrix_exp")), "matrix_exp")
+
+
+def _expm(M: np.ndarray) -> np.ndarray:
+    """exp of a finite matrix or stack (..., n, n), silently inf or NaN on overflow.
+
+    Scaling and squaring with the [13/13] Pade approximant r_13 (Higham,
+    SIAM J. Matrix Anal. Appl. 26 (2005)): matrix i is scaled by 2^-s_i,
+    s_i = max(0, ceil(log2(||A_i||_1 / theta_13))), then r_13 = (V - U)^-1
+    (V + U) is squared s_i times.  Everything is per matrix, so a stack
+    gives bitwise what each matrix gives alone.
+    """
+    M = np.asarray(M, dtype=float)
+    n = M.shape[-1]
+    A = M.reshape(-1, n, n)
+    with np.errstate(over="ignore", divide="ignore"):
+        s = np.ceil(np.log2(_norm1(A) / _EXPM_THETA))
+    # log2(0) = -inf gives s = 0; a norm that overflowed is below n 2^1024
+    s = np.clip(s, 0, 1100).astype(int)
+    A = np.ldexp(A, -s[:, None, None])
+    b = _EXPM_PADE
+    eye = np.eye(n)
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + eye)
+    R = np.linalg.solve(V - U, V + U)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(s.max(initial=0)):
+            sq = s > k
+            R[sq] = R[sq] @ R[sq]
+    return R.reshape(M.shape)
 
 
 def matrix_log(M: np.ndarray) -> np.ndarray:
@@ -287,7 +340,7 @@ def _logm_checked(M: np.ndarray) -> np.ndarray:
     Z = np.linalg.solve(eye + _GL_NODES[:, None, None, None] * E,
                         np.broadcast_to(E, (_LOG_PADE_NODES,) + E.shape))
     L = np.einsum('j,j...->...', _GL_WEIGHTS, Z) * (2.0 ** s)[:, None, None]
-    err = np.max(np.abs(scipy.linalg.expm(L) - A), axis=(-2, -1))
+    err = np.max(np.abs(_expm(L) - A), axis=(-2, -1))
     if not np.all(err <= 1e-10 * (1.0 + scale)):
         raise OutsideDomainError("outside exp(U): exp/log round trip failed")
     return L.reshape(M.shape)
@@ -358,10 +411,11 @@ def _exp_2x2(M: np.ndarray) -> np.ndarray:
     mu = np.sqrt(mu2.astype(complex))
     small = np.abs(mu) < 1e-4
     mu_safe = np.where(small, 1.0, mu)
-    ch = np.where(small, 1.0 + mu2 / 2.0 + mu2 * mu2 / 24.0, np.cosh(mu))
-    sh = np.where(small, 1.0 + mu2 / 6.0 + mu2 * mu2 / 120.0, np.sinh(mu) / mu_safe)
-    out = (ch[..., None, None] * np.eye(2) + sh[..., None, None] * N)
-    return np.exp(tau)[..., None, None] * out.real
+    with np.errstate(over="ignore", invalid="ignore"):   # exp_chart gates overflow
+        ch = np.where(small, 1.0 + mu2 / 2.0 + mu2 * mu2 / 24.0, np.cosh(mu))
+        sh = np.where(small, 1.0 + mu2 / 6.0 + mu2 * mu2 / 120.0, np.sinh(mu) / mu_safe)
+        out = (ch[..., None, None] * np.eye(2) + sh[..., None, None] * N)
+        return np.exp(tau)[..., None, None] * out.real
 
 
 def _log_2x2(M: np.ndarray) -> np.ndarray:

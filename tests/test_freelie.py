@@ -402,3 +402,23 @@ class TestLieSeriesType:
         a = LieSeries(3, {"xy": F(1, 2)})
         b = LieSeries(3, {"xy": F(2, 4)})
         assert a == b and hash(a) == hash(b)
+
+    def test_subtraction_is_adding_the_negative(self):
+        # one series for a - b, word for word the series of a + (-b)
+        rng = np.random.default_rng(21)
+        words = lyndon_words_upto(6)
+
+        def random_series():
+            n = int(rng.integers(3, 7))
+            return LieSeries(n, {w: F(int(rng.integers(-4, 5)), int(rng.integers(1, 6)))
+                                 for w in rng.choice(words, 8) if len(w) <= n})
+
+        for _ in range(25):
+            a, b = random_series(), random_series()
+            assert a - b == a + (-b) and repr(a - b) == repr(a + (-b))
+            assert (a - a).is_zero()
+
+    def test_mixed_type_sum_checks_words(self):
+        from kvgeom.cyclic import AssocSeries
+        with pytest.raises(ValueError):
+            LieSeries(3, {"x": F(1)}) - AssocSeries(3, {"yx": F(1)})

@@ -1,11 +1,15 @@
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import kvgeom
 from kvgeom.freelie import bch
 from kvgeom.matrixlie import (
     AlgebraValidationError,
@@ -104,7 +108,8 @@ class TestBuiltins:
 
 class TestMatrixExp:
     def test_zero(self):
-        assert np.allclose(matrix_exp(np.zeros((3, 3))), np.eye(3))
+        assert np.array_equal(matrix_exp(np.zeros((3, 3))), np.eye(3))
+        assert matrix_exp(np.zeros((0, 4, 4))).shape == (0, 4, 4)
 
     def test_rodrigues_oracle(self, so3):
         theta = 0.8
@@ -121,6 +126,27 @@ class TestMatrixExp:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             matrix_exp(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+
+    def test_overflow_raises(self, gl2, sl3):
+        # no inf and no RuntimeWarning: an exponential that overflows, even
+        # from a 1-norm that overflows itself, leaves the domain
+        for M in ([[800.0]], np.full((2, 2), 1e308)):
+            with pytest.raises(OutsideDomainError, match="not finite"):
+                matrix_exp(np.array(M))
+        for alg in (gl2, sl3):
+            with pytest.raises(OutsideDomainError, match="not finite"):
+                alg.exp_chart(np.stack([np.zeros(alg.dim), np.full(alg.dim, 400.0)]))
+        assert matrix_exp(np.array([[-800.0]]))[0, 0] == 0.0   # underflow is finite
+
+    def test_package_import_leaves_scipy_out(self):
+        src = os.path.dirname(os.path.dirname(kvgeom.__file__))
+        code = ("import sys, kvgeom, kvgeom.cli; print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestMatrixLog:
@@ -182,6 +208,22 @@ class TestCharts:
             fast = alg.exp_chart(X)
             ref = np.stack([scipy.linalg.expm(m) for m in alg.to_matrix(X)])
             assert np.max(np.abs(fast - ref)) <= 1e-13
+        # the generic exponential, 1-norms from 1e-3 to 100: the unscaled
+        # Pade (up to 5.37) and one to five squarings, against scipy's
+        norm = np.geomspace(1e-3, 100.0, 200)
+        M = rng.standard_normal((200, 3, 3))
+        M *= (norm / np.max(np.sum(np.abs(M), axis=-2), axis=-1))[:, None, None]
+        fast = matrix_exp(M)
+        ref = np.stack([scipy.linalg.expm(m) for m in M])
+        rel = np.max(np.abs(fast - ref), axis=(-2, -1)) / np.max(np.abs(ref), axis=(-2, -1))
+        assert np.max(rel[norm <= 1.0]) <= 1e-14
+        assert np.max(rel[norm <= 10.0]) <= 3e-12
+        assert np.max(rel) <= 1e-10
+        # a stack is, bitwise, its matrices one at a time
+        assert all(np.array_equal(f, matrix_exp(m)) for f, m in zip(fast, M))
+        assert np.array_equal(sl3.exp_chart(np.zeros((3, sl3.dim))),
+                              np.broadcast_to(np.eye(3), (3, 3, 3)))
+        assert sl3.exp_chart(np.zeros((0, sl3.dim))).shape == (0, 3, 3)
 
     def test_log_chart_inverts(self, all_algebras, sl3):
         rng = np.random.default_rng(5)
@@ -200,8 +242,10 @@ class TestCharts:
         X = 0.3 * np.random.default_rng(14).standard_normal((8, 3))
         for alg in (scaled, renamed):
             ref = np.stack([scipy.linalg.expm(m) for m in alg.to_matrix(X)])
-            assert np.max(np.abs(alg.exp_chart(X) - ref)) <= 1e-13
+            E = alg.exp_chart(X)
+            assert np.max(np.abs(E - ref)) <= 1e-13
             assert np.max(np.abs(alg.log_chart(ref) - X)) <= 1e-12
+            assert all(np.array_equal(e, alg.exp_chart(x)[0]) for e, x in zip(E, X))
 
     @pytest.mark.parametrize("name", ["so3", "sl2", "gl2", "sl3"])
     def test_non_finite_input_rejected(self, name, request):
