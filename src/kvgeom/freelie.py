@@ -37,18 +37,18 @@ Assoc = Dict[str, Fraction]  # word -> coefficient, finitely supported
 # ---------------------------------------------------------------------------
 # Lyndon words
 
-def lyndon_words_upto(n: int, alphabet: Sequence[str] = ALPHABET) -> List[str]:
-    """All Lyndon words of length <= n over the ordered alphabet, in lex order.
+def lyndon_words_upto(n: int) -> List[str]:
+    """All Lyndon words of length <= n over the ordered ALPHABET, in lex order.
 
     Duval's generation algorithm.
     """
     if n < 1:
         return []
-    k = len(alphabet)
+    k = len(ALPHABET)
     out: List[str] = []
     w = [0]
     while w:
-        out.append("".join(alphabet[c] for c in w))
+        out.append("".join(ALPHABET[c] for c in w))
         m = len(w)
         while len(w) < n:
             w.append(w[len(w) - m])
@@ -59,11 +59,11 @@ def lyndon_words_upto(n: int, alphabet: Sequence[str] = ALPHABET) -> List[str]:
     return out
 
 
-def lyndon_basis(degree: int, alphabet: Sequence[str] = ALPHABET) -> List[str]:
+def lyndon_basis(degree: int) -> List[str]:
     """All Lyndon words of exactly the given degree, sorted lexicographically."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    return [w for w in lyndon_words_upto(degree, alphabet) if len(w) == degree]
+    return [w for w in lyndon_words_upto(degree) if len(w) == degree]
 
 
 def is_lyndon(word: str) -> bool:
@@ -448,16 +448,6 @@ def rescale(s: LieSeries, t) -> LieSeries:
     """Degree scaling m_t^*: a word of degree d picks up a factor t^d."""
     t = Fraction(t)
     return LieSeries(s.degree, {w: c * t ** len(w) for w, c in s.items()})
-
-
-def phi_series(degree: int, t, order: str = "XY") -> LieSeries:
-    """The rescaled series (1/t) m_t^* log(e^X e^Y): degree d scales by t^(d-1).
-
-    Well defined at t = 0, where it degenerates to X + Y.
-    """
-    t = Fraction(t)
-    z = bch(degree, order)
-    return LieSeries(degree, {w: c * t ** (len(w) - 1) for w, c in z.items()})
 
 
 def swap_generators(s: LieSeries) -> LieSeries:

@@ -68,6 +68,14 @@ class OutsideDomainError(ValueError):
     """A point or operator left the validity domain of the construction."""
 
 
+def _basis_array(basis) -> np.ndarray:
+    """The basis as a float (d, n, n) array; AlgebraValidationError otherwise."""
+    basis = np.asarray(basis, dtype=float)
+    if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
+        raise AlgebraValidationError("basis must be a (d, n, n) array")
+    return basis
+
+
 @dataclass(eq=False)
 class QuadraticLieAlgebra:
     """Validated quadratic Lie algebra descriptor.  Immutable after init."""
@@ -81,11 +89,9 @@ class QuadraticLieAlgebra:
     chart: str = field(init=False)             # "so3" | "2x2" | "generic"
 
     def __post_init__(self):
-        self.basis = np.asarray(self.basis, dtype=float)
+        self.basis = _basis_array(self.basis)
         self.Q = np.asarray(self.Q, dtype=float)
         d = self.basis.shape[0]
-        if self.basis.ndim != 3 or self.basis.shape[1] != self.basis.shape[2]:
-            raise AlgebraValidationError("basis must be a (d, n, n) array")
         if self.Q.shape != (d, d):
             raise AlgebraValidationError("form must be d x d")
         # every tolerance check below is False on NaN
@@ -646,7 +652,7 @@ def load_algebra(source) -> QuadraticLieAlgebra:
         doc = source
     if not isinstance(doc, dict):
         raise AlgebraValidationError("descriptor must be a JSON object")
-    basis = np.asarray(doc["basis"], dtype=float)
+    basis = _basis_array(doc["basis"])   # before the trace form contracts it
     form = doc.get("form", "trace")
     if isinstance(form, str):
         if form == "trace":

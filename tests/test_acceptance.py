@@ -12,7 +12,7 @@ import pytest
 
 from kvgeom import cli
 from kvgeom.freelie import bch
-from kvgeom.geom import _engine, sample_points
+from kvgeom.geom import _Engine, _engine, sample_points, transport_drift
 from kvgeom.kvsolve import kv1_residual, solve_kv
 from kvgeom.matrixlie import builtin_algebras, get_algebra, matrix_exp
 
@@ -122,11 +122,16 @@ def test_criterion_5_volume_identity(sweeps):
 
 @pytest.fixture(scope="module")
 def transport():
-    """Worst Phi_t and volume drift of the so3 flow sweep (20 points x 200 steps)."""
+    """Worst Phi_t and volume drift of the so3 flow sweep (20 points x 200 steps).
+
+    The drifts by a per-step loop over the flow, and by the library's
+    stacked transport_drift reading the same flow.
+    """
     so3 = get_algebra("so3")
     eng = _engine(so3)
     pts = sample_points(so3, 20, 42, 0.3)
-    ts, traj, dens = eng.flow(pts, 200, keep_every=20)
+    flow = eng.flow(pts, 200)
+    ts, traj, dens = flow
     phi0 = eng.phi_t_map(0.0, pts)
     phi_drift = 0.0
     vol_drift = 0.0
@@ -136,11 +141,14 @@ def transport():
         if t > 0:
             lk = np.log(eng.kappa(float(t), traj[k]))
             vol_drift = max(vol_drift, float(np.max(np.abs(lk - dens[k]))))
-    return phi_drift, vol_drift
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Engine, "flow", lambda self, P, steps: flow)
+        stacked = transport_drift(so3, pts, 200)
+    return phi_drift, vol_drift, stacked
 
 
 def test_criterion_6_transport(transport):
-    phi_drift, vol_drift = transport
+    phi_drift, vol_drift, _ = transport
     ok = phi_drift <= TOL_PHI and vol_drift <= TOL_VOL
     record_criterion(6, "Moser flow transports the moment map and the volume",
                      ok, f"phi drift {phi_drift:.2e}, volume drift {vol_drift:.2e}")
@@ -152,6 +160,14 @@ def test_transport_volume_drift_near_rounding(transport):
     # the divergence's central differences resolve the transported density
     # to well below the criterion's tolerance
     assert transport[1] <= 1e-12
+
+
+def test_stacked_transport_drift_matches_per_step_loop(transport):
+    # Phi_1(t p) / t is Phi_t(p) to the bit; kappa_1(t p) and kappa_t(p)
+    # differ only in the rounding of t Phi_t
+    phi_drift, vol_drift, (phi_stacked, vol_stacked) = transport
+    assert phi_stacked == phi_drift
+    assert abs(vol_stacked - vol_drift) <= 1e-15
 
 
 def test_criterion_7_poisson_sanity(sweeps):

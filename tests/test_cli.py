@@ -252,6 +252,14 @@ class TestFlowCommand:
         assert doc["pass"] is True
         assert doc["transportPhi"]["max"] <= 1e-6
 
+    @pytest.mark.parametrize("steps", ["30", "41"])
+    def test_volume_drift_at_any_step_count(self, steps, capsys):
+        # every step is checked, so an odd node of the density quadrature
+        # is read whatever the step count; each is as accurate as the even ones
+        code, out = run_cli(["flow", "--algebra", "so3", "--samples", "4",
+                             "--steps", steps], capsys)
+        assert code == 0
+        assert strip_timestamp(out)["transportVol"]["max"] <= 1e-12
 
     def test_flow_takes_only_transport_tolerances(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -280,17 +288,34 @@ class TestUsage:
             main(["solve-kv", "--cache", str(tmp_path)])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("case", ["missing", "list"])
+    @pytest.mark.parametrize("case", ["missing", "list", "flat basis"])
     def test_bad_algebra_file_exits_2(self, case, tmp_path, capsys):
-        # a usage error, not a FileNotFoundError or TypeError traceback
+        # a usage error, not a FileNotFoundError, TypeError or einsum traceback
         path = tmp_path / "descriptor.json"
         if case == "list":
             path.write_text(json.dumps([[[1, 0], [0, 0]]]))
+        elif case == "flat basis":
+            path.write_text(json.dumps({"basis": [[1, 0], [0, 1]], "form": "trace"}))
         code = main(["flow", "--algebra-file", str(path), "--samples", "1",
                      "--steps", "1"])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+        if case == "flat basis":
+            assert err == "error: basis must be a (d, n, n) array\n"
+
+    def test_outside_domain_exits_1(self, sl2, tmp_path, capsys):
+        # the sl2 basis at a domain radius past the series' reach: the tail
+        # gate raises OutsideDomainError, reported on one line with no traceback
+        path = tmp_path / "sl2wide.json"
+        path.write_text(json.dumps({"name": "sl2wide", "basis": sl2.basis.tolist(),
+                                    "form": "trace", "domain_radius": 1.3}))
+        code = main(["geom-run", "--algebra-file", str(path), "--radius", "1.3",
+                     "--samples", "40", "--steps", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: outside V: truncated series tail")
+        assert captured.err.count("\n") == 1
 
     def test_degree_guard(self, capsys):
         code = main(["bch", "--degree", "11"])

@@ -24,7 +24,6 @@ from kvgeom.freelie import (
     lyndon_words_upto,
     negate_generators,
     one_minus_exp_neg,
-    phi_series,
     rescale,
     standard_factorization,
     swap_generators,
@@ -376,9 +375,6 @@ class TestRescale:
     def test_identity_at_one(self):
         z = bch(4, "XY")
         assert rescale(z, F(1)) == z
-
-    def test_phi_series_at_zero_is_sum(self):
-        assert phi_series(5, F(0)) == LieSeries(5, {"x": F(1), "y": F(1)})
 
     def test_degree_two_scaling(self):
         s = LieSeries(2, {"xy": F(1, 2)})

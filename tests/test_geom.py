@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from kvgeom import geom
 from kvgeom.geom import (
     _G7_W,
     _K15_S,
     _K15_W,
     _Engine,
     _central_differences,
+    _cumulative_simpson,
     _engine,
     alpha,
     cartan_eta,
@@ -23,6 +25,7 @@ from kvgeom.geom import (
     run_geometry_suite,
     sample_points,
     sigma,
+    transport_drift,
     varpi,
 )
 from kvgeom.matrixlie import (
@@ -712,6 +715,33 @@ class TestDphi:
         assert np.array_equal(J, np.broadcast_to(np.hstack([np.eye(3)] * 2), J.shape))
 
 
+class TestCumulativeSimpson:
+    @pytest.mark.parametrize("n", range(4, 12))
+    def test_cubic_exact_at_every_node(self, n):
+        # every rule is exact for cubics, so every node carries the integral
+        t = np.linspace(0.0, 1.0, n)
+        f = np.stack([1.0 - 2.0 * t + 3.0 * t ** 2 - 4.0 * t ** 3, t ** 3], axis=1)
+        exact = np.stack([t - t ** 2 + t ** 3 - t ** 4, t ** 4 / 4], axis=1)
+        assert np.max(np.abs(_cumulative_simpson(f, t[1]) - exact)) <= 1e-15
+
+    def test_quadratic_exact_on_three_samples(self):
+        t = np.linspace(0.0, 1.0, 3)
+        out = _cumulative_simpson(2.0 - t + 3.0 * t ** 2, 0.5)
+        assert np.max(np.abs(out - (2.0 * t - t ** 2 / 2 + t ** 3))) <= 1e-15
+
+    def test_linear_exact_on_two_samples(self):
+        # one step: the trapezoid, which reads no sample beyond the interval
+        assert np.array_equal(_cumulative_simpson(np.array([1.0, 3.0]), 1.0),
+                              np.array([0.0, 2.0]))
+
+    def test_even_nodes_are_composite_simpson(self):
+        h = 1.0 / 40
+        f = np.cos(np.linspace(0.0, 1.0, 41))
+        pairs = h / 3.0 * (f[:-2:2] + 4 * f[1:-1:2] + f[2::2])
+        ref = np.concatenate([[0.0], np.cumsum(pairs)])
+        assert np.array_equal(_cumulative_simpson(f, h)[0::2], ref)
+
+
 class TestFlow:
     def test_origin_is_stationary(self, so3):
         states = flow_integrate(so3, ORIGIN3, steps=20)
@@ -721,7 +751,7 @@ class TestFlow:
     def test_transport_small(self, so3):
         eng = _engine(so3)
         q = sample_points(so3, 3, 53, 0.25)
-        ts, traj, dens = eng.flow(q, 60, keep_every=20)
+        ts, traj, dens = eng.flow(q, 60)
         phi0 = eng.phi_t_map(0.0, q)
         for k, t in enumerate(ts):
             assert np.max(np.abs(eng.phi_t_map(float(t), traj[k]) - phi0)) <= 1e-6
@@ -746,12 +776,30 @@ class TestFlow:
         with pytest.raises(OutsideDomainError, match="left V at t"):
             eng.flow(q, 10)
 
+    def test_start_on_the_domain_edge_flows(self, so3):
+        # check_point's rounding allowance holds along the flow as well:
+        # so3 orbits keep |X| fixed, so a start it admits stays admitted
+        p = PointV(np.array([0.5 + 5e-13, 0.0, 0.0]), np.array([0.0, 0.1, 0.0]))
+        states = flow_integrate(so3, p, steps=10)
+        assert len(states) == 11
+        assert abs(np.linalg.norm(states[-1].point.X) - (0.5 + 5e-13)) <= 1e-12
+
+    def test_transport_drift_chunks_are_invisible(self, so3, monkeypatch):
+        # the stacked comparison takes _CHUNK points per call; a cap that
+        # splits steps and points mid-stack gives the same drifts
+        P = sample_points(so3, 3, 67, 0.3)
+        whole = transport_drift(so3, P, 12)
+        monkeypatch.setattr(geom, "_CHUNK", 5)
+        split = transport_drift(so3, P, 12)
+        assert whole[0] == split[0]
+        assert abs(whole[1] - split[1]) <= 1e-15
+
     def test_orbit_radii_conserved(self, so3):
         # leaves are products of coadjoint orbits; for so3 these are spheres,
         # so the flow must preserve |X| and |Y| exactly
         eng = _engine(so3)
         q = np.array([[0.3, 0.0, 0.0, 0.0, 0.3, 0.0]])
-        _, traj, _ = eng.flow(q, 40, keep_every=10)
+        _, traj, _ = eng.flow(q, 40)
         rX = np.linalg.norm(traj[:, 0, :3], axis=1)
         rY = np.linalg.norm(traj[:, 0, 3:], axis=1)
         assert np.max(np.abs(rX - 0.3)) <= 1e-10
