@@ -238,8 +238,8 @@ def _check_args(args: argparse.Namespace) -> None:
                          "elimination of the joint solve is impractical beyond that)")
     if getattr(args, "samples", 1) < 1:
         raise ValueError("samples must be >= 1")
-    if getattr(args, "steps", 1) < 1:
-        raise ValueError("steps must be >= 1")
+    if getattr(args, "steps", 2) < 2:
+        raise ValueError("steps must be >= 2")
     if getattr(args, "algebra", None) == "all" and getattr(args, "algebra_file", None):
         raise ValueError("--algebra all cannot be combined with --algebra-file")
 

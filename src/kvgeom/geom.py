@@ -70,6 +70,7 @@ _K15_S = 0.5 + 0.5 * np.concatenate([-_XGK, _XGK[-2::-1]])
 _K15_W = 0.5 * np.concatenate([_WGK, _WGK[-2::-1]])
 _G7_W = np.zeros(15)
 _G7_W[1::2] = 0.5 * np.concatenate([_WG, _WG[-2::-1]])
+_SAMPLE_S = np.append(_K15_S, 1.0)      # the Moser 1-form's sigma samples: K15 nodes, then s = 1
 
 DEFAULT_TOLERANCES: Dict[str, float] = {
     "eq1": 1e-7,
@@ -161,7 +162,7 @@ def _central_differences(field: Callable[[np.ndarray], np.ndarray],
 def _dphi(F: np.ndarray, B: int) -> np.ndarray:
     """dPhi_t = [dPhi_t/dX, dPhi_t/dY] at B points, as (B, d, 2d).
 
-    F holds the engine's four sigma series (L, R, e^{-s}, L^{-1}) from one
+    F holds the engine's sigma series L, R, e^{-s}, L^{-1} (rows 0-3) from one
     ad_series call on the stack [tX, tY, tPhi_t] of 3B points.  By the dexp
     calculus, with Z = t Phi_t = log(e^{tX} e^{tY}) and L(s) = (1 - e^{-s})/s:
     dPhi_t/dX = L(ad_Z)^{-1} e^{-ad_tY} L(ad_tX), dPhi_t/dY = L(ad_Z)^{-1} L(ad_tY).
@@ -178,9 +179,6 @@ class _Engine:
         self.d = alg.dim
         self.Q = alg.Q
         self.Qi = 0.5 * (alg.Qinv + alg.Qinv.T)
-        self.T = alg.structure          # c[a,b,k]
-        # TQ[i,j,k] = <e_k, [e_i, e_j]>, so that K_W = einsum('ijk,k', TQ, W)
-        self.TQ = np.einsum('ijl,lk->ijk', self.T, self.Q)
         # every coefficient comes from the matrixlie Taylor tables, truncated
         self.cL = np.array(fn_dexp.taylor[:_SERIES_TERMS])
         self.cR = np.array(fn_dexp_right.taylor[:_SERIES_TERMS])
@@ -188,23 +186,18 @@ class _Engine:
         # s L(s) = 1 - e^{-s} and s R(s) = e^s - 1, to the same truncation
         self.cA = np.concatenate([[0.0], self.cL[:-1]])
         self.cB = np.concatenate([[0.0], self.cR[:-1]])
-        # sigma's four series, zero-padded to one length: L, R,
-        # e^{-s} = 1 - s L(s), and s/(1 - e^{-s}) = g(-s), the inverse of L
-        self.c_sigma = np.zeros((4, _G_TERMS))
+        # sigma's five series, zero-padded to one length: L, R,
+        # e^{-s} = 1 - s L(s), s/(1 - e^{-s}) = g(-s), the inverse of L, and
+        # phi(s) = (sinh s - s)/s^2 = ((L(s) + R(s))/2 - 1)/s for varpi
+        self.c_sigma = np.zeros((5, _G_TERMS))
         self.c_sigma[0, :_SERIES_TERMS] = self.cL
         self.c_sigma[1, :_SERIES_TERMS] = self.cR
         self.c_sigma[2, :_SERIES_TERMS] = -self.cA
         self.c_sigma[2, 0] = 1.0
         self.c_sigma[3] = self.cG * (-1.0) ** np.arange(_G_TERMS)
-        # closed-form varpi: int_0^1 t^(k+l+2) dt for the L-series terms k, l
-        kl = np.arange(_SERIES_TERMS)
-        self.H = 1.0 / (kl[:, None] + kl[None, :] + 3.0)
+        self.c_sigma[4, :_SERIES_TERMS - 1] = 0.5 * (self.cL[1:] + self.cR[1:])
 
     # -- elementary pieces ---------------------------------------------------
-    def kmat(self, W: np.ndarray) -> np.ndarray:
-        """K_W[i,j] = <W, [e_i, e_j]> (antisymmetric, linear in W)."""
-        return np.einsum('ijk,...k->...ij', self.TQ, W)
-
     def p0(self, P: np.ndarray) -> np.ndarray:
         """Product Kirillov bivector, block diagonal, P_W = -ad_W Q^{-1}."""
         d = self.d
@@ -222,25 +215,18 @@ class _Engine:
         """
         out = np.empty((W.shape[0], self.d, self.d))
         for lo in range(0, W.shape[0], _CHUNK):
-            ch = W[lo:lo + _CHUNK]
-            _, pw, r = ad_series(self.alg.ad(ch), self.cL[None])
-            out[lo:lo + _CHUNK] = self._varpi_from_powers(ch, pw, r)
+            F = ad_series(self.alg.ad(W[lo:lo + _CHUNK]), self.c_sigma[4:])[0]
+            out[lo:lo + _CHUNK] = self._varpi_from_powers(F[:, 0])
         return out
 
-    def _varpi_from_powers(self, W: np.ndarray, pw: np.ndarray, r: np.ndarray
-                           ) -> np.ndarray:
-        """-1/2 sum_{k,l} cL_k cL_l / (k + l + 3) (A^k)^T K_W A^l, A = ad_W.
+    def _varpi_from_powers(self, phi: np.ndarray) -> np.ndarray:
+        """varpi = Q phi(ad_W), from the series phi(s) = (sinh s - s)/s^2 at ad_W.
 
-        With A^k = sum_i r[k, i] A^i this is -1/2 sum_{i,j} C_ij (A^i)^T K_W A^j
-        for the per-point d x d matrix C = R^T H R, R[k, i] = cL_k r[k, i].
+        On a quadratic algebra K_W = ad_W^T Q = -Q ad_W and f(A)^T Q = Q f(-A),
+        so L(tA)^T K_W L(tA) = -Q A L(-tA) L(tA) = -2 Q (cosh tA - 1) / (t^2 A),
+        and -1/2 of its t^2-weighted integral over [0, 1] is Q (sinh A - A)/A^2.
         """
-        N, d = W.shape
-        K = self.kmat(W)
-        R = (self.cL[:, None, None] * r[:_SERIES_TERMS]).transpose(2, 0, 1)
-        C = np.transpose(R, (0, 2, 1)) @ self.H @ R                  # (N, d, d)
-        KA = (K[:, None] @ pw).reshape(N, d, d * d)                  # K A^j
-        T = (C @ KA).reshape(N, d * d, d)                            # sum_j C_ij K A^j
-        M = -0.5 * (np.transpose(pw.reshape(N, d * d, d), (0, 2, 1)) @ T)
+        M = self.Q @ phi
         return 0.5 * (M - np.transpose(M, (0, 2, 1)))
 
     def sigma(self, P: np.ndarray) -> np.ndarray:
@@ -257,13 +243,12 @@ class _Engine:
         Z = phi_t(self.alg, 1.0, PointV(X, Y))
         # one table and one contraction for every series at X, Y and Z
         W = np.concatenate([X, Y, Z], axis=0)
-        F, pw, r = ad_series(self.alg.ad(W), self.c_sigma)
+        F = ad_series(self.alg.ad(W), self.c_sigma)[0]
         J = _dphi(F, B)
-        wX, wY, wZ = np.split(self._varpi_from_powers(W, pw, r), 3, axis=0)
-        Jt = np.transpose(J, (0, 2, 1))
-        S = Jt @ wZ @ J
-        S[:, :d, :d] -= wX
-        S[:, d:, d:] -= wY
+        w = self._varpi_from_powers(F[:, 4])
+        S = np.transpose(J, (0, 2, 1)) @ w[2 * B:] @ J
+        S[:, :d, :d] -= w[:B]
+        S[:, d:, d:] -= w[B:2 * B]
         # the Maurer-Cartan cross term -1/2 L(ad_X)^T Q R(ad_Y)
         C = -0.5 * np.transpose(F[:B, 0], (0, 2, 1)) @ (self.Q @ F[B:2 * B, 1])
         S[:, :d, d:] += C
@@ -281,11 +266,11 @@ class _Engine:
 
     def alpha(self, t: float, P: np.ndarray) -> np.ndarray:
         """Moser 1-form iota_p [sigma(t p) - int_0^1 s sigma(t s p) ds], as (B, 2d)."""
-        return self._alpha_gauge(t, P, want_gauge=False)[0]
+        return self._alpha_gauge(t, P)[0]
 
-    def _alpha_gauge(self, t: float, P: np.ndarray, want_gauge: bool = True
+    def _alpha_gauge(self, t: float, P: np.ndarray, P0: np.ndarray | None = None
                      ) -> Tuple[np.ndarray, np.ndarray | None]:
-        """alpha_t and (optionally) the gauge factor 1 + sigma_t P0.
+        """alpha_t and, given the bivectors P0 at P, the gauge factor 1 + sigma_t P0.
 
         alpha_t is the homotopy primitive int_0^1 s iota_p beta_s ds of
         d(sigma_t)/dt, beta_s = G'(t s) for G(u) = u sigma(u p).  Integrated
@@ -297,25 +282,24 @@ class _Engine:
         where |K15 - G7| > 1e-12 (1 + |alpha|) (max norms per point).
         """
         B, n2 = P.shape
-        scale = t * np.append(_K15_S, 1.0)
-        sig = self.sigma((scale[:, None, None] * P[None]).reshape(-1, n2))
+        sig = self.sigma((t * _SAMPLE_S[:, None, None] * P[None]).reshape(-1, n2))
         # iota_p at every sample: v[k, b] = p_b^T sigma(t s_k p_b)
         v = (P[None, :, None, :] @ sig.reshape(16, B, n2, n2))[:, :, 0]
-        sv = _K15_S[:, None, None] * v[:15]
-        cov = v[15] - np.tensordot(_K15_W, sv, axes=1)
-        err = np.tensordot(_K15_W - _G7_W, sv, axes=1)
+        sv = (_K15_S[:, None, None] * v[:15]).reshape(15, B * n2)
+        cov = v[15] - (_K15_W @ sv).reshape(B, n2)
+        err = ((_K15_W - _G7_W) @ sv).reshape(B, n2)
         bound = _ALPHA_GATE * (1.0 + np.max(np.abs(cov), axis=1))
         if not np.all(np.max(np.abs(err), axis=1) <= bound):
             raise OutsideDomainError(
                 "outside V: Moser 1-form quadrature unresolved (|K15 - G7| above "
                 f"{_ALPHA_GATE:g} (1 + |alpha|))")
-        if not want_gauge:
+        if P0 is None:
             return cov, None
-        return cov, self._gauge(t * sig[-B:], P)
+        return cov, self._gauge(t * sig[-B:], P0)
 
-    def _gauge(self, sig_t: np.ndarray, P: np.ndarray) -> np.ndarray:
-        """1 + sigma_t P0 from sigma_t at P, with invertibility gates; (B, 2d, 2d)."""
-        M = np.eye(2 * self.d) + sig_t @ self.p0(P)
+    def _gauge(self, sig_t: np.ndarray, P0: np.ndarray) -> np.ndarray:
+        """1 + sigma_t P0 from sigma_t and P0, with invertibility gates; (B, 2d, 2d)."""
+        M = np.eye(2 * self.d) + sig_t @ P0
         self._check_gauge(M)
         return M
 
@@ -328,20 +312,21 @@ class _Engine:
             raise OutsideDomainError("outside V: gauge factor ill conditioned")
 
     def p_t(self, t: float, P: np.ndarray) -> np.ndarray:
-        return self.p0(P) @ np.linalg.inv(self._gauge(self.sigma_t(t, P), P))
+        P0 = self.p0(P)
+        return P0 @ np.linalg.inv(self._gauge(self.sigma_t(t, P), P0))
 
     def lam(self, t: float, P: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.linalg.det(self._gauge(self.sigma_t(t, P), P)))
+        return np.sqrt(np.linalg.det(self._gauge(self.sigma_t(t, P), self.p0(P))))
 
     def moser_w(self, t: float, P: np.ndarray) -> np.ndarray:
-        """v_t = -(P_t @ alpha_t)."""
-        cov, M = self._alpha_gauge(t, P)
-        Pt = self.p0(P) @ np.linalg.inv(M)
-        return -np.einsum('buv,bv->bu', Pt, cov)
+        """v_t = -(P_t @ alpha_t) = -P0 (1 + sigma_t P0)^{-1} alpha_t."""
+        P0 = self.p0(P)
+        cov, M = self._alpha_gauge(t, P, P0)
+        return -(P0 @ np.linalg.solve(M, cov[..., None]))[..., 0]
 
     def extract(self, P: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(A, B) with -(1 + sigma P0)^{-1} alpha_1 = Q A dX + Q B dY."""
-        a1, M = self._alpha_gauge(1.0, P)
+        a1, M = self._alpha_gauge(1.0, P, self.p0(P))
         c = -np.linalg.solve(M, a1[..., None])[..., 0]
         d = self.d
         return (np.einsum('uv,bv->bu', self.Qi, c[:, :d]),
@@ -375,7 +360,7 @@ class _Engine:
                + np.einsum('bij,bji->b', self.alg.ad(Y), DB))
         Z = phi_t(self.alg, 1.0, PointV(X, Y))
         F = ad_series(self.alg.ad(np.concatenate([X, Y, Z])), self.cG[None])[0]
-        tr = np.split(np.trace(F[:, 0], axis1=-2, axis2=-1), 3)
+        tr = np.trace(F[:, 0], axis1=-2, axis2=-1).reshape(3, -1)
         rhs = -0.5 * (tr[0] + tr[1] - tr[2] - d)
         return np.abs(lhs - rhs)
 
@@ -398,7 +383,7 @@ class _Engine:
         """dPhi_t at each point, as (B, d, 2d), in closed form (see _dphi)."""
         d = self.d
         W = t * np.concatenate([P[:, :d], P[:, d:], self.phi_t_map(t, P)])
-        return _dphi(ad_series(self.alg.ad(W), self.c_sigma)[0], P.shape[0])
+        return _dphi(ad_series(self.alg.ad(W), self.c_sigma[:4])[0], P.shape[0])
 
     def moment_residual(self, t: float, P: np.ndarray, xis: np.ndarray) -> float:
         """max | xi_M + P_t d<Phi_t, xi> | over points and test elements."""
@@ -420,8 +405,8 @@ class _Engine:
              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """RK4 integration of dp/dt = -v_t with log-density accumulation.
 
-        The trajectory is integrated first; the divergence of v_t is then
-        evaluated by central differences at every step and integrated in
+        Each step's first RK4 stage shares its moser_w call with the
+        divergence of v_t at the step's start (_divergence_w), integrated in
         time by cumulative Simpson.  Returns (ts, trajectory (steps+1, B, 2d),
         log_density (steps+1, B)).
         """
@@ -429,10 +414,12 @@ class _Engine:
         dt = 1.0 / steps
         q = P0pts.astype(float)
         traj = np.empty((steps + 1,) + q.shape)
+        div = np.empty((steps + 1, q.shape[0]))
         traj[0] = q
         for k in range(steps):
             t0 = k * dt
-            k1 = -self.moser_w(t0, q)
+            w, div[k] = self._divergence_w(t0, q)
+            k1 = -w
             k2 = -self.moser_w(t0 + dt / 2, q + dt / 2 * k1)
             k3 = -self.moser_w(t0 + dt / 2, q + dt / 2 * k2)
             k4 = -self.moser_w(min(t0 + dt, 1.0), q + dt * k3)
@@ -442,15 +429,21 @@ class _Engine:
             except OutsideDomainError:
                 raise OutsideDomainError(f"trajectory left V at t = {t0 + dt:.4f}") from None
             traj[k + 1] = q
-
-        div = np.empty((steps + 1, q.shape[0]))
-        for k in range(steps + 1):
-            div[k] = self._divergence_w(k * dt, traj[k])
+        div[steps] = self._divergence_w(steps * dt, q)[1]
         return np.arange(steps + 1) * dt, traj, _cumulative_simpson(div, dt)
 
-    def _divergence_w(self, t: float, q: np.ndarray) -> np.ndarray:
-        """div of the Moser field at (t, q) by central differences."""
-        return np.einsum('ibi->b', _central_differences(lambda Q: self.moser_w(t, Q), q))
+    def _divergence_w(self, t: float, q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(v_t (B, 2d), div v_t (B,)) at q, by central differences, from one
+        moser_w call on the points q and their perturbations."""
+        B = q.shape[0]
+        w = []
+
+        def field(S: np.ndarray) -> np.ndarray:
+            w.append(self.moser_w(t, np.concatenate([q, S])))
+            return w[0][B:]
+
+        div = np.einsum('ibi->b', _central_differences(field, q))
+        return w[0][:B], div
 
 
 def _engine(alg: QuadraticLieAlgebra) -> _Engine:

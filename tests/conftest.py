@@ -6,7 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kvgeom.matrixlie import builtin_algebras, get_algebra, load_algebra
+from kvgeom.geom import _central_differences, _cumulative_simpson
+from kvgeom.matrixlie import (
+    ad_series,
+    builtin_algebras,
+    fn_dexp,
+    get_algebra,
+    load_algebra,
+)
 
 _acceptance_lines = []
 
@@ -54,6 +61,89 @@ def sl3():
         E[2 + k, i, j] = 1.0
     return load_algebra({"name": "sl3", "basis": E, "form": "trace",
                          "domain_radius": 0.3})
+
+
+@pytest.fixture(scope="session")
+def so4():
+    """so(4) with -1/2 the trace form: the six 4 x 4 rotation generators."""
+    E = np.zeros((6, 4, 4))
+    for k, (i, j) in enumerate([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]):
+        E[k, i, j], E[k, j, i] = -1.0, 1.0
+    return load_algebra({"name": "so4", "basis": E, "form": "neg_half_trace"})
+
+
+@pytest.fixture(scope="session")
+def oscillator():
+    """The Nappi-Witten (oscillator) algebra in 4 x 4 matrices.
+
+    Basis J = E21 - E12, P1 = E01 + E23, P2 = E02 - E13, T = -[P1, P2]/2,
+    with <P_i, P_j> = delta_ij, <J, T> = -1/2 and <J, J> = 0.3.  It is not
+    reductive, and its trace form is degenerate, so the form is given.
+    """
+    def unit(i, j):
+        m = np.zeros((4, 4))
+        m[i, j] = 1.0
+        return m
+
+    J = unit(2, 1) - unit(1, 2)
+    P1 = unit(0, 1) + unit(2, 3)
+    P2 = unit(0, 2) - unit(1, 3)
+    T = -0.5 * (P1 @ P2 - P2 @ P1)
+    form = [[0.3, 0.0, 0.0, -0.5],
+            [0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0],
+            [-0.5, 0.0, 0.0, 0.0]]
+    return load_algebra({"name": "oscillator", "basis": np.stack([J, P1, P2, T]),
+                         "form": form})
+
+
+def oracle_varpi(alg, W):
+    """varpi at the stack W (B, d) by the double-sum closed form, as (B, d, d).
+
+    -1/2 sum_{k,l} cL_k cL_l / (k + l + 3) (A^k)^T K_W A^l, A = ad_W, with
+    the first 22 terms cL_k of L(s) = (1 - e^{-s})/s and K_W[i, j] =
+    <W, [e_i, e_j]>: the term-by-term integral of
+    -1/2 int_0^1 t^2 L(t A)^T K_W L(t A) dt.  With A^k = sum_i r[k, i] A^i
+    in the Cayley-Hamilton power basis this is -1/2 sum_{i,j} C_ij
+    (A^i)^T K_W A^j, C = R^T H R, R[k, i] = cL_k r[k, i], H_kl = 1/(k + l + 3).
+    """
+    cL = np.array(fn_dexp.taylor[:22])
+    kl = np.arange(22)
+    H = 1.0 / (kl[:, None] + kl[None, :] + 3.0)
+    N, d = W.shape
+    K = np.einsum('ijl,lk,...k->...ij', alg.structure, alg.Q, W)
+    _, pw, r = ad_series(alg.ad(W), cL[None])
+    R = (cL[:, None, None] * r).transpose(2, 0, 1)
+    C = np.transpose(R, (0, 2, 1)) @ H @ R
+    KA = (K[:, None] @ pw).reshape(N, d, d * d)                  # K A^j
+    T = (C @ KA).reshape(N, d * d, d)                            # sum_j C_ij K A^j
+    M = -0.5 * (np.transpose(pw.reshape(N, d * d, d), (0, 2, 1)) @ T)
+    return 0.5 * (M - np.transpose(M, (0, 2, 1)))
+
+
+def oracle_flow(eng, P, steps):
+    """The Moser flow with one divergence per step, after the trajectory.
+
+    RK4 on dp/dt = -v_t, every stage its own moser_w call; then, at each
+    step, the divergence of v_t by central differences of moser_w(t, .),
+    integrated in t by cumulative Simpson.  Returns (trajectory
+    (steps+1, B, 2d), log_density (steps+1, B)).
+    """
+    dt = 1.0 / steps
+    q = P.astype(float)
+    traj = [q]
+    for k in range(steps):
+        t0 = k * dt
+        k1 = -eng.moser_w(t0, q)
+        k2 = -eng.moser_w(t0 + dt / 2, q + dt / 2 * k1)
+        k3 = -eng.moser_w(t0 + dt / 2, q + dt / 2 * k2)
+        k4 = -eng.moser_w(min(t0 + dt, 1.0), q + dt * k3)
+        q = q + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        traj.append(q)
+    div = np.array([
+        np.einsum('ibi->b', _central_differences(lambda Q, t=k * dt: eng.moser_w(t, Q), q))
+        for k, q in enumerate(traj)])
+    return np.array(traj), _cumulative_simpson(div, dt)
 
 
 def dsigma_dt(eng, t, P, ht=1e-4):

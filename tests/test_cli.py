@@ -297,7 +297,7 @@ class TestUsage:
         elif case == "flat basis":
             path.write_text(json.dumps({"basis": [[1, 0], [0, 1]], "form": "trace"}))
         code = main(["flow", "--algebra-file", str(path), "--samples", "1",
-                     "--steps", "1"])
+                     "--steps", "2"])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -322,20 +322,21 @@ class TestUsage:
         assert code == 2
 
     @pytest.mark.parametrize("command", ["flow", "geom-run"])
-    @pytest.mark.parametrize("steps", ["0", "-1"])
+    @pytest.mark.parametrize("steps", ["0", "-1", "1"])
     def test_steps_guard(self, command, steps, capsys):
         # a usage error, not the ZeroDivisionError (0) or IndexError (-1)
-        # the flow would raise
+        # the flow would raise, nor a trapezoid-rule log-density (1) that
+        # misses the volume tolerance
         code = main([command, "--samples", "1", "--steps", steps])
         assert code == 2
-        assert "steps must be >= 1" in capsys.readouterr().err
+        assert "steps must be >= 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["flow", "geom-run"])
     @pytest.mark.parametrize("radius", ["-5", "-0.45", "nan"])
     def test_radius_guard(self, command, radius, capsys):
         # a usage error, not a report of a negative radius (-0.45), an
         # OutsideDomainError from the so3 chart (-5) or a failure in exp_chart (nan)
-        code = main([command, "--algebra", "so3", "--samples", "1", "--steps", "1",
+        code = main([command, "--algebra", "so3", "--samples", "1", "--steps", "2",
                      "--radius", radius])
         assert code == 2
         assert f"radius {float(radius)} is not in" in capsys.readouterr().err

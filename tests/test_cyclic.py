@@ -308,3 +308,13 @@ class TestFoldReversal:
             return total
 
         assert abs(trace_of(series) - trace_of(folded)) < 1e-12
+
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_eq1_only_pair_solves_the_folded_trace_equation(self, degree):
+        # on quadratic algebras the trace equation is the folded one, and
+        # the eq1 solution solves it at every degree; the free necklace
+        # residual is nonzero from degree 5, so the fold is doing the work
+        pair = solve_kv(degree, "eq1-only")
+        residual = kv2_residual(pair.A, pair.B, degree)
+        assert fold_reversal(residual).is_zero()
+        assert residual.is_zero() == (degree < 5)

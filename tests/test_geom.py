@@ -41,7 +41,7 @@ from kvgeom.matrixlie import (
     phi_t,
 )
 
-from conftest import dsigma_dt
+from conftest import dsigma_dt, oracle_flow, oracle_varpi
 from test_matrixlie import oracle_analytic_ad
 
 ORIGIN3 = PointV(np.zeros(3), np.zeros(3))
@@ -180,6 +180,18 @@ class TestVarpi:
                     assert est <= 1e-10
                     v = varpi(alg, Y, (v1, v2), np.zeros(d))
                     assert v == pytest.approx(val, abs=1e-12)
+
+    def test_matches_double_sum_oracle(self, all_algebras, sl3, so4, oscillator):
+        # Q phi(ad_W), phi(s) = (sinh s - s)/s^2, against the term-by-term
+        # integral of the L series, on the sphere of the domain radius
+        rng = np.random.default_rng(29)
+        for alg in [*all_algebras, sl3, so4, oscillator]:
+            u = rng.standard_normal((30, alg.dim))
+            W = alg.domain_radius * u / np.linalg.norm(u, axis=1, keepdims=True)
+            got = _engine(alg).varpi(W)
+            ref = oracle_varpi(alg, W)
+            scale = 1.0 + np.max(np.abs(ref), axis=(1, 2))
+            assert np.all(np.max(np.abs(got - ref), axis=(1, 2)) <= 1e-15 * scale)
 
     def test_adaptive_quadrature_error_reporting(self):
         # a rough integrand defeats the subdivision and the achieved
@@ -590,7 +602,7 @@ class TestMoserQuadrature:
         for alg, P in _boundary_spheres([*all_algebras, sl3]):
             eng = _engine(alg)
             for t in self.TIMES:
-                cov, M = eng._alpha_gauge(t, P)
+                cov, M = eng._alpha_gauge(t, P, eng.p0(P))
                 assert np.all(np.isfinite(cov)) and np.all(np.isfinite(M))
 
     def test_matches_gauss_legendre_by_parts(self, all_algebras, sl3):
@@ -794,6 +806,33 @@ class TestFlow:
         assert whole[0] == split[0]
         assert abs(whole[1] - split[1]) <= 1e-15
 
+    def test_shared_divergence_matches_per_step_oracle(self, all_algebras):
+        # the divergence rides on each step's first RK4 call; the oracle
+        # takes it after the trajectory, one call per step
+        for alg in all_algebras:
+            eng = _engine(alg)
+            P = sample_points(alg, 2, 83, 0.3)
+            _, traj, dens = eng.flow(P, 10)
+            ref_traj, ref_dens = oracle_flow(eng, P, 10)
+            assert np.max(np.abs(traj - ref_traj)) <= 1e-13
+            assert np.max(np.abs(dens - ref_dens)) <= 1e-13
+
+    def test_one_moser_call_per_stage(self, so3, monkeypatch):
+        # 4 RK4 stages per step, the first one shared with the divergence,
+        # and one more call for the divergence at t = 1
+        eng = _Engine(so3)
+        sizes = []
+        moser_w = eng.moser_w
+
+        def counted(t, P):
+            sizes.append(P.shape[0])
+            return moser_w(t, P)
+
+        monkeypatch.setattr(eng, "moser_w", counted)
+        eng.flow(sample_points(so3, 2, 89, 0.3), 5)
+        assert len(sizes) == 4 * 5 + 1
+        assert sizes.count(2 * (1 + 2 * 6)) == 6
+
     def test_orbit_radii_conserved(self, so3):
         # leaves are products of coadjoint orbits; for so3 these are spheres,
         # so the flow must preserve |X| and |Y| exactly
@@ -835,6 +874,13 @@ class TestSuiteRunner:
         assert set(rep["residuals"]) == {"eq1", "eq2", "kappaVsLambda", "jacobi",
                                          "momentMap", "transportPhi", "transportVol"}
         assert rep["algebra"] == "so3" and rep["nSamples"] == 4
+
+    @pytest.mark.parametrize("name", ["so4", "oscillator"])
+    def test_edge_descriptor_passes(self, name, request):
+        # higher-dimensional and non-reductive descriptors on the generic charts
+        alg = request.getfixturevalue(name)
+        rep = run_geometry_suite(alg, n_samples=4, seed=3, radius=0.3, steps=8)
+        assert rep["pass"] is True
 
     def test_radius_guard(self, so3):
         with pytest.raises(ValueError):
