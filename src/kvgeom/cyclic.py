@@ -12,6 +12,9 @@ Because ad is a Lie homomorphism, P obeys the derivation rule
 P_{[u,v]} = iota(u) P_v - iota(v) P_u on bracketings, with iota the
 tensor-algebra expansion; it is computed by recursion on the standard
 factorisation of each Lyndon word (Alekseev-Torossian, arXiv:0802.4300).
+
+The solver's `trace_column` and `_trace_rhs` reduce integer words straight
+to necklaces through the memoised `min_rotation`.
 """
 
 from __future__ import annotations
@@ -90,8 +93,9 @@ class CyclicWordSeries(WordSeries):
         }
 
 
+@functools.lru_cache(maxsize=None)
 def min_rotation(word: str) -> str:
-    """Lexicographically minimal rotation (naive scan; words here are short)."""
+    """Lexicographically minimal rotation (memoised naive scan; words are short)."""
     if len(word) <= 1:
         return word
     return min(word[i:] + word[:i] for i in range(len(word)))
@@ -192,7 +196,7 @@ def kv2_residual(A: LieSeries, B: LieSeries, degree: int) -> CyclicWordSeries:
         for w, c in series.items():
             if len(w) <= degree:
                 for m, k in trace_column(w, letter):
-                    lhs[m] = lhs.get(m, Fraction(0)) + c * k
+                    lhs[m] = lhs.get(m, 0) + c * k
     return CyclicWordSeries(degree, lhs) - _trace_rhs(degree)
 
 
@@ -202,15 +206,21 @@ def _trace_rhs(degree: int) -> CyclicWordSeries:
     `degree`; built once per degree and shared by every kv2_residual call.
 
     e^z = e^X e^Y, so g(z) = log1p(u)/u = sum_k (-1)^k u^k/(k+1) with
-    u = e^X e^Y - 1, summed by the integer kernel `u_series`; g(x) and g(y)
-    are one word per degree.  The constant terms cancel.
+    u = e^X e^Y - 1, summed by the integer kernel `u_series`.  Its integer
+    words go straight to their necklaces; the words of a necklace share
+    one length m, so each necklace's integer sum is read over 2 den m!.
+    g(x) and g(y) are one word per degree; the constant terms cancel.
     """
     words, den = u_series(log1p_over_s(degree), "XY", degree)
-    bracket = {w: Fraction(-n, den * math.factorial(len(w))) for w, n in words.items()}
+    necks: Dict[str, int] = {}
+    for w, n in words.items():
+        m = min_rotation(w)
+        necks[m] = necks.get(m, 0) + n
+    out = {m: Fraction(n, 2 * den * math.factorial(len(m))) for m, n in necks.items()}
     for m, c in enumerate(g_coefficients(degree)[1:], 1):
         for letter in "xy":
-            bracket[letter * m] = bracket.get(letter * m, Fraction(0)) + c
-    return cyclic_reduce(AssocSeries(degree, bracket)).scaled(Fraction(-1, 2))
+            out[letter * m] = out.get(letter * m, 0) - c / 2
+    return CyclicWordSeries(degree, out)
 
 
 def fold_reversal(series: CyclicWordSeries) -> CyclicWordSeries:

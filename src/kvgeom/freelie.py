@@ -10,14 +10,18 @@ uses the triangularity of the Lyndon basis: the expansion of the
 bracketing of a Lyndon word w is w plus a combination of lexicographically
 larger words of the same degree, so a greedy sweep in lex order recovers
 the coordinates.  The same sweep builds, in integers, the matrices of ad_x
-and ad_y between consecutive degrees (`ad_matrix`); `ad_series_apply` runs
-on those and never leaves the Lyndon basis.
+and ad_y between consecutive degrees (`ad_matrix`).  One integer f(ad)
+kernel, `_ad_series_sum`, runs on those and never leaves the Lyndon basis:
+`ad_series_apply` and the solver's eq1 operator both call it.
 
 Power series in u = e^X e^Y - 1 (`u_series`) are summed in integers: a
 word of length m is kept as an integer over den * m!, so u itself is one
 word x^i y^j per split with coefficient binom(m, i).  `bch` is log1p(u)
 on that kernel, projected by the same sweep, and the trace equation's
 g(z) = log1p(u)/u in `cyclic` uses it as well.
+
+Every memo is a module-level functools cache; `is_lyndon` is one too, so
+validating a series costs one lookup per repeated word.
 """
 
 from __future__ import annotations
@@ -60,12 +64,19 @@ def lyndon_words_upto(n: int) -> List[str]:
 
 
 def lyndon_basis(degree: int) -> List[str]:
-    """All Lyndon words of exactly the given degree, sorted lexicographically."""
+    """All Lyndon words of exactly the given degree, sorted lexicographically
+    (a fresh list; the memo holds a tuple)."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    return [w for w in lyndon_words_upto(degree) if len(w) == degree]
+    return list(_lyndon_basis(degree))
 
 
+@functools.lru_cache(maxsize=None)
+def _lyndon_basis(degree: int) -> Tuple[str, ...]:
+    return tuple(w for w in lyndon_words_upto(degree) if len(w) == degree)
+
+
+@functools.lru_cache(maxsize=None)
 def is_lyndon(word: str) -> bool:
     """True if word is strictly smaller than all of its proper rotations."""
     if not word:
@@ -159,7 +170,7 @@ class WordSeries:
         self.degree = degree
         clean: Dict[str, Fraction] = {}
         for w, c in sorted((coeffs or {}).items(), key=_degree_lex):
-            c = Fraction(c)
+            c = c if isinstance(c, Fraction) else Fraction(c)
             if not c:
                 continue
             if len(w) > degree:
@@ -350,39 +361,47 @@ def lie_bracket(s1: LieSeries, s2: LieSeries, degree: int) -> LieSeries:
     return assoc_to_lyndon(assoc_commutator(a, b, degree), degree)
 
 
+def _ad_series_sum(parts: Sequence[Tuple[Sequence[Fraction], str, Mapping[str, Fraction]]],
+                   degree: int) -> Dict[str, Fraction]:
+    """sum over parts (f, letter, coeffs) of sum_k f[k] (ad_letter)^k coeffs
+    through degree, coeffs and result as Lyndon word -> coefficient.
+
+    All f over one common denominator and all coeffs over another: each
+    power of ad is a sparse integer mat-vec through `ad_matrix`, and the
+    only division is the final one per word.
+    """
+    f_den = math.lcm(*(c.denominator for f, _, _ in parts for c in f[:degree + 1]))
+    den = math.lcm(*(c.denominator for _, _, coeffs in parts
+                     for w, c in coeffs.items() if len(w) <= degree))
+    out: Dict[str, int] = {}
+    for f, letter, coeffs in parts:
+        weights = [c.numerator * (f_den // c.denominator) for c in f[:degree + 1]]
+        acc = {w: c.numerator * (den // c.denominator)
+               for w, c in coeffs.items() if len(w) <= degree}
+        for weight in weights:          # acc is (ad_letter)^k coeffs
+            image: Dict[str, int] = {}
+            for w, n in acc.items():
+                out[w] = out.get(w, 0) + weight * n
+                if len(w) < degree:
+                    for w1, m in ad_matrix(letter, len(w))[w]:
+                        image[w1] = image.get(w1, 0) + m * n
+            acc = {w: n for w, n in image.items() if n}
+    return {w: Fraction(n, f_den * den) for w, n in out.items() if n}
+
+
 def ad_series_apply(f: Sequence[Fraction], direction: str, target: LieSeries,
                     degree: int) -> LieSeries:
     """Apply sum_k f[k] (ad_direction)^k to target, truncated at degree.
 
     f lists the power-series coefficients f0, f1, ...; it must reach at
-    least index `degree` (longer is fine).  Each power of ad is a sparse
-    integer mat-vec through `ad_matrix` on the target's numerators over a
-    common denominator; the f[k] enter over theirs, so the only division is
-    the final one per word.
+    least index `degree` (longer is fine).  Summed in integers by
+    `_ad_series_sum`, with no bracket through the tensor algebra.
     """
     if direction not in ALPHABET:
         raise ValueError(f"unknown generator {direction!r}")
     if len(f) < degree + 1:
         raise ValueError(f"need series coefficients up to index {degree}")
-    f = [Fraction(c) for c in f[:degree + 1]]
-    f_den = math.lcm(*(c.denominator for c in f))
-    weights = [c.numerator * (f_den // c.denominator) for c in f]
-    terms = [(w, c) for w, c in target.items() if len(w) <= degree]
-    den = math.lcm(*(c.denominator for _, c in terms))
-    acc = {w: c.numerator * (den // c.denominator) for w, c in terms}
-    out = {w: weights[0] * n for w, n in acc.items()}
-    for k in range(1, degree + 1):
-        image: Dict[str, int] = {}
-        for w, n in acc.items():
-            if len(w) < degree:
-                for w1, m in ad_matrix(direction, len(w))[w]:
-                    image[w1] = image.get(w1, 0) + m * n
-        acc = {w: n for w, n in image.items() if n}
-        if not acc:
-            break
-        for w, n in acc.items():
-            out[w] = out.get(w, 0) + weights[k] * n
-    return LieSeries(degree, {w: Fraction(n, f_den * den) for w, n in out.items()})
+    return LieSeries(degree, _ad_series_sum([(f, direction, dict(target.items()))], degree))
 
 
 def u_series(coeffs: Sequence[Fraction], order: str,

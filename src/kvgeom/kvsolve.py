@@ -7,29 +7,30 @@ The first equation,
 is linear in (A, B) degree by degree: the degree-d parts of A and B enter
 the degree-(d+1) component (ad raises degree by one) through ad_x and ad_y,
 whose integer matrices on the Lyndon basis (`freelie.ad_matrix`) are the
-eq1 block.  The degree loop keeps one running residual, the left side minus
-the operator (`_eq1_operator`) on the parts solved so far; its
-degree-(d+1) coefficients are the right-hand side.  The joint strategy
-appends the degree-d necklace components of the trace equation, whose
-columns are `cyclic.trace_column`.  Each degree is solved by fraction-free
-Gauss-Jordan elimination on rows scaled to integers; free variables are set
-to zero under a fixed column order (A-coefficients before B-coefficients,
-words in lex order).
+eq1 block.  The operator (`_eq1_operator`) is one integer f(ad) sum over
+both tables (`freelie._ad_series_sum`), divided once per word.  The degree
+loop keeps one running residual as a plain dict, the left side minus the
+operator on the parts solved so far; its degree-(d+1) coefficients are the
+right-hand side.  The joint strategy appends the degree-d necklace
+components of the trace equation, whose columns are `cyclic.trace_column`.
+Each degree is solved by fraction-free Gauss-Jordan elimination on rows
+scaled to integers; free variables are set to zero under a fixed column
+order (A-coefficients before B-coefficients, words in lex order).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from . import cyclic
 from .freelie import (
     LieSeries,
+    _ad_series_sum,
     ad_matrix,
-    ad_series_apply,
     bch,
     exp_minus_one,
     lyndon_basis,
@@ -66,16 +67,19 @@ class InfeasibleDegreeError(RuntimeError):
             f"rank(M) = {rank_lhs}, rank([M|b]) = {rank_aug}, unknowns = {n_unknowns}")
 
 
-def _eq1_operator(A: LieSeries, B: LieSeries, n: int) -> LieSeries:
-    """(1 - e^{-ad_X}) A + (e^{ad_Y} - 1) B through degree n, exact."""
-    return (ad_series_apply(one_minus_exp_neg(n), "x", A, n)
-            + ad_series_apply(exp_minus_one(n), "y", B, n))
+def _eq1_operator(A: Mapping[str, Fraction], B: Mapping[str, Fraction],
+                  n: int) -> Dict[str, Fraction]:
+    """(1 - e^{-ad_X}) A + (e^{ad_Y} - 1) B through degree n, exact, on
+    Lyndon word -> coefficient maps: one integer sum with the weights
+    (-1)^{k+1} n!/k! and n!/k!, one division per word."""
+    return _ad_series_sum([(one_minus_exp_neg(n), "x", A), (exp_minus_one(n), "y", B)], n)
 
 
 def kv1_residual(pair: KVPair, degree: int) -> LieSeries:
     """[bch(YX) - X - Y] - [(1 - e^{-ad_X}) A + (e^{ad_Y} - 1) B], exact."""
     lhs = bch(degree, "YX") - LieSeries.generator("x", degree) - LieSeries.generator("y", degree)
-    return lhs - _eq1_operator(pair.A, pair.B, degree)
+    return lhs - LieSeries(degree, _eq1_operator(dict(pair.A.items()),
+                                                 dict(pair.B.items()), degree))
 
 
 # ---------------------------------------------------------------------------
@@ -196,22 +200,25 @@ def _solve_degrees(degrees: Sequence[int], lhs: LieSeries,
                    coeffsA: Dict[str, Fraction], coeffsB: Dict[str, Fraction]) -> None:
     """Solve the given degrees in turn, writing A_d and B_d into coeffsA/coeffsB.
 
-    The running residual starts as the inhomogeneity `lhs` minus the eq1
-    operator on the parts already in coeffsA/coeffsB; each degree's eq1
-    right-hand side is its degree-(d+1) component.  The degree-d trace rows
-    are added when `trace_rhs` (the trace right-hand side) is given.  Free
-    variables are zero; raises InfeasibleDegreeError if some degree admits
-    no solution.
+    The running residual is the inhomogeneity `lhs` minus the eq1 operator
+    on the parts solved so far: each degree first subtracts the operator on
+    the parts added last (at the start, those already in coeffsA/coeffsB),
+    then reads its eq1 right-hand side off the degree-(d+1) words.  The
+    degree-d trace rows are added when `trace_rhs` (the trace right-hand
+    side) is given.  Free variables are zero; raises InfeasibleDegreeError
+    if some degree admits no solution.
     """
     n = lhs.degree
-    solved = _eq1_operator(LieSeries(n, coeffsA), LieSeries(n, coeffsB), n)
     # a plain dict: it is read one word at a time and updated in place
-    residual = dict((lhs - solved).items())
+    residual = dict(lhs.items())
+    partA, partB = dict(coeffsA), dict(coeffsB)
     for d in degrees:
+        for w, c in _eq1_operator(partA, partB, n).items():
+            residual[w] = residual.get(w, 0) - c
         words_d = lyndon_basis(d)
         k = len(words_d)
         rows = _eq1_rows(d)
-        rhs = [residual.get(w, Fraction(0)) for w in lyndon_basis(d + 1)]
+        rhs = [residual.get(w, 0) for w in lyndon_basis(d + 1)]
         if trace_rhs is not None:
             rows2, rhs2 = _eq2_rows(d, trace_rhs.component(d))
             rows += rows2
@@ -223,8 +230,6 @@ def _solve_degrees(degrees: Sequence[int], lhs: LieSeries,
         partB = {w: b for w, b in zip(words_d, sol[k:]) if b}
         coeffsA.update(partA)
         coeffsB.update(partB)
-        for w, c in _eq1_operator(LieSeries(n, partA), LieSeries(n, partB), n).items():
-            residual[w] = residual.get(w, Fraction(0)) - c
 
 
 def solve_kv(degree: int, strategy: str = "eq1-only") -> KVPair:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import kvgeom
 import kvgeom.cli  # noqa: F401  (the package does not import its CLI)
+from kvgeom import kvsolve
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACER = BENCH / "tracer.py"
@@ -124,3 +125,22 @@ def test_clear_memos_reaches_every_symbolic_memo(capsys):
     _runner_method("SymSolve", "clear_memos")(types.SimpleNamespace(kv=kvgeom))
     assert {memo.__qualname__: memo.cache_info().currsize for memo in memos} == {
         memo.__qualname__: 0 for memo in memos}
+
+
+def test_symbolic_ops_start_cold():
+    # after clear_memos a solve misses on every memo exactly as often as a
+    # solve in a fresh process does: the benchmark's ops stay as cold as a
+    # CLI call, and no memo is left out of the reset
+    clear = _runner_method("SymSolve", "clear_memos")
+    package = types.SimpleNamespace(kv=kvgeom)
+    clear(package)
+    kvsolve.solve_kv(7, "joint-eq1-eq2")
+    memos = [obj for obj in gc.get_objects()
+             if isinstance(obj, LRU_WRAPPER) and obj.__module__ in SYMBOLIC_MODULES]
+    first = {memo.__qualname__: memo.cache_info().misses for memo in memos}
+    assert any(first.values())
+    clear(package)
+    assert {memo.__qualname__: memo.cache_info().currsize for memo in memos} == {
+        memo.__qualname__: 0 for memo in memos}
+    kvsolve.solve_kv(7, "joint-eq1-eq2")
+    assert {memo.__qualname__: memo.cache_info().misses for memo in memos} == first

@@ -80,10 +80,10 @@ class TestSolveCommands:
         text = json.dumps(strip_timestamp(out), indent=2, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == self.SOLVE_KV_6_SHA256[strategy]
 
-    # SHA-256 of the A, B and residual2_report entries of the degree-9
-    # solve-kv report, each dumped as above: degree 9 is the deepest the
-    # suite solves, so the integer ad matrices and elimination are pinned
-    # where the systems are largest
+    # SHA-256 of the A, B and residual2_report entries of the degree-9 and
+    # degree-10 solve-kv reports, each dumped as above: degree 10 is the
+    # deepest the suite solves, so the integer ad matrices, the eq1 kernel
+    # and elimination are pinned where the systems are largest
     SOLVE_KV_9_SHA256 = {
         "eq1-only": {
             "A": "e0493c0484d0abef941d0ea5e38125089ced1ec1db49a1664b59f75de1da3e16",
@@ -98,16 +98,38 @@ class TestSolveCommands:
                 "d532b7ffa732b1dd50381d93d5ad552ccdfdb5825fbc074f2edd287e80d24f1e",
         },
     }
+    SOLVE_KV_10_SHA256 = {
+        "eq1-only": {
+            "A": "2257a15c70ff9502a47ae09408fdc64cb3fadd903fc12a03863acd3cb5fe8154",
+            "B": "07a85508d0cb61ff447b1e5924fdf8c97dcdd3ceee5da973d3e9eb3d7b9cd79b",
+            "residual2_report":
+                "60f03e17b4f79d703e673ba3240d888b2bbbe6892371d9e674d7d41ab7030a54",
+        },
+        "joint-eq1-eq2": {
+            "A": "9ece4b736727bc0e0739614521acc5fb394e267b12c86813c2ac0550a5ff9aa9",
+            "B": "96cf203b8a7d68a0ec6f4e99d27b58744f93b8f2a5be67f57d814aefeca06894",
+            "residual2_report":
+                "0080fa80c0509f440605ddce5cd3280f3451440bc4433ef8391df75e9ef1a962",
+        },
+    }
+
+    @staticmethod
+    def solve_kv_digests(degree, strategy, capsys):
+        code, out = run_cli(["solve-kv", "--degree", str(degree), "--strategy", strategy],
+                            capsys)
+        assert code == 0
+        doc = strip_timestamp(out)
+        return {key: hashlib.sha256(json.dumps(doc[key], indent=2, sort_keys=True)
+                                    .encode()).hexdigest()
+                for key in ("A", "B", "residual2_report")}
 
     @pytest.mark.parametrize("strategy", sorted(SOLVE_KV_9_SHA256))
     def test_solve_kv_degree_9_golden(self, strategy, capsys):
-        code, out = run_cli(["solve-kv", "--degree", "9", "--strategy", strategy], capsys)
-        assert code == 0
-        doc = strip_timestamp(out)
-        digests = {key: hashlib.sha256(json.dumps(doc[key], indent=2, sort_keys=True)
-                                       .encode()).hexdigest()
-                   for key in self.SOLVE_KV_9_SHA256[strategy]}
-        assert digests == self.SOLVE_KV_9_SHA256[strategy]
+        assert self.solve_kv_digests(9, strategy, capsys) == self.SOLVE_KV_9_SHA256[strategy]
+
+    @pytest.mark.parametrize("strategy", sorted(SOLVE_KV_10_SHA256))
+    def test_solve_kv_degree_10_golden(self, strategy, capsys):
+        assert self.solve_kv_digests(10, strategy, capsys) == self.SOLVE_KV_10_SHA256[strategy]
 
     # the same digest for the degree-6 check-kv2 report, with its exit code:
     # eq1-only leaves a nonzero raw necklace residual, joint closes it

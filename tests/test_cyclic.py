@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,14 @@ from kvgeom.cyclic import (
     min_rotation,
     trace_column,
 )
-from kvgeom.freelie import LieSeries, assoc_add, lie_to_assoc, lyndon_words_upto
+from kvgeom.freelie import (
+    LieSeries,
+    assoc_add,
+    lie_to_assoc,
+    log1p_over_s,
+    lyndon_words_upto,
+    u_series,
+)
 from kvgeom.kvsolve import solve_kv
 from kvgeom.matrixlie import get_algebra
 
@@ -33,6 +41,19 @@ def trace_rhs_by_substitution(degree):
     gy = substitute_series(g, {"y": F(1)}, degree)
     gz = substitute_series(g, z, degree)
     bracket = assoc_add(assoc_add(assoc_add(gx, gy), gz, F(-1)), {"": F(1)}, F(-1))
+    return cyclic_reduce(AssocSeries(degree, bracket)).scaled(F(-1, 2))
+
+
+def trace_rhs_by_cyclic_reduce(degree):
+    """The same integer series as cyclic._trace_rhs, taken the long way: each
+    u_series word as a Fraction in an AssocSeries, reduced to necklaces by
+    cyclic_reduce, then scaled by -1/2.  The oracle for its straight
+    integer reduction."""
+    words, den = u_series(log1p_over_s(degree), "XY", degree)
+    bracket = {w: F(-n, den * math.factorial(len(w))) for w, n in words.items()}
+    for m, c in enumerate(g_coefficients(degree)[1:], 1):
+        for letter in "xy":
+            bracket[letter * m] = bracket.get(letter * m, F(0)) + c
     return cyclic_reduce(AssocSeries(degree, bracket)).scaled(F(-1, 2))
 
 
@@ -248,6 +269,12 @@ class TestKV2Residual:
     def test_trace_rhs_matches_substitution_oracle(self):
         for d in range(1, 9):
             assert repr(cyclic._trace_rhs(d)) == repr(trace_rhs_by_substitution(d))
+
+    @pytest.mark.parametrize("degree", range(1, 10))
+    def test_trace_rhs_matches_cyclic_reduce_oracle(self, degree):
+        rhs = cyclic._trace_rhs(degree)
+        assert type(rhs) is CyclicWordSeries
+        assert repr(rhs) == repr(trace_rhs_by_cyclic_reduce(degree))
 
 
 class TestMatrixEvaluationConsistency:

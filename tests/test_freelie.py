@@ -82,6 +82,13 @@ class TestLyndonBasis:
         with pytest.raises(ValueError):
             lyndon_basis(0)
 
+    def test_returns_a_fresh_list(self):
+        # the basis is memoised; a caller's edit must not reach the memo
+        words = lyndon_basis(4)
+        words.append("yyyy")
+        words[0] = "yxxx"
+        assert lyndon_basis(4) == brute_force_lyndon(4)
+
     @given(st.integers(0, 2 ** 7 - 1), st.integers(1, 7))
     def test_is_lyndon_matches_rotation_scan(self, bits, degree):
         w = "".join("xy"[(bits >> i) & 1] for i in range(degree))
