@@ -1,7 +1,7 @@
 """Kashiwara-Vergne equations: exact symbolic engine and Poisson-geometric solver."""
 
 from .freelie import LieSeries, bch, lie_bracket, lyndon_basis, rescale
-from .cyclic import AssocSeries, CyclicWordSeries, cyclic_reduce, kv2_residual
+from .cyclic import CyclicWordSeries, kv2_residual
 from .kvsolve import KVPair, evaluate_pair, kv1_residual, solve_kv
 from .matrixlie import (
     PointV,

@@ -1,17 +1,17 @@
 """Formal trace calculus on words in ad_x, ad_y.
 
-AssocSeries holds operator-valued series: a word w1...wk stands for the
-composition ad_{w1} o ... o ad_{wk}.  Taking a formal trace makes words
-equivalent under rotation; CyclicWordSeries stores each class by its
-lexicographically minimal rotation, the empty word's coefficient
-representing tr(1) = dim of the algebra.
+A word w1...wk stands for the operator ad_{w1} o ... o ad_{wk}.  Taking a
+formal trace makes words equivalent under rotation; CyclicWordSeries
+stores each class by its lexicographically minimal rotation, the empty
+word's coefficient representing tr(1) = dim of the algebra.
 
 The directional derivative delta_X F (resp. delta_Y F) of a Lie series is
 the operator series P with  d/ds F(X + s a, Y)|_{s=0} = P(ad_x, ad_y) . a.
 Because ad is a Lie homomorphism, P obeys the derivation rule
 P_{[u,v]} = iota(u) P_v - iota(v) P_u on bracketings, with iota the
-tensor-algebra expansion; it is computed by recursion on the standard
-factorisation of each Lyndon word (Alekseev-Torossian, arXiv:0802.4300).
+tensor-algebra expansion; `_word_derivative` computes it in integers by
+recursion on the standard factorisation of each Lyndon word
+(Alekseev-Torossian, arXiv:0802.4300).
 
 The solver's `trace_column` and `_trace_rhs` reduce integer words straight
 to necklaces through the memoised `min_rotation`.
@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .freelie import (
-    Assoc,
     LieSeries,
     WordSeries,
     exp_minus_one_over_s,
@@ -35,25 +34,6 @@ from .freelie import (
     u_series,
     word_expansion,
 )
-
-
-class AssocSeries(WordSeries):
-    """Truncated series of words over {x, y} with rational coefficients; the
-    empty word is allowed (identity operator)."""
-
-    __slots__ = ()
-    _rule = "has letters outside x, y"
-
-    @staticmethod
-    def _admits(word: str) -> bool:
-        return all(ch in "xy" for ch in word)
-
-    @staticmethod
-    def _show(word: str) -> str:
-        return word or "1"
-
-    def as_dict(self) -> Assoc:
-        return dict(self._c)
 
 
 class CyclicWordSeries(WordSeries):
@@ -124,23 +104,6 @@ def _word_derivative(word: str, letter: str) -> Tuple[Tuple[str, int], ...]:
     return tuple(sorted((w, c) for w, c in acc.items() if c))
 
 
-def delta_derivative(series: LieSeries, slot: str, degree: int) -> AssocSeries:
-    """Directional derivative delta_X (slot='X') or delta_Y of a Lie series.
-
-    The operator series P with  d/ds series(X + s a, Y)|_{s=0} = P . a
-    (resp. Y + s a), as sum_w c_w P_w over the series' Lyndon words; each
-    P_w comes from the derivation rule on the standard factorisation.
-    """
-    if slot not in ("X", "Y"):
-        raise ValueError("slot must be 'X' or 'Y'")
-    letter = "x" if slot == "X" else "y"
-    p: Assoc = {}
-    for w, c in series.items():
-        for word, k in _word_derivative(w, letter):
-            p[word] = p.get(word, Fraction(0)) + c * k
-    return AssocSeries(degree, p)
-
-
 @functools.lru_cache(maxsize=None)
 def trace_column(word: str, letter: str) -> Tuple[Tuple[str, int], ...]:
     """cyc(letter . P_word), P_word the operator series of the Lyndon word
@@ -154,15 +117,6 @@ def trace_column(word: str, letter: str) -> Tuple[Tuple[str, int], ...]:
         m = min_rotation(letter + w)
         acc[m] = acc.get(m, 0) + c
     return tuple(sorted((m, c) for m, c in acc.items() if c))
-
-
-def cyclic_reduce(p: AssocSeries) -> CyclicWordSeries:
-    """Project words onto necklaces (trace cyclicity); empty word -> scalar."""
-    out: Dict[str, Fraction] = {}
-    for w, c in p.items():
-        m = min_rotation(w)
-        out[m] = out.get(m, Fraction(0)) + c
-    return CyclicWordSeries(p.degree, out)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ Lie elements are stored in the Lyndon-word basis (lexicographic order with
 x < y, standard-factorization bracketing).  All coefficients are
 fractions.Fraction or integers; no floats enter this module.
 
-A Lie element can be expanded into the tensor algebra (words with exact
-coefficients) and projected back to Lyndon coordinates.  The projection
-uses the triangularity of the Lyndon basis: the expansion of the
-bracketing of a Lyndon word w is w plus a combination of lexicographically
-larger words of the same degree, so a greedy sweep in lex order recovers
-the coordinates.  The same sweep builds, in integers, the matrices of ad_x
+Words of the tensor algebra are only ever integer expansions
+(`word_expansion`), projected back to Lyndon coordinates by the
+triangularity of the Lyndon basis: the expansion of the bracketing of a
+Lyndon word w is w plus a combination of lexicographically larger words of
+the same degree, so a greedy sweep in lex order (`_lyndon_sweep`) recovers
+the coordinates.  The bracket of two Lyndon words is one such sweep
+(`_bracket`); it gives `lie_bracket` and, in integers, the matrices of ad_x
 and ad_y between consecutive degrees (`ad_matrix`).  One integer f(ad)
 kernel, `_ad_series_sum`, runs on those and never leaves the Lyndon basis:
 `ad_series_apply` and the solver's eq1 operator both call it.
@@ -34,8 +35,6 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 ALPHABET = ("x", "y")
-
-Assoc = Dict[str, Fraction]  # word -> coefficient, finitely supported
 
 
 # ---------------------------------------------------------------------------
@@ -99,50 +98,18 @@ def word_expansion(word: str) -> Tuple[Tuple[str, int], ...]:
     """
     if len(word) == 1:
         return ((word, 1),)
-    u, v = standard_factorization(word)
-    eu, ev = word_expansion(u), word_expansion(v)
+    return tuple(sorted(_commutator(*standard_factorization(word)).items()))
+
+
+def _commutator(u: str, v: str) -> Dict[str, int]:
+    """b(u) b(v) - b(v) b(u) in the tensor algebra, b the standard
+    bracketing of a Lyndon word: word -> nonzero integer coefficient."""
     acc: Dict[str, int] = {}
-    for wu, cu in eu:
-        for wv, cv in ev:
+    for wu, cu in word_expansion(u):
+        for wv, cv in word_expansion(v):
             acc[wu + wv] = acc.get(wu + wv, 0) + cu * cv
             acc[wv + wu] = acc.get(wv + wu, 0) - cu * cv
-    return tuple(sorted((w, c) for w, c in acc.items() if c))
-
-
-# ---------------------------------------------------------------------------
-# Associative (tensor algebra) arithmetic, truncated by total degree
-
-def assoc_add(a: Assoc, b: Assoc, scale: Fraction = Fraction(1)) -> Assoc:
-    out = dict(a)
-    for w, c in b.items():
-        nc = out.get(w, Fraction(0)) + scale * c
-        if nc:
-            out[w] = nc
-        else:
-            out.pop(w, None)
-    return out
-
-
-def assoc_mul(a: Assoc, b: Assoc, max_degree: int) -> Assoc:
-    out: Dict[str, Fraction] = {}
-    for wa, ca in a.items():
-        la = len(wa)
-        if la > max_degree:
-            continue
-        for wb, cb in b.items():
-            if la + len(wb) > max_degree:
-                continue
-            w = wa + wb
-            nc = out.get(w, Fraction(0)) + ca * cb
-            if nc:
-                out[w] = nc
-            else:
-                out.pop(w, None)
-    return out
-
-
-def assoc_commutator(a: Assoc, b: Assoc, max_degree: int) -> Assoc:
-    return assoc_add(assoc_mul(a, b, max_degree), assoc_mul(b, a, max_degree), Fraction(-1))
+    return {w: c for w, c in acc.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -270,19 +237,6 @@ class LieSeries(WordSeries):
         return LieSeries(degree, {letter: Fraction(1)})
 
 
-def lie_to_assoc(s: LieSeries) -> Assoc:
-    """Embed a LieSeries into the tensor algebra (concatenation words)."""
-    out: Dict[str, Fraction] = {}
-    for w, c in s.items():
-        for word, k in word_expansion(w):
-            nc = out.get(word, Fraction(0)) + c * k
-            if nc:
-                out[word] = nc
-            else:
-                out.pop(word, None)
-    return out
-
-
 def _lyndon_sweep(remaining: Dict[str, Fraction]) -> Dict[str, Fraction]:
     """Lyndon coordinates of a Lie element without constant term, given by
     its words in the tensor algebra, by the triangular lex sweep; consumes
@@ -319,15 +273,11 @@ def _lyndon_sweep(remaining: Dict[str, Fraction]) -> Dict[str, Fraction]:
     return coeffs
 
 
-def assoc_to_lyndon(p: Assoc, degree: int) -> LieSeries:
-    """Project a Lie element given in the tensor algebra to Lyndon coordinates.
-
-    Raises ValueError if the input is not a Lie element up to the truncation.
-    """
-    if any((not w) and c for w, c in p.items()):
-        raise ValueError("constant term present: not a Lie element")
-    return LieSeries(degree, _lyndon_sweep(
-        {w: c for w, c in p.items() if 0 < len(w) <= degree and c}))
+def _bracket(u: str, v: str) -> Dict[str, int]:
+    """Integer Lyndon coordinates of [b(u), b(v)] for Lyndon words u, v: the
+    commutator of their expansions, projected by the lex sweep.  Every
+    bracket in this module goes through it."""
+    return _lyndon_sweep(_commutator(u, v))
 
 
 @functools.lru_cache(maxsize=None)
@@ -341,24 +291,23 @@ def ad_matrix(letter: str, d: int) -> Mapping[str, Tuple[Tuple[str, int], ...]]:
     """
     if letter not in ALPHABET:
         raise ValueError(f"unknown generator {letter!r}")
-    cols = {}
-    for w in lyndon_basis(d):
-        comm: Dict[str, int] = {}
-        for word, k in word_expansion(w):
-            comm[letter + word] = comm.get(letter + word, 0) + k
-            comm[word + letter] = comm.get(word + letter, 0) - k
-        cols[w] = tuple(sorted(_lyndon_sweep({u: c for u, c in comm.items() if c}).items()))
-    return MappingProxyType(cols)
+    return MappingProxyType({w: tuple(sorted(_bracket(letter, w).items()))
+                             for w in lyndon_basis(d)})
 
 
 # ---------------------------------------------------------------------------
 # Operations
 
 def lie_bracket(s1: LieSeries, s2: LieSeries, degree: int) -> LieSeries:
-    """Lie bracket [s1, s2], exact, truncated and reduced to the Lyndon basis."""
-    a = {w: c for w, c in lie_to_assoc(s1).items() if len(w) <= degree}
-    b = {w: c for w, c in lie_to_assoc(s2).items() if len(w) <= degree}
-    return assoc_to_lyndon(assoc_commutator(a, b, degree), degree)
+    """Lie bracket [s1, s2], exact, truncated and reduced to the Lyndon basis:
+    sum of a * b * [u, v] over word pairs, each bracket by `_bracket`."""
+    out: Dict[str, Fraction] = {}
+    for u, a in s1.items():
+        for v, b in s2.items():
+            if len(u) + len(v) <= degree:
+                for w, k in _bracket(u, v).items():
+                    out[w] = out.get(w, 0) + a * b * k
+    return LieSeries(degree, out)
 
 
 def _ad_series_sum(parts: Sequence[Tuple[Sequence[Fraction], str, Mapping[str, Fraction]]],
@@ -470,12 +419,15 @@ def rescale(s: LieSeries, t) -> LieSeries:
 
 
 def swap_generators(s: LieSeries) -> LieSeries:
-    """The substitution endomorphism X <-> Y, result in the Lyndon basis."""
-    swapped: Dict[str, Fraction] = {}
+    """The substitution endomorphism X <-> Y, result in the Lyndon basis:
+    each word's integer expansion, letters swapped, swept back."""
     tr = str.maketrans("xy", "yx")
-    for w, c in lie_to_assoc(s).items():
-        swapped[w.translate(tr)] = c
-    return assoc_to_lyndon(swapped, s.degree)
+    out: Dict[str, Fraction] = {}
+    for w, c in s.items():
+        swept = _lyndon_sweep({word.translate(tr): k for word, k in word_expansion(w)})
+        for v, k in swept.items():
+            out[v] = out.get(v, 0) + c * k
+    return LieSeries(s.degree, out)
 
 
 def negate_generators(s: LieSeries) -> LieSeries:

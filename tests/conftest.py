@@ -6,6 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kvgeom.cyclic import CyclicWordSeries, _word_derivative, min_rotation
+from kvgeom.freelie import (
+    LieSeries,
+    WordSeries,
+    _lyndon_sweep,
+    log1p_series,
+    word_expansion,
+)
 from kvgeom.geom import _central_differences, _cumulative_simpson
 from kvgeom.matrixlie import (
     ad_series,
@@ -289,8 +297,101 @@ def eval_lie_series_float(series, alg, X, Y):
 
 
 # ---------------------------------------------------------------------------
-# power series in the truncated tensor algebra over Fractions (the oracle
-# for freelie.u_series, bch and cyclic._trace_rhs)
+# The truncated tensor algebra over Fractions, a dict from word to
+# coefficient: the oracle for the integer kernels of freelie (u_series, bch,
+# _bracket and what runs on it) and of cyclic (trace_column, _trace_rhs)
+
+def assoc_add(a, b, scale=Fraction(1)):
+    out = dict(a)
+    for w, c in b.items():
+        nc = out.get(w, Fraction(0)) + scale * c
+        if nc:
+            out[w] = nc
+        else:
+            out.pop(w, None)
+    return out
+
+
+def assoc_mul(a, b, max_degree):
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            if len(wa) + len(wb) <= max_degree:
+                out[wa + wb] = out.get(wa + wb, Fraction(0)) + ca * cb
+    return {w: c for w, c in out.items() if c}
+
+
+def assoc_commutator(a, b, max_degree):
+    return assoc_add(assoc_mul(a, b, max_degree), assoc_mul(b, a, max_degree), Fraction(-1))
+
+
+def lie_to_assoc(s):
+    """Embed a LieSeries into the tensor algebra (concatenation words)."""
+    out = {}
+    for w, c in s.items():
+        for word, k in word_expansion(w):
+            out[word] = out.get(word, Fraction(0)) + c * k
+    return {w: c for w, c in out.items() if c}
+
+
+def assoc_to_lyndon(p, degree):
+    """Project a Lie element given in the tensor algebra to Lyndon
+    coordinates; ValueError if it is not one up to the truncation."""
+    if p.get("", 0):
+        raise ValueError("constant term present: not a Lie element")
+    return LieSeries(degree, _lyndon_sweep(
+        {w: c for w, c in p.items() if 0 < len(w) <= degree and c}))
+
+
+def bracket_by_tensor_algebra(s1, s2, degree):
+    """[s1, s2] as one commutator of the full expansions, truncated and
+    projected once: the oracle for freelie.lie_bracket and ad_matrix."""
+    a = {w: c for w, c in lie_to_assoc(s1).items() if len(w) <= degree}
+    b = {w: c for w, c in lie_to_assoc(s2).items() if len(w) <= degree}
+    return assoc_to_lyndon(assoc_commutator(a, b, degree), degree)
+
+
+class AssocSeries(WordSeries):
+    """Truncated series of words over {x, y} with rational coefficients; the
+    empty word is allowed (identity operator)."""
+
+    __slots__ = ()
+    _rule = "has letters outside x, y"
+
+    @staticmethod
+    def _admits(word):
+        return all(ch in "xy" for ch in word)
+
+    @staticmethod
+    def _show(word):
+        return word or "1"
+
+    def as_dict(self):
+        return dict(self._c)
+
+
+def delta_derivative(series, slot, degree):
+    """Directional derivative delta_X (slot='X') or delta_Y of a Lie series,
+    as the operator series sum_w c_w P_w over its Lyndon words, each P_w from
+    cyclic._word_derivative."""
+    if slot not in ("X", "Y"):
+        raise ValueError("slot must be 'X' or 'Y'")
+    letter = slot.lower()
+    p = {}
+    for w, c in series.items():
+        for word, k in _word_derivative(w, letter):
+            p[word] = p.get(word, Fraction(0)) + c * k
+    return AssocSeries(degree, p)
+
+
+def cyclic_reduce(p):
+    """Project words onto necklaces (trace cyclicity); empty word -> scalar."""
+    out = {}
+    for w, c in p.items():
+        m = min_rotation(w)
+        out[m] = out.get(m, Fraction(0)) + c
+    return CyclicWordSeries(p.degree, out)
+
 
 def exp_series(n):
     """e^s up to s^n: the coefficient of s^k is 1/k!."""
@@ -299,8 +400,6 @@ def exp_series(n):
 
 def substitute_series(coeffs, z, degree):
     """sum_k coeffs[k] z^k truncated, word by word; z must have zero constant term."""
-    from kvgeom.freelie import assoc_add, assoc_mul
-
     if z.get("", Fraction(0)):
         raise ValueError("substitution requires zero constant term")
     out = {"": coeffs[0]} if coeffs[0] else {}
@@ -316,8 +415,6 @@ def substitute_series(coeffs, z, degree):
 
 def u_by_substitution(order, degree):
     """e^a e^b - 1 as a dict of words, from the exp table at each generator."""
-    from kvgeom.freelie import assoc_add, assoc_mul
-
     a, b = ("x", "y") if order == "XY" else ("y", "x")
     ea = substitute_series(exp_series(degree), {a: Fraction(1)}, degree)
     eb = substitute_series(exp_series(degree), {b: Fraction(1)}, degree)
@@ -326,7 +423,5 @@ def u_by_substitution(order, degree):
 
 def bch_by_substitution(degree, order):
     """log1p(e^a e^b - 1) by substitution, projected to the Lyndon basis."""
-    from kvgeom.freelie import assoc_to_lyndon, log1p_series
-
     u = u_by_substitution(order, degree)
     return assoc_to_lyndon(substitute_series(log1p_series(degree), u, degree), degree)

@@ -23,8 +23,9 @@ TRACER = BENCH / "tracer.py"
 RUNNER = BENCH / "run.py"
 
 # traced names whose functions are gone and whose benchmark entries await
-# restatement (ROADMAP, item 5)
-KNOWN_ABSENT = {"cyclic.linear_part_to_assoc", "geom.powers"}
+# restatement (ROADMAP, item 4)
+KNOWN_ABSENT = {"cyclic.linear_part_to_assoc", "geom.powers", "freelie.assoc_to_lyndon",
+                "cyclic.delta_derivative", "cyclic.cyclic_reduce"}
 
 
 def _load_tracer():

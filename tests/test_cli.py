@@ -67,7 +67,8 @@ class TestBCH:
 class TestSolveCommands:
     # SHA-256 of the degree-6 solve-kv report without its timestamp, as
     # json.dumps(..., indent=2, sort_keys=True); the eq1-only report carries
-    # a nonzero trace residual, so it pins delta_derivative's output too
+    # a nonzero trace residual, so it pins cyclic.trace_column's and
+    # cyclic._trace_rhs's output too
     SOLVE_KV_6_SHA256 = {
         "eq1-only": "5ed56f5fdec90886d86b9e3f85bc3ddde693a4fb86bf587ccd067526fe206ad2",
         "joint-eq1-eq2": "b4c0206974255d6b86bd3383d7aff3e317d1bc0228e32f0e05c34c3db14ae9ce",

@@ -6,10 +6,7 @@ import pytest
 
 from kvgeom import cyclic
 from kvgeom.cyclic import (
-    AssocSeries,
     CyclicWordSeries,
-    cyclic_reduce,
-    delta_derivative,
     fold_reversal,
     g_coefficients,
     kv2_residual,
@@ -18,8 +15,7 @@ from kvgeom.cyclic import (
 )
 from kvgeom.freelie import (
     LieSeries,
-    assoc_add,
-    lie_to_assoc,
+    lie_bracket,
     log1p_over_s,
     lyndon_words_upto,
     u_series,
@@ -27,7 +23,16 @@ from kvgeom.freelie import (
 from kvgeom.kvsolve import solve_kv
 from kvgeom.matrixlie import get_algebra
 
-from conftest import bch_by_substitution, substitute_series
+from conftest import (
+    AssocSeries,
+    assoc_add,
+    assoc_mul,
+    bch_by_substitution,
+    cyclic_reduce,
+    delta_derivative,
+    lie_to_assoc,
+    substitute_series,
+)
 
 F = Fraction
 
@@ -147,10 +152,8 @@ class TestDeltaDerivative:
             n = len(wu) + len(wv)
             u = LieSeries(n, {wu: F(1)})
             v = LieSeries(n, {wv: F(1)})
-            from kvgeom.freelie import lie_bracket
             uv = lie_bracket(u, v, n)
             lhs = delta_derivative(uv, "X", n).as_dict()
-            from kvgeom.freelie import assoc_mul, assoc_add
             du = delta_derivative(u, "X", n).as_dict()
             dv = delta_derivative(v, "X", n).as_dict()
             rhs = assoc_add(assoc_mul(lie_to_assoc(u), dv, n),

@@ -12,13 +12,11 @@ from kvgeom.freelie import (
     LieSeries,
     ad_matrix,
     ad_series_apply,
-    assoc_to_lyndon,
     bch,
     exp_minus_one,
     exp_minus_one_over_s,
     is_lyndon,
     lie_bracket,
-    lie_to_assoc,
     log1p_series,
     lyndon_basis,
     lyndon_words_upto,
@@ -31,13 +29,17 @@ from kvgeom.freelie import (
 )
 
 from conftest import (
+    assoc_commutator,
+    assoc_to_lyndon,
     bch_by_substitution,
+    bracket_by_tensor_algebra,
     eval_lie_series_exact,
     exp_nilpotent,
     exp_series,
     frac_add,
     frac_mul,
     is_zero_matrix,
+    lie_to_assoc,
     log_unitriangular,
     random_strict_upper,
     substitute_series,
@@ -146,9 +148,23 @@ class TestBracket:
                  + lie_bracket(w, lie_bracket(u, v, 6), 6))
         assert total.is_zero()
 
-    def test_assoc_to_lyndon_rejects_non_lie(self):
-        with pytest.raises(ValueError):
-            assoc_to_lyndon({"xy": F(1)}, 2)   # xy alone is not a Lie element
+    def test_matches_tensor_algebra_oracle(self):
+        # random rational series through degree 8, bracketed word pair by
+        # word pair, against one commutator of the full expansions
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            degree = int(rng.integers(2, 9))
+            u = random_lie_series(rng, degree, int(rng.integers(1, degree)))
+            v = random_lie_series(rng, degree, int(rng.integers(1, degree + 1)))
+            assert repr(lie_bracket(u, v, degree)) == repr(bracket_by_tensor_algebra(u, v, degree))
+
+    def test_swap_matches_tensor_algebra_oracle(self):
+        rng = np.random.default_rng(37)
+        tr = str.maketrans("xy", "yx")
+        for degree in range(1, 9):
+            s = random_lie_series(rng, degree, degree)
+            swapped = {w.translate(tr): c for w, c in lie_to_assoc(s).items()}
+            assert repr(swap_generators(s)) == repr(assoc_to_lyndon(swapped, degree))
 
 
 class TestAdMatrix:
@@ -160,7 +176,7 @@ class TestAdMatrix:
         assert list(cols) == lyndon_basis(d)
         gen = LieSeries.generator(letter, d + 1)
         for w in lyndon_basis(d):
-            expect = lie_bracket(gen, LieSeries(d + 1, {w: F(1)}), d + 1)
+            expect = bracket_by_tensor_algebra(gen, LieSeries(d + 1, {w: F(1)}), d + 1)
             assert cols[w] == tuple(expect.items())
             assert all(type(c) is int for _, c in cols[w])
 
@@ -174,14 +190,14 @@ class TestAdMatrix:
 
 
 def ad_series_apply_by_brackets(f, direction, target, degree):
-    """ad_series_apply through the tensor algebra, one lie_bracket per power: the oracle."""
+    """ad_series_apply through the tensor algebra, one bracket per power: the oracle."""
     gen = LieSeries.generator(direction, degree)
     acc = target.truncated(degree)
     out = acc.scaled(f[0])
     for k in range(1, degree + 1):
         if acc.is_zero():
             break
-        acc = lie_bracket(gen, acc, degree)
+        acc = bracket_by_tensor_algebra(gen, acc, degree)
         if f[k]:
             out = out + acc.scaled(f[k])
     return out
@@ -222,9 +238,8 @@ class TestLyndonSweep:
     def test_matches_min_sweep(self, seed):
         rng = np.random.default_rng(seed)
         u, v = random_lie_series(rng, 8, 5), random_lie_series(rng, 8, 4)
-        inputs = [freelie.lie_to_assoc(u),
-                  freelie.assoc_commutator(freelie.lie_to_assoc(u), freelie.lie_to_assoc(v), 8)]
-        words = [w for w in freelie.lie_to_assoc(u) if len(w) > 1]
+        inputs = [lie_to_assoc(u), assoc_commutator(lie_to_assoc(u), lie_to_assoc(v), 8)]
+        words = [w for w in lie_to_assoc(u) if len(w) > 1]
         inputs.append({**inputs[0], words[int(rng.integers(len(words)))]: F(7)})
         for p in inputs:
             got, expect = dict(p), dict(p)
@@ -330,7 +345,7 @@ class TestBCH:
         assert direct == eval_lie_series_exact(z, MX, MY)
 
     def test_swap_endomorphism_relates_orders(self):
-        for n in (3, 5):
+        for n in range(1, 11):
             assert swap_generators(bch(n, "XY")) == bch(n, "YX")
 
     def test_inverse_of_product(self):
@@ -422,6 +437,7 @@ class TestLieSeriesType:
             assert (a - a).is_zero()
 
     def test_mixed_type_sum_checks_words(self):
-        from kvgeom.cyclic import AssocSeries
+        from kvgeom.cyclic import CyclicWordSeries
+        # xx is a minimal rotation but not a Lyndon word
         with pytest.raises(ValueError):
-            LieSeries(3, {"x": F(1)}) - AssocSeries(3, {"yx": F(1)})
+            LieSeries(3, {"x": F(1)}) - CyclicWordSeries(3, {"xx": F(1)})
