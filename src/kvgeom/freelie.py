@@ -5,30 +5,34 @@ x < y, standard-factorization bracketing).  All coefficients are
 fractions.Fraction or integers; no floats enter this module.
 
 Words of the tensor algebra are only ever integer expansions
-(`word_expansion`), projected back to Lyndon coordinates by the
+(`word_expansion`), brought back to Lyndon coordinates by the
 triangularity of the Lyndon basis: the expansion of the bracketing of a
 Lyndon word w is w plus a combination of lexicographically larger words of
-the same degree, so a greedy sweep in lex order (`_lyndon_sweep`) recovers
-the coordinates.  The bracket of two Lyndon words is one such sweep
-(`_bracket`); it gives `lie_bracket` and, in integers, the matrices of ad_x
-and ad_y between consecutive degrees (`ad_matrix`).  One integer f(ad)
-kernel, `_ad_series_sum`, runs on those and never leaves the Lyndon basis:
+the same degree.  So the Lyndon entries of a Lie element alone determine
+it, through a unitriangular Lyndon x Lyndon system solved in lex order
+(`_lyndon_solve`, with the rows `_lyndon_part`); no other word is read.
+The bracket of two Lyndon words is one such solve (`_bracket`); it gives
+`lie_bracket`, `swap_generators` and, in integers, the matrix of ad_y
+between consecutive degrees (`ad_matrix`).  ad_x needs no solve: for a
+Lyndon word w != x, [x, b(w)] = b(xw).  One integer f(ad) kernel,
+`_ad_series_sum`, runs on those matrices and never leaves the Lyndon basis:
 `ad_series_apply` and the solver's eq1 operator both call it.
 
 Power series in u = e^X e^Y - 1 (`u_series`) are summed in integers: a
 word of length m is kept as an integer over den * m!, so u itself is one
 word x^i y^j per split with coefficient binom(m, i).  `bch` is log1p(u)
-on that kernel, projected by the same sweep, and the trace equation's
-g(z) = log1p(u)/u in `cyclic` uses it as well.
+on that kernel, built only on prefixes of Lyndon words (Casas and Murua,
+J. Math. Phys. 50, 2009) and solved on its Lyndon entries; the trace
+equation's g(z) = log1p(u)/u in `cyclic` needs every word and uses the
+full kernel.
 
-Every memo is a module-level functools cache; `is_lyndon` is one too, so
-validating a series costs one lookup per repeated word.
+Every memo is a module-level functools cache, built on first use; `is_lyndon`
+is one too, so validating a series costs one lookup per repeated word.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from fractions import Fraction
 from types import MappingProxyType
@@ -73,6 +77,18 @@ def lyndon_basis(degree: int) -> List[str]:
 @functools.lru_cache(maxsize=None)
 def _lyndon_basis(degree: int) -> Tuple[str, ...]:
     return tuple(w for w in lyndon_words_upto(degree) if len(w) == degree)
+
+
+@functools.lru_cache(maxsize=None)
+def _lyndon_set(degree: int) -> frozenset:
+    """The Lyndon words of exactly the given degree, as a set."""
+    return frozenset(_lyndon_basis(degree))
+
+
+@functools.lru_cache(maxsize=None)
+def _lyndon_prefixes(degree: int) -> frozenset:
+    """Every word that is a prefix of a Lyndon word of length <= degree."""
+    return frozenset(w[:i] for w in lyndon_words_upto(degree) for i in range(1, len(w) + 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -237,47 +253,42 @@ class LieSeries(WordSeries):
         return LieSeries(degree, {letter: Fraction(1)})
 
 
-def _lyndon_sweep(remaining: Dict[str, Fraction]) -> Dict[str, Fraction]:
+@functools.lru_cache(maxsize=None)
+def _lyndon_part(word: str) -> Tuple[Tuple[str, int], ...]:
+    """The Lyndon words other than `word` in `word_expansion(word)`, with
+    their integer coefficients: one row of the unitriangular Lyndon x
+    Lyndon system that `_lyndon_solve` inverts."""
+    lyndon = _lyndon_set(len(word))
+    return tuple((v, k) for v, k in word_expansion(word) if v != word and v in lyndon)
+
+
+def _lyndon_solve(words: Mapping[str, int]) -> Dict[str, int]:
     """Lyndon coordinates of a Lie element without constant term, given by
-    its words in the tensor algebra, by the triangular lex sweep; consumes
-    `remaining`.
+    its words in the tensor algebra; only its Lyndon-word entries are read.
 
-    Works over any exact coefficients: integer input gives integer output,
-    since each expansion has leading coefficient 1.  Raises ValueError on a
-    word that no Lie element can leave.
-
-    One heap of words per degree: the expansion of a Lyndon word w0 has w0
-    as its smallest word, so every word it adds comes after w0, and a word
-    popped after its coefficient cancelled is skipped.
+    The expansion of the bracketing of a Lyndon word w is w plus larger
+    words of its degree, so the Lyndon entries form a unitriangular system:
+    in lex order, each Lyndon word's coordinate is its entry less what the
+    smaller ones put there (`_lyndon_part`).  Integer input gives integer
+    output.  The input is trusted to be a Lie element; the words left over
+    are never checked.
     """
-    coeffs: Dict[str, Fraction] = {}
-    for d in sorted({len(w) for w in remaining}):
-        heap = [w for w in remaining if len(w) == d]
-        heapq.heapify(heap)
-        while heap:
-            w0 = heapq.heappop(heap)
-            if w0 not in remaining:
-                continue
-            if not is_lyndon(w0):
-                raise ValueError(f"input is not a Lie element (stray word {w0!r})")
-            c0 = remaining[w0]
-            coeffs[w0] = c0
-            for word, k in word_expansion(w0):
-                nc = remaining.get(word, 0) - c0 * k
-                if nc:
-                    if word not in remaining:
-                        heapq.heappush(heap, word)
-                    remaining[word] = nc
-                else:
-                    remaining.pop(word, None)
+    coeffs: Dict[str, int] = {}
+    spent: Dict[str, int] = {}
+    for d in sorted({len(w) for w in words}):
+        for w0 in _lyndon_basis(d):
+            c0 = words.get(w0, 0) - spent.pop(w0, 0)
+            if c0:
+                coeffs[w0] = c0
+                for word, k in _lyndon_part(w0):
+                    spent[word] = spent.get(word, 0) + c0 * k
     return coeffs
 
 
 def _bracket(u: str, v: str) -> Dict[str, int]:
     """Integer Lyndon coordinates of [b(u), b(v)] for Lyndon words u, v: the
-    commutator of their expansions, projected by the lex sweep.  Every
-    bracket in this module goes through it."""
-    return _lyndon_sweep(_commutator(u, v))
+    commutator of their expansions, solved on its Lyndon entries."""
+    return _lyndon_solve(_commutator(u, v))
 
 
 @functools.lru_cache(maxsize=None)
@@ -288,9 +299,16 @@ def ad_matrix(letter: str, d: int) -> Mapping[str, Tuple[Tuple[str, int], ...]]:
     [letter, w], as ((word, integer coefficient), ...) in lex order.  The
     Lyndon basis is a Z-basis of the free Lie ring, so the entries are
     integers.  Read-only: the memo hands the same mapping to every caller.
+
+    ad_x is read off in closed form: for a Lyndon word w != x, xw is Lyndon
+    with standard factorization (x, w), w being smaller than its proper
+    suffixes, so [x, b(w)] = b(xw).  ad_y takes `_bracket`.
     """
     if letter not in ALPHABET:
         raise ValueError(f"unknown generator {letter!r}")
+    if letter == "x":
+        return MappingProxyType({w: (("x" + w, 1),) if w != "x" else ()
+                                 for w in lyndon_basis(d)})
     return MappingProxyType({w: tuple(sorted(_bracket(letter, w).items()))
                              for w in lyndon_basis(d)})
 
@@ -353,8 +371,8 @@ def ad_series_apply(f: Sequence[Fraction], direction: str, target: LieSeries,
     return LieSeries(degree, _ad_series_sum([(f, direction, dict(target.items()))], degree))
 
 
-def u_series(coeffs: Sequence[Fraction], order: str,
-             degree: int) -> Tuple[Dict[str, int], int]:
+def u_series(coeffs: Sequence[Fraction], order: str, degree: int,
+             keep: frozenset | None = None) -> Tuple[Dict[str, int], int]:
     """sum_{k>=1} coeffs[k] u^k with u = e^a e^b - 1, truncated at degree,
     where (a, b) = (x, y) for order "XY" and (y, x) for "YX".
 
@@ -365,6 +383,11 @@ def u_series(coeffs: Sequence[Fraction], order: str,
     length lb gains binom(la + lb, la), so every coefficient is an integer
     (Goldberg, Duke Math. J. 23, 1956).  Powers are built length bucket by
     length bucket, so no product longer than the degree is formed.
+
+    With a prefix-closed set `keep`, only its words are kept: a word's
+    coefficient in u^(k+1) is made from those of its prefixes in u^k, so
+    the words of `keep` come out as in the full sum, and no product that
+    leaves `keep` is accumulated.
     """
     if order not in ("XY", "YX"):
         raise ValueError("order must be 'XY' or 'YX'")
@@ -376,7 +399,8 @@ def u_series(coeffs: Sequence[Fraction], order: str,
     weights = [0] + [c.numerator * (den // c.denominator) for c in coeffs[1:]]
     u = [[]] + [[(a * i + b * (m - i), math.comb(m, i)) for i in range(m + 1)]
                 for m in range(1, degree + 1)]
-    power = [dict(bucket) for bucket in u]    # u^k by length, empty below k
+    power = [{w: c for w, c in bucket if keep is None or w in keep}
+             for bucket in u]                 # u^k by length, empty below k
     out: Dict[str, int] = {}
     for k in range(1, degree + 1):
         if weights[k]:
@@ -391,7 +415,8 @@ def u_series(coeffs: Sequence[Fraction], order: str,
                     cb *= scale
                     for wa, ca in power[la].items():
                         w = wa + wb
-                        acc[w] = acc.get(w, 0) + ca * cb
+                        if keep is None or w in keep:
+                            acc[w] = acc.get(w, 0) + ca * cb
         power = nxt
     return {w: c for w, c in out.items() if c}, den
 
@@ -400,16 +425,17 @@ def u_series(coeffs: Sequence[Fraction], order: str,
 def bch(degree: int, order: str = "XY") -> LieSeries:
     """Campbell-Hausdorff series log(e^X e^Y) (or log(e^Y e^X)), truncated.
 
-    log1p(u) with u = e^X e^Y - 1, by the integer kernel `u_series`; the
-    integer words are projected to the Lyndon basis by the lex sweep, which
-    never mixes lengths, and each Lyndon coefficient is divided by its
-    length's den * m! once.  Exact throughout.
+    log1p(u) with u = e^X e^Y - 1, by the integer kernel `u_series` built
+    only on prefixes of Lyndon words (Casas and Murua, J. Math. Phys. 50,
+    2009); the Lyndon coordinates come from `_lyndon_solve`, which never
+    mixes lengths, and each is divided by its length's den * m! once.
+    Exact throughout.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    words, den = u_series(log1p_series(degree), order, degree)
+    words, den = u_series(log1p_series(degree), order, degree, _lyndon_prefixes(degree))
     return LieSeries(degree, {w: Fraction(n, den * math.factorial(len(w)))
-                              for w, n in _lyndon_sweep(words).items()})
+                              for w, n in _lyndon_solve(words).items()})
 
 
 def rescale(s: LieSeries, t) -> LieSeries:
@@ -420,12 +446,12 @@ def rescale(s: LieSeries, t) -> LieSeries:
 
 def swap_generators(s: LieSeries) -> LieSeries:
     """The substitution endomorphism X <-> Y, result in the Lyndon basis:
-    each word's integer expansion, letters swapped, swept back."""
+    each word's integer expansion, letters swapped, solved back."""
     tr = str.maketrans("xy", "yx")
     out: Dict[str, Fraction] = {}
     for w, c in s.items():
-        swept = _lyndon_sweep({word.translate(tr): k for word, k in word_expansion(w)})
-        for v, k in swept.items():
+        solved = _lyndon_solve({word.translate(tr): k for word, k in word_expansion(w)})
+        for v, k in solved.items():
             out[v] = out.get(v, 0) + c * k
     return LieSeries(s.degree, out)
 

@@ -1,5 +1,6 @@
 """Shared fixtures, exact-arithmetic oracle helpers, acceptance reporting."""
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from kvgeom.cyclic import CyclicWordSeries, _word_derivative, min_rotation
 from kvgeom.freelie import (
     LieSeries,
     WordSeries,
-    _lyndon_sweep,
+    is_lyndon,
     log1p_series,
     word_expansion,
 )
@@ -334,12 +335,47 @@ def lie_to_assoc(s):
     return {w: c for w, c in out.items() if c}
 
 
+def lyndon_sweep(remaining):
+    """Lyndon coordinates of a Lie element without constant term, given by
+    its words in the tensor algebra, by the triangular lex sweep over every
+    word; consumes `remaining`.  The oracle of freelie._lyndon_solve, which
+    reads only the Lyndon entries.
+
+    Works over any exact coefficients.  Raises ValueError on a word that no
+    Lie element can leave.  One heap of words per degree: the expansion of
+    a Lyndon word w0 has w0 as its smallest word, so every word it adds
+    comes after w0, and a word popped after its coefficient cancelled is
+    skipped.
+    """
+    coeffs = {}
+    for d in sorted({len(w) for w in remaining}):
+        heap = [w for w in remaining if len(w) == d]
+        heapq.heapify(heap)
+        while heap:
+            w0 = heapq.heappop(heap)
+            if w0 not in remaining:
+                continue
+            if not is_lyndon(w0):
+                raise ValueError(f"input is not a Lie element (stray word {w0!r})")
+            c0 = remaining[w0]
+            coeffs[w0] = c0
+            for word, k in word_expansion(w0):
+                nc = remaining.get(word, 0) - c0 * k
+                if nc:
+                    if word not in remaining:
+                        heapq.heappush(heap, word)
+                    remaining[word] = nc
+                else:
+                    remaining.pop(word, None)
+    return coeffs
+
+
 def assoc_to_lyndon(p, degree):
     """Project a Lie element given in the tensor algebra to Lyndon
     coordinates; ValueError if it is not one up to the truncation."""
     if p.get("", 0):
         raise ValueError("constant term present: not a Lie element")
-    return LieSeries(degree, _lyndon_sweep(
+    return LieSeries(degree, lyndon_sweep(
         {w: c for w, c in p.items() if 0 < len(w) <= degree and c}))
 
 

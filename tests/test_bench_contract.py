@@ -16,7 +16,7 @@ from pathlib import Path
 
 import kvgeom
 import kvgeom.cli  # noqa: F401  (the package does not import its CLI)
-from kvgeom import kvsolve
+from kvgeom import cyclic, freelie, kvsolve
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACER = BENCH / "tracer.py"
@@ -145,3 +145,34 @@ def test_symbolic_ops_start_cold():
         memo.__qualname__: 0 for memo in memos}
     kvsolve.solve_kv(7, "joint-eq1-eq2")
     assert {memo.__qualname__: memo.cache_info().misses for memo in memos} == first
+
+
+def _module_tables():
+    """The size of every module-level dict, list and set of the symbolic
+    modules: a table kept there, and not in a functools memo, would not be
+    emptied by clear_memos."""
+    return {(mod.__name__, name): len(obj)
+            for mod in (freelie, cyclic, kvsolve)
+            for name, obj in vars(mod).items()
+            if isinstance(obj, (dict, list, set)) and not name.startswith("__")}
+
+
+def test_no_table_outside_the_memos_grows(monkeypatch):
+    # only functools memos may fill up during a solve, so the benchmark's
+    # reset leaves no warm table behind
+    clear = _runner_method("SymSolve", "clear_memos")
+    package = types.SimpleNamespace(kv=kvgeom)
+    clear(package)
+    before = _module_tables()
+    kvsolve.solve_kv(7, "joint-eq1-eq2")
+    assert _module_tables() == before
+
+    # the check sees a hidden table that a solve fills
+    monkeypatch.setattr(freelie, "_hidden", {}, raising=False)
+    bch = kvsolve.bch
+    monkeypatch.setattr(kvsolve, "bch",
+                        lambda *args: freelie._hidden.setdefault(args, bch(*args)))
+    clear(package)
+    before = _module_tables()
+    kvsolve.solve_kv(7, "joint-eq1-eq2")
+    assert _module_tables() != before

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -41,6 +42,7 @@ from conftest import (
     is_zero_matrix,
     lie_to_assoc,
     log_unitriangular,
+    lyndon_sweep,
     random_strict_upper,
     substitute_series,
     u_by_substitution,
@@ -169,7 +171,7 @@ class TestBracket:
 
 class TestAdMatrix:
     @pytest.mark.parametrize("letter", ["x", "y"])
-    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("d", range(1, 10))
     def test_columns_are_lie_brackets(self, letter, d):
         # oracle: the bracket through the tensor algebra, over Fractions
         cols = ad_matrix(letter, d)
@@ -212,7 +214,7 @@ def random_lie_series(rng, degree, top):
 
 def lyndon_sweep_by_min(remaining):
     """The lex sweep that rescans every remaining word with min after each
-    subtraction: the oracle for freelie._lyndon_sweep."""
+    subtraction: the oracle for the heap sweep of conftest.lyndon_sweep."""
     coeffs = {}
     for d in sorted({len(w) for w in remaining}):
         while True:
@@ -247,10 +249,48 @@ class TestLyndonSweep:
                 want = lyndon_sweep_by_min(expect)
             except ValueError as exc:
                 with pytest.raises(ValueError, match=re.escape(str(exc))):
-                    freelie._lyndon_sweep(got)
+                    lyndon_sweep(got)
             else:
-                assert list(freelie._lyndon_sweep(got).items()) == list(want.items())
+                assert list(lyndon_sweep(got).items()) == list(want.items())
                 assert got == expect == {}
+
+
+class TestLyndonSolve:
+    """freelie._lyndon_solve, on the Lyndon entries only, against the
+    conftest sweep over every word."""
+
+    def test_bracket_matches_sweep_of_commutator(self):
+        words = lyndon_words_upto(9)
+        pairs = [(u, v) for u in words for v in words if len(u) + len(v) <= 10]
+        for u, v in pairs:
+            assert freelie._bracket(u, v) == lyndon_sweep(freelie._commutator(u, v))
+
+    @pytest.mark.parametrize("order", ["XY", "YX"])
+    def test_bch_matches_sweep_of_unpruned_u_series(self, order):
+        for n in range(1, 13):
+            words, den = u_series(log1p_series(n), order, n)
+            expect = LieSeries(n, {w: F(k, den * math.factorial(len(w)))
+                                   for w, k in lyndon_sweep(words).items()})
+            assert repr(bch(n, order)) == repr(expect)
+
+    def test_lyndon_part_is_the_lyndon_tail_of_the_expansion(self):
+        for w in lyndon_words_upto(8):
+            expansion = freelie.word_expansion(w)
+            assert expansion[0] == (w, 1)
+            assert freelie._lyndon_part(w) == tuple(
+                (v, k) for v, k in expansion[1:] if is_lyndon(v))
+
+    def test_reads_only_lyndon_entries(self):
+        # the words past the Lyndon ones are never read, so the solve takes
+        # a Lie element's Lyndon entries alone to the same coordinates
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            s = random_lie_series(rng, 7, 7)
+            den = math.lcm(*(c.denominator for _, c in s.items()))
+            words = {w: int(c * den) for w, c in lie_to_assoc(s).items()}
+            lyndon = {w: n for w, n in words.items() if is_lyndon(w)}
+            expect = {w: int(c * den) for w, c in s.items()}
+            assert freelie._lyndon_solve(words) == freelie._lyndon_solve(lyndon) == expect
 
 
 class TestAdSeriesApply:
@@ -383,10 +423,35 @@ class TestUSeries:
                          "yyy": 1, "yyx": 3, "yxx": 3, "xxx": 1}
 
     def test_sweep_rejects_a_stray_word(self):
-        # u itself is not a Lie element: the integer sweep stops at xx
+        # u itself is not a Lie element: the oracle's sweep stops at xx
         words, _ = u_series([F(0), F(1), F(0), F(0)], "XY", 3)
         with pytest.raises(ValueError, match="stray word 'xx'"):
-            freelie._lyndon_sweep(words)
+            lyndon_sweep(words)
+
+    @pytest.mark.parametrize("order", ["XY", "YX"])
+    def test_pruned_agrees_on_lyndon_prefixes(self, order):
+        # built on prefixes of Lyndon words only, every word it keeps has
+        # the coefficient of the full sum; in particular every Lyndon word
+        rng = np.random.default_rng(9)
+        for degree in range(1, 11):
+            f = [F(int(rng.integers(-3, 4)), int(rng.integers(1, 8)))
+                 for _ in range(degree + 1)]
+            keep = freelie._lyndon_prefixes(degree)
+            full, den = u_series(f, order, degree)
+            pruned, den_pruned = u_series(f, order, degree, keep)
+            assert den_pruned == den
+            assert pruned == {w: n for w, n in full.items() if w in keep}
+            assert {w: n for w, n in pruned.items() if is_lyndon(w)} == {
+                w: n for w, n in full.items() if is_lyndon(w)}
+
+    def test_lyndon_prefixes(self):
+        # every word of length <= degree that begins a brute-force Lyndon word
+        for degree in range(1, 9):
+            lyndon = [w for d in range(1, degree + 1) for w in brute_force_lyndon(d)]
+            words = ["".join(t) for m in range(1, degree + 1)
+                     for t in itertools.product("xy", repeat=m)]
+            assert freelie._lyndon_prefixes(degree) == {
+                p for p in words if any(w.startswith(p) for w in lyndon)}
 
     def test_requires_enough_coefficients(self):
         with pytest.raises(ValueError):
