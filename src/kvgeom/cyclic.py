@@ -14,7 +14,9 @@ recursion on the standard factorisation of each Lyndon word
 (Alekseev-Torossian, arXiv:0802.4300).
 
 The solver's `trace_column` and `_trace_rhs` reduce integer words straight
-to necklaces through the memoised `min_rotation`.
+to necklaces through the memoised `min_rotation`.  The trace equation's
+Todd series g(s) = s/(e^s - 1) is `freelie.g_coefficients`, one of the
+exact series tables that both engines read.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from typing import Dict, List, Tuple
 from .freelie import (
     LieSeries,
     WordSeries,
-    exp_minus_one_over_s,
     format_fraction,
+    g_coefficients,
     log1p_over_s,
     standard_factorization,
     u_series,
@@ -121,20 +123,6 @@ def trace_column(word: str, letter: str) -> Tuple[Tuple[str, int], ...]:
 
 # ---------------------------------------------------------------------------
 # The trace form of the second Kashiwara-Vergne equation
-
-def g_coefficients(n: int) -> List[Fraction]:
-    """Exact coefficients of g(s) = s/(e^s - 1) up to s^n.
-
-    Computed by series inversion of (e^s - 1)/s rather than from a table
-    of Bernoulli numbers.
-    """
-    r = exp_minus_one_over_s(n)
-    g = [Fraction(0)] * (n + 1)
-    g[0] = Fraction(1)
-    for m in range(1, n + 1):
-        g[m] = -sum((r[k] * g[m - k] for k in range(1, m + 1)), Fraction(0))
-    return g
-
 
 def kv2_residual(A: LieSeries, B: LieSeries, degree: int) -> CyclicWordSeries:
     """LHS minus RHS of the trace equation, as a necklace series.

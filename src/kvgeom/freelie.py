@@ -109,12 +109,12 @@ def standard_factorization(word: str) -> Tuple[str, str]:
 def word_expansion(word: str) -> Tuple[Tuple[str, int], ...]:
     """Tensor-algebra expansion of the standard bracketing of a Lyndon word.
 
-    Returns ((word, integer coefficient), ...); coefficients of Lyndon
-    bracketings are integers.
+    Returns ((word, integer coefficient), ...) in no particular order;
+    coefficients of Lyndon bracketings are integers.
     """
     if len(word) == 1:
         return ((word, 1),)
-    return tuple(sorted(_commutator(*standard_factorization(word)).items()))
+    return tuple(_commutator(*standard_factorization(word)).items())
 
 
 def _commutator(u: str, v: str) -> Dict[str, int]:
@@ -456,13 +456,11 @@ def swap_generators(s: LieSeries) -> LieSeries:
     return LieSeries(s.degree, out)
 
 
-def negate_generators(s: LieSeries) -> LieSeries:
-    """The substitution X -> -X, Y -> -Y (degree-d terms scale by (-1)^d)."""
-    return rescale(s, -1)
-
-
 # ---------------------------------------------------------------------------
 # Series coefficient tables (exact)
+#
+# Every series coefficient of the package is written here, once.  The
+# numeric engines (`matrixlie`, `geom`) take float() of these entries.
 
 def log1p_series(n: int) -> List[Fraction]:
     """log(1 + s) up to s^n: the coefficient of s^k is (-1)^(k+1)/k for k >= 1."""
@@ -475,7 +473,7 @@ def log1p_over_s(n: int) -> List[Fraction]:
 
 
 def exp_minus_one_over_s(n: int) -> List[Fraction]:
-    """(e^s - 1)/s up to s^n: the coefficient of s^k is 1/(k+1)!."""
+    """R(s) = (e^s - 1)/s up to s^n: the coefficient of s^k is 1/(k+1)!."""
     return [Fraction(1, math.factorial(k + 1)) for k in range(n + 1)]
 
 
@@ -488,6 +486,40 @@ def one_minus_exp_neg(n: int) -> List[Fraction]:
 def exp_minus_one(n: int) -> List[Fraction]:
     """e^s - 1 up to s^n: the coefficient of s^k is 1/k! for k >= 1."""
     return [Fraction(0)] + [Fraction(1, math.factorial(k)) for k in range(1, n + 1)]
+
+
+def one_minus_exp_neg_over_s(n: int) -> List[Fraction]:
+    """L(s) = (1 - e^{-s})/s up to s^n: the coefficient of s^k is (-1)^k/(k+1)!."""
+    return [Fraction((-1) ** k, math.factorial(k + 1)) for k in range(n + 1)]
+
+
+def exp_neg(n: int) -> List[Fraction]:
+    """e^{-s} up to s^n: the coefficient of s^k is (-1)^k/k!."""
+    return [Fraction((-1) ** k, math.factorial(k)) for k in range(n + 1)]
+
+
+def sinh_minus_s_over_s2(n: int) -> List[Fraction]:
+    """(sinh s - s)/s^2 up to s^n: the coefficient of s^k is 1/(k+2)! for odd k, else 0."""
+    return [Fraction(k % 2, math.factorial(k + 2)) for k in range(n + 1)]
+
+
+def g_coefficients(n: int) -> List[Fraction]:
+    """g(s) = s/(e^s - 1) up to s^n, the Todd series: the coefficient of
+    s^k is B_k/k!, with the Bernoulli numbers B_0 = 1, B_1 = -1/2 of the
+    recurrence sum_{k <= m} binom(m + 1, k) B_k = 0 (B_k = 0 for odd k >= 3)."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        if m % 2 and m > 1:
+            b.append(Fraction(0))
+        else:
+            b.append(-sum((math.comb(m + 1, k) * b[k] for k in range(m) if b[k]),
+                          Fraction(0)) / (m + 1))
+    return [c / math.factorial(k) for k, c in enumerate(b)]
+
+
+def s_over_one_minus_exp_neg(n: int) -> List[Fraction]:
+    """1/L(s) = s/(1 - e^{-s}) = g(-s) up to s^n: the coefficient of s^k is (-1)^k B_k/k!."""
+    return [(-1) ** k * c for k, c in enumerate(g_coefficients(n))]
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ is linear in (A, B) degree by degree: the degree-d parts of A and B enter
 the degree-(d+1) component (ad raises degree by one) through ad_x and ad_y,
 whose integer matrices on the Lyndon basis (`freelie.ad_matrix`) are the
 eq1 block.  The operator (`_eq1_operator`) is one integer f(ad) sum over
-both tables (`freelie._ad_series_sum`), divided once per word.  The degree
-loop keeps one running residual as a plain dict, the left side minus the
-operator on the parts solved so far; its degree-(d+1) coefficients are the
-right-hand side.  The joint strategy appends the degree-d necklace
-components of the trace equation, whose columns are `cyclic.trace_column`.
+both tables (`freelie._ad_series_sum`), divided once per word.  The one
+degree loop, in `solve_kv`, keeps one running residual as a plain dict,
+the left side minus the operator on the parts solved so far; its
+degree-(d+1) coefficients are the right-hand side.  The joint strategy
+appends the degree-d necklace components of the trace equation, whose
+columns are `cyclic.trace_column`.
 Each degree is solved by fraction-free Gauss-Jordan elimination on rows
 scaled to integers; free variables are set to zero under a fixed column
 order (A-coefficients before B-coefficients, words in lex order).
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -195,24 +196,29 @@ def _eq2_rows(d: int, rhs_d: cyclic.CyclicWordSeries
     return rows, [rhs_d.coefficient(m) for m in necks]
 
 
-def _solve_degrees(degrees: Sequence[int], lhs: LieSeries,
-                   trace_rhs: cyclic.CyclicWordSeries | None,
-                   coeffsA: Dict[str, Fraction], coeffsB: Dict[str, Fraction]) -> None:
-    """Solve the given degrees in turn, writing A_d and B_d into coeffsA/coeffsB.
+def solve_kv(degree: int, strategy: str = "eq1-only") -> KVPair:
+    """Solve the Kashiwara-Vergne system degree by degree, exactly.
 
-    The running residual is the inhomogeneity `lhs` minus the eq1 operator
-    on the parts solved so far: each degree first subtracts the operator on
-    the parts added last (at the start, those already in coeffsA/coeffsB),
-    then reads its eq1 right-hand side off the degree-(d+1) words.  The
-    degree-d trace rows are added when `trace_rhs` (the trace right-hand
-    side) is given.  Free variables are zero; raises InfeasibleDegreeError
-    if some degree admits no solution.
+    strategy 'eq1-only' imposes the first equation; 'joint-eq1-eq2' adds the
+    degreewise necklace components of the trace equation.  Deterministic:
+    free variables are zero under the fixed column order.  Raises
+    InfeasibleDegreeError if some degree admits no solution.
     """
-    n = lhs.degree
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    if strategy not in ("eq1-only", "joint-eq1-eq2"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    n = degree + 1
+    lhs = bch(n, "YX") - LieSeries.generator("x", n) - LieSeries.generator("y", n)
+    trace_rhs = cyclic._trace_rhs(degree) if strategy == "joint-eq1-eq2" else None
     # a plain dict: it is read one word at a time and updated in place
     residual = dict(lhs.items())
-    partA, partB = dict(coeffsA), dict(coeffsB)
-    for d in degrees:
+    coeffsA: Dict[str, Fraction] = {}
+    coeffsB: Dict[str, Fraction] = {}
+    partA: Dict[str, Fraction] = {}
+    partB: Dict[str, Fraction] = {}
+    for d in range(1, degree + 1):
+        # subtract the operator on the parts of degree d - 1
         for w, c in _eq1_operator(partA, partB, n).items():
             residual[w] = residual.get(w, 0) - c
         words_d = lyndon_basis(d)
@@ -230,53 +236,8 @@ def _solve_degrees(degrees: Sequence[int], lhs: LieSeries,
         partB = {w: b for w, b in zip(words_d, sol[k:]) if b}
         coeffsA.update(partA)
         coeffsB.update(partB)
-
-
-def solve_kv(degree: int, strategy: str = "eq1-only") -> KVPair:
-    """Solve the Kashiwara-Vergne system degree by degree, exactly.
-
-    strategy 'eq1-only' imposes the first equation; 'joint-eq1-eq2' adds the
-    degreewise necklace components of the trace equation.  Deterministic:
-    free variables are zero under the fixed column order.  Raises
-    InfeasibleDegreeError if some degree admits no solution.
-    """
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    if strategy not in ("eq1-only", "joint-eq1-eq2"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    n = degree + 1
-    lhs1 = bch(n, "YX") - LieSeries.generator("x", n) - LieSeries.generator("y", n)
-    trace_rhs = cyclic._trace_rhs(degree) if strategy == "joint-eq1-eq2" else None
-    coeffsA: Dict[str, Fraction] = {}
-    coeffsB: Dict[str, Fraction] = {}
-    _solve_degrees(range(1, degree + 1), lhs1, trace_rhs, coeffsA, coeffsB)
     return KVPair(LieSeries(degree, coeffsA), LieSeries(degree, coeffsB),
                   degree, strategy)
-
-
-def eq1_kernel_basis(d: int, degree_cap: int | None = None) -> List[KVPair]:
-    """Kernel elements of the truncated first equation, seeded at degree d.
-
-    Each degree-d block-kernel vector is completed upward: the higher
-    degrees solve the homogeneous continuation (the triangular system with
-    the Campbell-Hausdorff inhomogeneity dropped), free variables zero.
-    Adding any returned pair to a solution preserves kv1_residual = 0 up to
-    degree_cap.
-    """
-    cap = degree_cap or d
-    words_d = lyndon_basis(d)
-    rows = _eq1_rows(d)
-    _, kernel, _ = solve_exact(rows, [Fraction(0)] * len(rows))
-    out = []
-    k = len(words_d)
-    for vec in kernel:
-        coeffsA = {w: c for w, c in zip(words_d, vec[:k]) if c}
-        coeffsB = {w: c for w, c in zip(words_d, vec[k:]) if c}
-        _solve_degrees(range(d + 1, cap + 1), LieSeries.zero(cap + 1), None,
-                       coeffsA, coeffsB)
-        out.append(KVPair(LieSeries(cap, coeffsA), LieSeries(cap, coeffsB),
-                          cap, "kernel"))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,12 @@ Every f(ad_X) goes through one kernel, ad_series: a stack of truncated
 power series reduced to the powers A^0 ... A^{d-1} by the Cayley-Hamilton
 recurrence, with a gate on each series' last term.  analytic_ad,
 jacobian_J and kappa_t apply it to the 48-term tables of fn_dexp,
-fn_dexp_right and fn_todd; the batched engine in geom applies it to the
-same tables truncated to 22 and 30 terms.  The tail gate, not the poles
-at 2 pi i k, bounds the domain: where a truncated series has not
-converged, or its value is not finite, OutsideDomainError.
+fn_dexp_right and fn_todd.  Every table, here and in the batched engine
+in geom, is float() of an exact table of freelie, the one place where
+series coefficients are written; this module imports nothing else of the
+package.  The tail gate, not the poles at 2 pi i k, bounds the domain:
+where a truncated series has not converged, or its value is not finite,
+OutsideDomainError.
 
 Chart maps: a descriptor whose basis is the standard so(3) basis
 _hat3(e_1), _hat3(e_2), _hat3(e_3) uses the Rodrigues formulas, one of 2 x 2
@@ -39,8 +41,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .cyclic import g_coefficients
-from .freelie import exp_minus_one_over_s, one_minus_exp_neg
+from .freelie import exp_minus_one_over_s, g_coefficients, one_minus_exp_neg_over_s
 
 Vec = np.ndarray
 
@@ -521,26 +522,14 @@ class AnalyticFunction:
     taylor: Tuple[float, ...]
 
 
-def _taylor_L(n: int) -> Tuple[float, ...]:
-    return tuple(float(c) for c in one_minus_exp_neg(n)[1:])
-
-
-def _taylor_R(n: int) -> Tuple[float, ...]:
-    return tuple(float(c) for c in exp_minus_one_over_s(n - 1))
-
-
-def _taylor_g(n: int) -> Tuple[float, ...]:
-    return tuple(float(c) for c in g_coefficients(n - 1))
-
-
 #: (1 - e^{-s})/s -- the pullback of the left Maurer-Cartan form, d(exp).
-fn_dexp = AnalyticFunction("(1-exp(-s))/s", _taylor_L(48))
+fn_dexp = AnalyticFunction("(1-exp(-s))/s", tuple(map(float, one_minus_exp_neg_over_s(47))))
 
 #: (e^s - 1)/s -- the right-Maurer-Cartan pullback.
-fn_dexp_right = AnalyticFunction("(exp(s)-1)/s", _taylor_R(48))
+fn_dexp_right = AnalyticFunction("(exp(s)-1)/s", tuple(map(float, exp_minus_one_over_s(47))))
 
 #: s/(e^s - 1) -- the generating function of the trace equation.
-fn_todd = AnalyticFunction("s/(exp(s)-1)", _taylor_g(48))
+fn_todd = AnalyticFunction("s/(exp(s)-1)", tuple(map(float, g_coefficients(47))))
 
 
 def analytic_ad(alg: QuadraticLieAlgebra, f: AnalyticFunction, X: Vec) -> np.ndarray:

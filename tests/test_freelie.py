@@ -16,14 +16,18 @@ from kvgeom.freelie import (
     bch,
     exp_minus_one,
     exp_minus_one_over_s,
+    exp_neg,
+    g_coefficients,
     is_lyndon,
     lie_bracket,
     log1p_series,
     lyndon_basis,
     lyndon_words_upto,
-    negate_generators,
     one_minus_exp_neg,
+    one_minus_exp_neg_over_s,
     rescale,
+    s_over_one_minus_exp_neg,
+    sinh_minus_s_over_s2,
     standard_factorization,
     swap_generators,
     u_series,
@@ -390,7 +394,7 @@ class TestBCH:
 
     def test_inverse_of_product(self):
         for n in (3, 5):
-            assert negate_generators(bch(n, "YX")).scaled(F(-1)) == bch(n, "XY")
+            assert rescale(bch(n, "YX"), -1).scaled(F(-1)) == bch(n, "XY")
 
     @pytest.mark.parametrize("order", ["XY", "YX"])
     def test_matches_substitution_oracle(self, order):
@@ -456,6 +460,36 @@ class TestUSeries:
     def test_requires_enough_coefficients(self):
         with pytest.raises(ValueError):
             u_series([F(0), F(1)], "XY", 2)
+
+
+class TestSeriesTables:
+    def test_exact_relations(self):
+        n = 30
+        L, R = one_minus_exp_neg_over_s(n + 1), exp_minus_one_over_s(n + 1)
+        assert one_minus_exp_neg(n) == [0] + L[:n]                   # s L(s)
+        assert exp_minus_one(n) == [0] + R[:n]                       # s R(s)
+        assert exp_neg(n) == [1] + [-c for c in L[:n]]               # 1 - s L(s)
+        # (sinh s - s)/s^2 = ((L(s) + R(s))/2 - 1)/s
+        assert sinh_minus_s_over_s2(n) == [(a + b) / 2 for a, b in zip(L[1:], R[1:])]
+        # s/(1 - e^{-s}) inverts L, and g(s) = s/(e^s - 1) inverts R
+        for table, inverse in ((L, s_over_one_minus_exp_neg(n)), (R, g_coefficients(n))):
+            assert [sum(table[k] * inverse[m - k] for k in range(m + 1))
+                    for m in range(n + 1)] == [1] + [0] * n
+
+    def test_match_scalar_functions(self):
+        functions = {
+            exp_neg: lambda s: math.exp(-s),
+            one_minus_exp_neg_over_s: lambda s: -math.expm1(-s) / s,
+            exp_minus_one_over_s: lambda s: math.expm1(s) / s,
+            sinh_minus_s_over_s2: lambda s: (math.sinh(s) - s) / s ** 2,
+            g_coefficients: lambda s: s / math.expm1(s),
+            s_over_one_minus_exp_neg: lambda s: -s / math.expm1(-s),
+        }
+        for table, f in functions.items():
+            coeffs = table(30)
+            for s in (0.3, -0.4, 0.9):
+                assert sum(float(c) * s ** k for k, c in enumerate(coeffs)) == pytest.approx(
+                    f(s), rel=1e-14, abs=1e-15)
 
 
 class TestRescale:

@@ -4,6 +4,16 @@ import numpy as np
 import pytest
 
 from kvgeom import geom
+from kvgeom.freelie import (
+    exp_minus_one,
+    exp_minus_one_over_s,
+    exp_neg,
+    g_coefficients,
+    one_minus_exp_neg,
+    one_minus_exp_neg_over_s,
+    s_over_one_minus_exp_neg,
+    sinh_minus_s_over_s2,
+)
 from kvgeom.geom import (
     _G7_W,
     _K15_S,
@@ -277,15 +287,32 @@ class TestSeriesKernel:
             assert np.max(np.abs(recon - Ak)) <= 1e-15 * (1.0 + np.max(np.abs(Ak)))
             Ak = Ak @ A
 
-    def test_engine_coefficients_match_float_formula(self, so3):
-        # the Taylor tables are the exact Fraction tables rounded to float;
+    def test_engine_coefficients_match_float_formula(self):
+        # every float row is float() of its exact table, bit for bit, at the
+        # engine's truncations (22 terms for L, R and e^{-s}, 30 for the
+        # Todd-type series) and zero-padded with +0.0
+        def floats(table, width):
+            return np.array([float(c) for c in table] + [0.0] * (width - len(table)))
+
+        pins = [
+            (geom._SIGMA_ROWS, [one_minus_exp_neg_over_s(21), exp_minus_one_over_s(21),
+                                exp_neg(21), s_over_one_minus_exp_neg(29),
+                                sinh_minus_s_over_s2(20)]),
+            (geom._EQ1_ROWS, [one_minus_exp_neg(21), exp_minus_one(21)]),
+            (geom._TODD_ROW, [g_coefficients(29)]),
+            (np.array([fn_dexp.taylor, fn_dexp_right.taylor, fn_todd.taylor]),
+             [one_minus_exp_neg_over_s(47), exp_minus_one_over_s(47), g_coefficients(47)]),
+        ]
+        for rows, tables in pins:
+            assert rows.shape == (len(tables), max(map(len, tables)))
+            for row, table in zip(rows, tables):
+                assert row.tobytes() == floats(table, len(row)).tobytes()
         # they first differ from the float formula (-1)^k / (k+1)! at k = 22
         # (1/23! is not a double), past the engine's 22 terms
-        eng = _engine(so3)
-        n = len(eng.cL)
-        assert n == 22 == len(eng.cR)
-        assert eng.cL.tolist() == [(-1.0) ** k / math.factorial(k + 1) for k in range(n)]
-        assert eng.cR.tolist() == [1.0 / math.factorial(k + 1) for k in range(n)]
+        L, R = geom._SIGMA_ROWS[:2, :22]
+        assert L.tolist() == [(-1.0) ** k / math.factorial(k + 1) for k in range(22)]
+        assert R.tolist() == [1.0 / math.factorial(k + 1) for k in range(22)]
+        assert not np.any(geom._SIGMA_ROWS[:3, 22:])
 
     def test_nilpotent_ad_is_exact(self, sl2):
         # ad_e is defective (a single Jordan block); its characteristic
@@ -741,11 +768,6 @@ class TestCumulativeSimpson:
         out = _cumulative_simpson(2.0 - t + 3.0 * t ** 2, 0.5)
         assert np.max(np.abs(out - (2.0 * t - t ** 2 / 2 + t ** 3))) <= 1e-15
 
-    def test_linear_exact_on_two_samples(self):
-        # one step: the trapezoid, which reads no sample beyond the interval
-        assert np.array_equal(_cumulative_simpson(np.array([1.0, 3.0]), 1.0),
-                              np.array([0.0, 2.0]))
-
     def test_even_nodes_are_composite_simpson(self):
         h = 1.0 / 40
         f = np.cos(np.linspace(0.0, 1.0, 41))
@@ -775,6 +797,13 @@ class TestFlow:
         states = flow_integrate(so3, SAMPLE3, steps=10)
         assert states[0].t == 0.0 and states[-1].t == pytest.approx(1.0)
         assert len(states) == 11
+
+    def test_one_step_is_refused(self, so3):
+        # one step would leave the log-density the trapezoid, whose volume
+        # drift misses the transportVol tolerance
+        for steps in (1, 0):
+            with pytest.raises(ValueError, match="steps must be >= 2"):
+                flow_integrate(so3, SAMPLE3, steps=steps)
 
     def test_start_outside_domain_rejected(self, so3):
         p = PointV(np.array([0.6, 0.0, 0.0]), np.zeros(3))

@@ -6,12 +6,17 @@ import pytest
 
 from kvgeom import kvsolve
 from kvgeom.cyclic import kv2_residual
-from kvgeom.freelie import LieSeries, ad_series_apply, exp_minus_one, one_minus_exp_neg
+from kvgeom.freelie import (
+    LieSeries,
+    ad_series_apply,
+    exp_minus_one,
+    lyndon_basis,
+    one_minus_exp_neg,
+)
 from kvgeom.geom import _central_differences
 from kvgeom.kvsolve import (
     InfeasibleDegreeError,
     KVPair,
-    eq1_kernel_basis,
     evaluate_pair,
     kv1_residual,
     solve_exact,
@@ -186,9 +191,8 @@ class TestEliminationOracle:
         solve = kvsolve.solve_exact
         monkeypatch.setattr(kvsolve, "solve_exact", recording)
         solve_kv(8, strategy)
-        eq1_kernel_basis(1, 4)
         monkeypatch.undo()
-        assert len(systems) == 8 + 1 + 3 * 3
+        assert len(systems) == 8
         for rows, rhs in systems:
             assert_matches_fraction_oracle(rows, rhs)
 
@@ -222,6 +226,16 @@ class TestEliminationOracle:
         assert_matches_fraction_oracle([[F(1)], [F(1)], [F(1)]], [F(1), F(2), F(3)])
 
 
+def eq1_kernel(d):
+    """The kernel vectors of the degree-d eq1 block from solve_exact, as
+    pairs (A, B) of degree-d Lie series."""
+    words = lyndon_basis(d)
+    k = len(words)
+    rows = kvsolve._eq1_rows(d)
+    return [(LieSeries(d, dict(zip(words, vec[:k]))), LieSeries(d, dict(zip(words, vec[k:]))))
+            for vec in solve_exact(rows, [0] * len(rows))[1]]
+
+
 class TestKernel:
     def test_infeasible_system_reports_ranks(self):
         rows = [[F(1), F(0)], [F(1), F(0)]]
@@ -240,33 +254,43 @@ class TestKernel:
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
     def test_kernel_vectors_preserve_solutions(self, degree):
-        sol = solve_kv(5)
-        kernel = eq1_kernel_basis(degree, 5)
+        # the top degree's free directions: any combination of the kernel
+        # vectors of its eq1 block keeps the solution's residual zero
+        sol = solve_kv(degree)
+        kernel = eq1_kernel(degree)
         rng = np.random.default_rng(degree)
         for _ in range(3):
             if not kernel:
                 break
             weights = [F(int(rng.integers(-2, 3))) for _ in kernel]
             A, B = sol.A, sol.B
-            for w, k in zip(weights, kernel):
-                A = A + k.A.scaled(w)
-                B = B + k.B.scaled(w)
-            assert kv1_residual(KVPair(A, B, 5), 5).is_zero()
+            for w, (kA, kB) in zip(weights, kernel):
+                A = A + kA.scaled(w)
+                B = B + kB.scaled(w)
+            assert kv1_residual(KVPair(A, B, degree), degree + 1).is_zero()
 
     @pytest.mark.parametrize("degree", [1, 3])
     def test_kernel_vectors_solve_homogeneous_equation_to_top_degree(self, degree):
-        # the degree-cap part of a kernel pair enters the degree-(cap + 1)
-        # component, which the continuation solves as well
-        cap = 5
-        for k in eq1_kernel_basis(degree, cap):
-            image = (ad_series_apply(one_minus_exp_neg(cap + 1), "x", k.A, cap + 1)
-                     + ad_series_apply(exp_minus_one(cap + 1), "y", k.B, cap + 1))
+        # read through the series rather than the block's rows: a kernel pair
+        # of degree d solves the homogeneous first equation through d + 1
+        top = degree + 1
+        kernel = eq1_kernel(degree)
+        assert kernel
+        for kA, kB in kernel:
+            image = (ad_series_apply(one_minus_exp_neg(top), "x", kA, top)
+                     + ad_series_apply(exp_minus_one(top), "y", kB, top))
             assert image.is_zero()
 
     def test_kernel_dimensions(self):
-        # degree-1 block: 4 unknowns, 1 independent equation
-        assert len(eq1_kernel_basis(1)) == 3
-        assert len(eq1_kernel_basis(2)) == 0
+        # the eq1 nullity 2k - rank M for d = 1..8; the degree-1 block has
+        # 4 unknowns and 1 independent equation
+        nullity = []
+        for d in range(1, 9):
+            rows = kvsolve._eq1_rows(d)
+            _, kernel, (rank, _) = solve_exact(rows, [0] * len(rows))
+            assert len(kernel) == len(rows[0]) - rank
+            nullity.append(len(kernel))
+        assert nullity == [3, 0, 1, 0, 3, 0, 6, 4]
 
 
 class TestEvaluatePair:
