@@ -21,12 +21,15 @@ term on the product as -1/2 <L(ad_X) u_X, R(ad_Y) v_Y> antisymmetrized.
 With these choices the gauge of P0 by sigma has moment map log(e^X e^Y),
 the density det^{1/2}(1 + sigma_t P0) equals kappa_t, and the Moser field
 is v_t = -(P_t @ alpha_t); the transporting flow integrates dp/dt = -v_t.
+
+The public functions return plain numpy values.  Each builds the batched
+_Engine afresh and writes nothing onto the descriptor; the single-point
+ones pass their PointV as a stack of one and return the first row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +48,7 @@ from .matrixlie import (
     PointV,
     QuadraticLieAlgebra,
     Vec,
+    _float_rows,
     ad_series,
     analytic_ad,
     fn_dexp,
@@ -60,15 +64,6 @@ _FD_STEP = 1e-5             # central differences: step _FD_STEP (1 + |p_i|) in 
 _COND_LIMIT = 1e12
 _CHUNK = 4096
 _SUITE_SUBSAMPLE = 20       # points of the suite's Jacobi, moment-map and flow checks
-
-
-def _float_rows(*tables: Sequence) -> np.ndarray:
-    """Exact series tables as read-only float rows, zero-padded to the longest."""
-    rows = np.zeros((len(tables), max(map(len, tables))))
-    for row, table in zip(rows, tables):
-        row[:len(table)] = [float(c) for c in table]
-    rows.flags.writeable = False
-    return rows
 
 
 # sigma's five series at ad: L = (1 - e^{-s})/s, R = (e^s - 1)/s, e^{-s},
@@ -113,32 +108,6 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
     "transportPhi": 1e-6,
     "transportVol": 1e-5,
 }
-
-
-@dataclass(frozen=True)
-class BivectorSample:
-    at: PointV
-    matrix: np.ndarray          # (2d, 2d), antisymmetric
-
-
-@dataclass(frozen=True)
-class TwoFormSample:
-    at: PointV
-    matrix: np.ndarray          # (2d, 2d), antisymmetric
-    moment: np.ndarray          # Psi = Phi_0 - Phi_1, in basis coordinates
-
-
-@dataclass(frozen=True)
-class OneFormSample:
-    at: PointV
-    covector: np.ndarray        # (2d,)
-
-
-@dataclass(frozen=True)
-class FlowState:
-    t: float
-    point: PointV
-    log_density: float
 
 
 def _cumulative_simpson(f: np.ndarray, dt: float) -> np.ndarray:
@@ -463,21 +432,12 @@ class _Engine:
         return w[0][:B], div
 
 
-def _engine(alg: QuadraticLieAlgebra) -> _Engine:
-    eng = getattr(alg, "_geom_engine", None)
-    if eng is None:
-        eng = _Engine(alg)
-        alg._geom_engine = eng
-    return eng
-
-
 # ---------------------------------------------------------------------------
 # public single-point operations
 
-def kirillov_P0(alg: QuadraticLieAlgebra, p: PointV) -> BivectorSample:
-    """Product Kirillov bivector at p (block diagonal, linear in the point)."""
-    eng = _engine(alg)
-    return BivectorSample(p, eng.p0(p.as_array()[None])[0])
+def kirillov_P0(alg: QuadraticLieAlgebra, p: PointV) -> np.ndarray:
+    """Product Kirillov bivector at p, (2d, 2d): block diagonal, linear in the point."""
+    return _Engine(alg).p0(p.as_array()[None])[0]
 
 
 def modular_field(P_field: Callable[[np.ndarray], np.ndarray], p: PointV) -> np.ndarray:
@@ -530,67 +490,61 @@ def varpi(alg: QuadraticLieAlgebra, Y: Vec, vectors: Sequence[Vec],
         raise ValueError("varpi evaluates the 2-form part (two vectors) "
                          "or the moment part (no vectors)")
     v1, v2 = (np.asarray(a, float) for a in vectors)
-    return float(v1 @ _engine(alg).varpi(Y[None])[0] @ v2)
+    return float(v1 @ _Engine(alg).varpi(Y[None])[0] @ v2)
 
 
-def sigma(alg: QuadraticLieAlgebra, p: PointV) -> TwoFormSample:
-    """The gauge cocycle at p: 2-form matrix and moment part Psi = Phi0 - Phi1."""
-    eng = _engine(alg)
+def sigma(alg: QuadraticLieAlgebra, p: PointV) -> Tuple[np.ndarray, Vec]:
+    """The gauge cocycle at p: (2-form matrix (2d, 2d), moment part Psi = Phi0 - Phi1)."""
+    eng = _Engine(alg)
     q = p.as_array()[None]
-    return TwoFormSample(p, eng.sigma(q)[0], eng.psi(q)[0])
+    return eng.sigma(q)[0], eng.psi(q)[0]
 
 
-def gauge_P(alg: QuadraticLieAlgebra, t: float, p: PointV) -> BivectorSample:
-    """Gauged and scaled bivector P_t = P0 (1 + sigma_t P0)^{-1}; P0 at t = 0."""
-    eng = _engine(alg)
-    return BivectorSample(p, eng.p_t(t, p.as_array()[None])[0])
+def gauge_P(alg: QuadraticLieAlgebra, t: float, p: PointV) -> np.ndarray:
+    """Gauged and scaled bivector P_t = P0 (1 + sigma_t P0)^{-1}, (2d, 2d); P0 at t = 0."""
+    return _Engine(alg).p_t(t, p.as_array()[None])[0]
 
 
 def lambda_det(alg: QuadraticLieAlgebra, t: float, p: PointV) -> float:
     """det^{1/2}(1 + sigma_t P0) at p."""
-    eng = _engine(alg)
-    return float(eng.lam(t, p.as_array()[None])[0])
+    return float(_Engine(alg).lam(t, p.as_array()[None])[0])
 
 
-def alpha(alg: QuadraticLieAlgebra, t: float, p: PointV) -> OneFormSample:
-    """Moser 1-form alpha_t = iota_p [sigma(t p) - int_0^1 s sigma(t s p) ds].
+def alpha(alg: QuadraticLieAlgebra, t: float, p: PointV) -> np.ndarray:
+    """Moser 1-form alpha_t = iota_p [sigma(t p) - int_0^1 s sigma(t s p) ds], (2d,).
 
     This is the homotopy primitive of d(sigma_t)/dt, integrated by parts;
     OutsideDomainError when its G7/K15 quadrature is unresolved.
     """
-    eng = _engine(alg)
-    return OneFormSample(p, eng.alpha(t, p.as_array()[None])[0])
+    return _Engine(alg).alpha(t, p.as_array()[None])[0]
 
 
 def moser_v(alg: QuadraticLieAlgebra, t: float, p: PointV) -> np.ndarray:
-    """Moser vector field v_t = -(P_t @ alpha_t) at p."""
-    eng = _engine(alg)
-    return eng.moser_w(t, p.as_array()[None])[0]
+    """Moser vector field v_t = -(P_t @ alpha_t) at p, (2d,)."""
+    return _Engine(alg).moser_w(t, p.as_array()[None])[0]
 
 
 def extract_AB(alg: QuadraticLieAlgebra, p: PointV) -> Tuple[Vec, Vec]:
     """The Kashiwara-Vergne pair (A(X,Y), B(X,Y)) at p, in coordinates."""
     alg.check_point(p.X, p.Y)
-    eng = _engine(alg)
-    A, B = eng.extract(p.as_array()[None])
+    A, B = _Engine(alg).extract(p.as_array()[None])
     return A[0], B[0]
 
 
 def kv2_numeric_residual(alg: QuadraticLieAlgebra, p: PointV) -> float:
     """|LHS - RHS| of the trace equation for the extracted pair at p."""
-    eng = _engine(alg)
-    return float(eng.kv2_residual(p.as_array()[None])[0])
+    return float(_Engine(alg).kv2_residual(p.as_array()[None])[0])
 
 
 def flow_integrate(alg: QuadraticLieAlgebra, p0: PointV, steps: int
-                   ) -> List[FlowState]:
-    """Integrate dp/dt = -v_t from t = 0 to 1 by RK4, with volume transport."""
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integrate dp/dt = -v_t from t = 0 to 1 by RK4, with volume transport.
+
+    Returns (ts (steps+1,), points (steps+1, 2d), log_density (steps+1,)).
+    """
     alg.check_point(p0.X, p0.Y)
-    eng = _engine(alg)
-    ts, traj, dens = eng.flow(p0.as_array()[None], steps)
-    return [FlowState(float(t), PointV.from_array(traj[k, 0], alg.dim),
-                      float(dens[k, 0]))
-            for k, t in enumerate(ts)]
+    ts, traj, dens = _Engine(alg).flow(p0.as_array()[None], steps)
+    return ts, traj[:, 0], dens[:, 0]
 
 
 def transport_drift(alg: QuadraticLieAlgebra, P: np.ndarray, steps: int
@@ -604,7 +558,7 @@ def transport_drift(alg: QuadraticLieAlgebra, P: np.ndarray, steps: int
     kappa_1(t p), _CHUNK points per call.  Returns (max |Phi_t - Phi_0|,
     max |log kappa_t - log-density|) over points and steps.
     """
-    eng = _engine(alg)
+    eng = _Engine(alg)
     ts, traj, dens = eng.flow(P, steps)
     B, n2 = P.shape
     t = np.repeat(ts[1:], B)[:, None]
@@ -655,7 +609,7 @@ def run_geometry_suite(alg: QuadraticLieAlgebra, n_samples: int = 100,
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
-    eng = _engine(alg)
+    eng = _Engine(alg)
     P = sample_points(alg, n_samples, seed, radius)
     rng = np.random.default_rng(seed + 1)
 

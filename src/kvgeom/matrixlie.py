@@ -13,13 +13,13 @@ interpolating maps Phi_t, and the density kappa_t.
 Every f(ad_X) goes through one kernel, ad_series: a stack of truncated
 power series reduced to the powers A^0 ... A^{d-1} by the Cayley-Hamilton
 recurrence, with a gate on each series' last term.  analytic_ad,
-jacobian_J and kappa_t apply it to the 48-term tables of fn_dexp,
-fn_dexp_right and fn_todd.  Every table, here and in the batched engine
-in geom, is float() of an exact table of freelie, the one place where
-series coefficients are written; this module imports nothing else of the
-package.  The tail gate, not the poles at 2 pi i k, bounds the domain:
-where a truncated series has not converged, or its value is not finite,
-OutsideDomainError.
+jacobian_J and kappa_t apply it to fn_dexp, fn_dexp_right and fn_todd,
+read-only (1, 48) float rows.  _float_rows builds every row, here and in
+the batched engine in geom, as float() of an exact table of freelie, the
+one place where series coefficients are written; this module imports
+nothing else of the package.  The tail gate, not the poles at 2 pi i k,
+bounds the domain: where a truncated series has not converged, or its
+value is not finite, OutsideDomainError.
 
 Chart maps: a descriptor whose basis is the standard so(3) basis
 _hat3(e_1), _hat3(e_2), _hat3(e_3) uses the Rodrigues formulas, one of 2 x 2
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -515,34 +515,36 @@ def ad_series(A: np.ndarray, coeffs: np.ndarray
     return F, pw, r
 
 
-@dataclass(frozen=True)
-class AnalyticFunction:
-    """Scalar analytic function, given by its Taylor coefficients at 0."""
-    name: str
-    taylor: Tuple[float, ...]
+def _float_rows(*tables: Sequence) -> np.ndarray:
+    """Exact series tables as read-only float rows, zero-padded to the longest."""
+    rows = np.zeros((len(tables), max(map(len, tables))))
+    for row, table in zip(rows, tables):
+        row[:len(table)] = [float(c) for c in table]
+    rows.flags.writeable = False
+    return rows
 
 
 #: (1 - e^{-s})/s -- the pullback of the left Maurer-Cartan form, d(exp).
-fn_dexp = AnalyticFunction("(1-exp(-s))/s", tuple(map(float, one_minus_exp_neg_over_s(47))))
+fn_dexp = _float_rows(one_minus_exp_neg_over_s(47))
 
 #: (e^s - 1)/s -- the right-Maurer-Cartan pullback.
-fn_dexp_right = AnalyticFunction("(exp(s)-1)/s", tuple(map(float, exp_minus_one_over_s(47))))
+fn_dexp_right = _float_rows(exp_minus_one_over_s(47))
 
 #: s/(e^s - 1) -- the generating function of the trace equation.
-fn_todd = AnalyticFunction("s/(exp(s)-1)", tuple(map(float, g_coefficients(47))))
+fn_todd = _float_rows(g_coefficients(47))
 
 
-def analytic_ad(alg: QuadraticLieAlgebra, f: AnalyticFunction, X: Vec) -> np.ndarray:
+def analytic_ad(alg: QuadraticLieAlgebra, f: np.ndarray, X: Vec) -> np.ndarray:
     """f(ad_X) for X of shape (..., d), as (..., d, d).
 
-    The whole 48-term Taylor table of f through ad_series, so the tail
-    gate bounds the domain: OutsideDomainError where the truncated series
-    has not converged (on so3, s/(e^s - 1) from a spectral radius of
-    about 3.47, short of its pole at 2 pi, and both dexp factors from
-    about 11.2).
+    f is a (1, K) row of Taylor coefficients at 0, such as fn_dexp.  The
+    whole row goes through ad_series, so the tail gate bounds the domain:
+    OutsideDomainError where the truncated series has not converged (on
+    so3, s/(e^s - 1) from a spectral radius of about 3.47, short of its
+    pole at 2 pi, and both dexp factors from about 11.2).
     """
     A = alg.ad(X)
-    F = ad_series(A.reshape(-1, alg.dim, alg.dim), np.array([f.taylor]))[0]
+    F = ad_series(A.reshape(-1, alg.dim, alg.dim), f)[0]
     return F[:, 0].reshape(A.shape)
 
 
@@ -638,8 +640,12 @@ def get_algebra(name: str) -> QuadraticLieAlgebra:
 def load_algebra(source) -> QuadraticLieAlgebra:
     """Load a custom algebra from a JSON descriptor (path or dict).
 
-    Schema: {"name": str, "basis": [[[...]]], "form": "trace" | [[...]],
-             "domain_radius": float}.  Validation runs on construction.
+    Schema: {"name": str, "basis": [[[...]]],
+             "form": "trace" | "neg_half_trace" | [[...]],
+             "domain_radius": float}.
+    The form is the pairing tr(u v) ("trace", the default), -1/2 tr(u v)
+    ("neg_half_trace", positive definite on compact algebras such as so(n)),
+    or the Gram matrix itself.  Validation runs on construction.
     """
     if isinstance(source, (str, bytes)):
         with open(source) as fh:

@@ -116,7 +116,7 @@ def oracle_varpi(alg, W):
     in the Cayley-Hamilton power basis this is -1/2 sum_{i,j} C_ij
     (A^i)^T K_W A^j, C = R^T H R, R[k, i] = cL_k r[k, i], H_kl = 1/(k + l + 3).
     """
-    cL = np.array(fn_dexp.taylor[:22])
+    cL = fn_dexp[0, :22]
     kl = np.arange(22)
     H = 1.0 / (kl[:, None] + kl[None, :] + 3.0)
     N, d = W.shape

@@ -12,7 +12,7 @@ import pytest
 
 from kvgeom import cli
 from kvgeom.freelie import bch
-from kvgeom.geom import _Engine, _engine, sample_points, transport_drift
+from kvgeom.geom import _Engine, sample_points, transport_drift
 from kvgeom.kvsolve import kv1_residual, solve_kv
 from kvgeom.matrixlie import builtin_algebras, get_algebra, matrix_exp
 
@@ -43,7 +43,7 @@ def sweeps():
     """Shared 100-point seeded sweeps per algebra (criteria 3, 4, 5, 7, 8)."""
     out = {}
     for alg in builtin_algebras():
-        eng = _engine(alg)
+        eng = _Engine(alg)
         pts = sample_points(alg, 100, 42, 0.3)
         t0 = time.monotonic()
         eq1 = float(np.max(eng.eq1_residual(pts)))
@@ -128,7 +128,7 @@ def transport():
     stacked transport_drift reading the same flow.
     """
     so3 = get_algebra("so3")
-    eng = _engine(so3)
+    eng = _Engine(so3)
     pts = sample_points(so3, 20, 42, 0.3)
     flow = eng.flow(pts, 200)
     ts, traj, dens = flow
@@ -235,7 +235,7 @@ def test_criterion_9_homotopy_identities():
     worst_dalpha = 0.0
     h = 1e-4
     for alg in builtin_algebras():
-        eng = _engine(alg)
+        eng = _Engine(alg)
         d = alg.dim
         rng = np.random.default_rng(61)
         Ws = 0.25 * rng.standard_normal((20, d))
@@ -274,7 +274,7 @@ def test_criterion_9_homotopy_identities():
 
     # Richardson: the FD residual of the d-alpha check is second order
     so3 = get_algebra("so3")
-    eng = _engine(so3)
+    eng = _Engine(so3)
     q = sample_points(so3, 1, 63, 0.25)[0]
 
     def dalpha_residual(hh):

@@ -21,7 +21,6 @@ from kvgeom.geom import (
     _Engine,
     _central_differences,
     _cumulative_simpson,
-    _engine,
     alpha,
     cartan_eta,
     extract_AB,
@@ -65,30 +64,30 @@ def points(all_algebras):
 
 class TestKirillov:
     def test_zero_at_origin(self, so3):
-        assert np.max(np.abs(kirillov_P0(so3, ORIGIN3).matrix)) == 0.0
+        assert np.max(np.abs(kirillov_P0(so3, ORIGIN3))) == 0.0
 
     def test_rank_two_block_on_orbit(self, so3):
         p = PointV(np.array([0.0, 0.0, 1.0]), np.zeros(3))
-        M = kirillov_P0(so3, p).matrix
+        M = kirillov_P0(so3, p)
         assert np.linalg.matrix_rank(M[:3, :3], tol=1e-10) == 2
         assert np.max(np.abs(M[3:, 3:])) == 0.0
 
     def test_antisymmetric_exactly(self, all_algebras, points):
         for alg in all_algebras:
-            eng = _engine(alg)
+            eng = _Engine(alg)
             P0 = eng.p0(points[alg.name])
             assert np.max(np.abs(P0 + np.transpose(P0, (0, 2, 1)))) == 0.0
 
     def test_linear_in_point(self, so3):
         p = SAMPLE3
-        M1 = kirillov_P0(so3, p).matrix
-        M2 = kirillov_P0(so3, PointV(2 * p.X, 2 * p.Y)).matrix
+        M1 = kirillov_P0(so3, p)
+        M2 = kirillov_P0(so3, PointV(2 * p.X, 2 * p.Y))
         assert np.allclose(M2, 2 * M1)
 
 
 class TestModularField:
     def _field(self, alg):
-        eng = _engine(alg)
+        eng = _Engine(alg)
         return lambda q: eng.p0(q)
 
     def test_quadratic_algebras_vanish(self, all_algebras):
@@ -198,7 +197,7 @@ class TestVarpi:
         for alg in [*all_algebras, sl3, so4, oscillator]:
             u = rng.standard_normal((30, alg.dim))
             W = alg.domain_radius * u / np.linalg.norm(u, axis=1, keepdims=True)
-            got = _engine(alg).varpi(W)
+            got = _Engine(alg).varpi(W)
             ref = oracle_varpi(alg, W)
             scale = 1.0 + np.max(np.abs(ref), axis=(1, 2))
             assert np.all(np.max(np.abs(got - ref), axis=(1, 2)) <= 1e-15 * scale)
@@ -216,7 +215,7 @@ class TestVarpi:
         rng = np.random.default_rng(3)
         h = 1e-4
         for alg in all_algebras:
-            eng = _engine(alg)
+            eng = _Engine(alg)
             d = alg.dim
             for _ in range(3):
                 W = 0.25 * rng.standard_normal(d)
@@ -239,7 +238,7 @@ class TestVarpi:
         # equivariant 1-form part: d(moment) - iota_{xi_M} varpi = eta_1
         rng = np.random.default_rng(4)
         for alg in all_algebras:
-            eng = _engine(alg)
+            eng = _Engine(alg)
             d = alg.dim
             W = 0.25 * rng.standard_normal(d)
             xi = rng.standard_normal(d)
@@ -262,8 +261,7 @@ def _power_sum(coeffs, A):
 
 
 class TestSeriesKernel:
-    COEFFS = np.array([fn_dexp.taylor[:40], fn_dexp_right.taylor[:40],
-                       fn_todd.taylor[:40]])
+    COEFFS = np.concatenate([fn_dexp, fn_dexp_right, fn_todd])[:, :40]
 
     def test_matches_power_sum(self, all_algebras, sl3):
         for alg in [*all_algebras, sl3]:
@@ -300,7 +298,7 @@ class TestSeriesKernel:
                                 sinh_minus_s_over_s2(20)]),
             (geom._EQ1_ROWS, [one_minus_exp_neg(21), exp_minus_one(21)]),
             (geom._TODD_ROW, [g_coefficients(29)]),
-            (np.array([fn_dexp.taylor, fn_dexp_right.taylor, fn_todd.taylor]),
+            (np.concatenate([fn_dexp, fn_dexp_right, fn_todd]),
              [one_minus_exp_neg_over_s(47), exp_minus_one_over_s(47), g_coefficients(47)]),
         ]
         for rows, tables in pins:
@@ -327,7 +325,7 @@ class TestSeriesKernel:
         # fixed truncations lose digits silently unless the tail is gated
         wide = load_algebra({"name": "sl2wide", "basis": sl2.basis,
                              "form": "trace", "domain_radius": 1.3})
-        eng = _engine(wide)
+        eng = _Engine(wide)
         P = sample_points(wide, 40, 42, 1.3)
         with pytest.raises(OutsideDomainError, match="series tail"):
             eng.eq1_residual(P)
@@ -352,39 +350,39 @@ class TestSeriesKernel:
             for blk in (slice(0, d), slice(d, 2 * d)):
                 u[:, blk] *= alg.domain_radius / np.linalg.norm(u[:, blk], axis=1,
                                                                 keepdims=True)
-            eng = _engine(alg)
+            eng = _Engine(alg)
             assert np.all(np.isfinite(eng.sigma(u)))
             assert np.all(eng.kappa(1.0, u) > 0.0)
 
 
 class TestSigma:
     def test_moment_part_at_origin(self, so3):
-        s = sigma(so3, ORIGIN3)
-        assert np.max(np.abs(s.moment)) == 0.0
+        _, moment = sigma(so3, ORIGIN3)
+        assert np.max(np.abs(moment)) == 0.0
 
     def test_moment_part_on_axis(self, so3):
         # Psi = X + Y - log(e^X e^Y) vanishes when Y = 0
         p = PointV(np.array([0.3, -0.1, 0.2]), np.zeros(3))
-        s = sigma(so3, p)
-        assert np.max(np.abs(s.moment)) <= 1e-14
+        _, moment = sigma(so3, p)
+        assert np.max(np.abs(moment)) <= 1e-14
 
     def test_value_at_origin_is_cross_term(self, so3):
         # the Maurer-Cartan cross term -1/2 <u_X, v_Y> survives at the
         # origin; the homotopy-primitive terms all vanish there
-        s = sigma(so3, ORIGIN3)
+        S, _ = sigma(so3, ORIGIN3)
         expected = np.zeros((6, 6))
         expected[:3, 3:] = -0.5 * so3.Q
         expected[3:, :3] = 0.5 * so3.Q
-        assert np.max(np.abs(s.matrix - expected)) <= 1e-13
+        assert np.max(np.abs(S - expected)) <= 1e-13
 
     def test_antisymmetry_exact(self, all_algebras, points):
         for alg in all_algebras:
-            S = _engine(alg).sigma(points[alg.name])
+            S = _Engine(alg).sigma(points[alg.name])
             assert np.max(np.abs(S + np.transpose(S, (0, 2, 1)))) == 0.0
 
     def test_cocycle_closed(self, so3):
         # d sigma = 0 by FD exterior derivative on the product space
-        eng = _engine(so3)
+        eng = _Engine(so3)
         h = 1e-4
         q = SAMPLE3.as_array()
         rng = np.random.default_rng(5)
@@ -407,7 +405,7 @@ class TestSigma:
         rng = np.random.default_rng(6)
         h = 1e-6
         for alg in all_algebras:
-            eng = _engine(alg)
+            eng = _Engine(alg)
             d = alg.dim
             q = sample_points(alg, 1, 77, 0.25)[0]
             xi = rng.standard_normal(d)
@@ -427,13 +425,13 @@ class TestSigma:
 class TestGauge:
     def test_t_zero_returns_p0(self, so3):
         p = SAMPLE3
-        assert np.allclose(gauge_P(so3, 0.0, p).matrix, kirillov_P0(so3, p).matrix)
+        assert np.allclose(gauge_P(so3, 0.0, p), kirillov_P0(so3, p))
 
     def test_t_zero_exact(self, all_algebras, sl3):
         # no branch at t = 0: sigma_t, the gauge factor and its determinant
         # give exactly 0, P0 and 1 there
         for alg in [*all_algebras, sl3]:
-            eng = _engine(alg)
+            eng = _Engine(alg)
             P = sample_points(alg, 12, 42, 0.3)
             assert np.array_equal(eng.sigma_t(0.0, P), np.zeros((12, 2 * alg.dim, 2 * alg.dim)))
             assert np.array_equal(eng.p_t(0.0, P), eng.p0(P))
@@ -441,11 +439,11 @@ class TestGauge:
 
     def test_origin_any_t(self, so3):
         for t in (0.3, 1.0):
-            assert np.max(np.abs(gauge_P(so3, t, ORIGIN3).matrix)) == 0.0
+            assert np.max(np.abs(gauge_P(so3, t, ORIGIN3))) == 0.0
 
     def test_antisymmetric(self, all_algebras, points):
         for alg in all_algebras:
-            eng = _engine(alg)
+            eng = _Engine(alg)
             for t in (0.5, 1.0):
                 Pt = eng.p_t(t, points[alg.name])
                 assert np.max(np.abs(Pt + np.transpose(Pt, (0, 2, 1)))) <= 1e-10
@@ -454,7 +452,7 @@ class TestGauge:
         # range(P_t) = range(P0) pointwise: same rank, containment by
         # projection onto the column space
         for alg in all_algebras:
-            eng = _engine(alg)
+            eng = _Engine(alg)
             P = points[alg.name][:6]
             P0 = eng.p0(P)
             Pt = eng.p_t(1.0, P)
@@ -478,7 +476,7 @@ class TestLambda:
     def test_matches_kappa(self, all_algebras, points):
         from kvgeom.matrixlie import kappa_t
         for alg in all_algebras:
-            eng = _engine(alg)
+            eng = _Engine(alg)
             P = points[alg.name]
             for t in (0.25, 0.5, 1.0):
                 k = eng.kappa(t, P)
@@ -489,13 +487,13 @@ class TestLambda:
 class TestAlpha:
     def test_vanishes_at_origin(self, so3):
         for t in (0.0, 0.5, 1.0):
-            assert np.max(np.abs(alpha(so3, t, ORIGIN3).covector)) <= 1e-12
+            assert np.max(np.abs(alpha(so3, t, ORIGIN3))) <= 1e-12
 
     def test_scaling_law(self, all_algebras):
         # alpha_t(p) = alpha_1(t p) / t, the operational form of
         # alpha_t = (1/t^2) m_t^* alpha_1
         for alg in all_algebras:
-            eng = _engine(alg)
+            eng = _Engine(alg)
             q = sample_points(alg, 2, 11, 0.3)
             for t in (0.4, 0.8):
                 a_t = eng.alpha(t, q)
@@ -505,7 +503,7 @@ class TestAlpha:
 
     def test_exterior_derivative_matches_dsigma_dt(self, so3):
         # d alpha_t = d sigma_t / dt by FD exterior derivative
-        eng = _engine(so3)
+        eng = _Engine(so3)
         q = SAMPLE3.as_array()
         t = 0.6
         h = 1e-4
@@ -528,7 +526,7 @@ class TestAlpha:
         G = np.zeros((6, 6))
         G[:3, :3] = Adg
         G[3:, 3:] = Adg
-        eng = _engine(so3)
+        eng = _Engine(so3)
         q = SAMPLE3.as_array()
         for t in (0.5, 1.0):
             a = eng.alpha(t, q[None])[0]
@@ -627,20 +625,20 @@ class TestMoserQuadrature:
 
     def test_gate_quiet_on_boundary_spheres(self, all_algebras, sl3):
         for alg, P in _boundary_spheres([*all_algebras, sl3]):
-            eng = _engine(alg)
+            eng = _Engine(alg)
             for t in self.TIMES:
                 cov, M = eng._alpha_gauge(t, P, eng.p0(P))
                 assert np.all(np.isfinite(cov)) and np.all(np.isfinite(M))
 
     def test_matches_gauss_legendre_by_parts(self, all_algebras, sl3):
         for alg, P in _boundary_spheres([*all_algebras, sl3]):
-            eng = _engine(alg)
+            eng = _Engine(alg)
             for t in self.TIMES:
                 assert _rel(eng.alpha(t, P), _alpha_by_parts(eng, t, P, 32)) <= 1e-14
 
     def test_matches_derivative_definition(self, all_algebras, sl3):
         for alg, P in _boundary_spheres([*all_algebras, sl3]):
-            eng = _engine(alg)
+            eng = _Engine(alg)
             for t in self.TIMES:
                 assert _rel(eng.alpha(t, P), _alpha_by_derivative(eng, t, P)) <= 1e-9
 
@@ -651,7 +649,7 @@ class TestMoser:
             assert np.max(np.abs(moser_v(so3, t, ORIGIN3))) <= 1e-12
 
     def test_scaling_law(self, so3):
-        eng = _engine(so3)
+        eng = _Engine(so3)
         q = sample_points(so3, 2, 19, 0.3)
         for t in (0.5, 0.8):
             v_t = eng.moser_w(t, q)
@@ -663,7 +661,7 @@ class TestMoser:
         # (Phi_{t+h}(p + h vbar) - Phi_{t-h}(p - h vbar))/2h ~ 0, vbar = -v_t
         h = 1e-4
         for alg in all_algebras:
-            eng = _engine(alg)
+            eng = _Engine(alg)
             q = sample_points(alg, 2, 23, 0.25)
             t = 0.6
             v = eng.moser_w(t, q)
@@ -679,13 +677,13 @@ class TestExtract:
 
     def test_eq1_residual(self, all_algebras, points):
         for alg in all_algebras:
-            eng = _engine(alg)
+            eng = _Engine(alg)
             assert np.max(eng.eq1_residual(points[alg.name])) <= 1e-7
 
     def test_equivariance(self, all_algebras):
         rng = np.random.default_rng(29)
         for alg in all_algebras:
-            eng = _engine(alg)
+            eng = _Engine(alg)
             q = sample_points(alg, 4, 31, 0.25)
             d = alg.dim
             for _ in range(3):
@@ -710,7 +708,7 @@ class TestKV2Numeric:
         assert kv2_numeric_residual(so3, p) <= 1e-6
 
     def test_random_points(self, so3):
-        eng = _engine(so3)
+        eng = _Engine(so3)
         q = sample_points(so3, 8, 37, 0.3)
         assert np.max(eng.kv2_residual(q)) <= 1e-5
 
@@ -718,7 +716,7 @@ class TestKV2Numeric:
 class TestStructure:
     def test_schouten_jacobi(self, all_algebras):
         for alg in all_algebras:
-            eng = _engine(alg)
+            eng = _Engine(alg)
             q = sample_points(alg, 5, 41, 0.25)
             for t in (0.25, 0.5, 1.0):
                 assert np.max(eng.schouten_max(t, q)) <= 1e-5
@@ -726,7 +724,7 @@ class TestStructure:
     def test_moment_map_condition(self, all_algebras):
         rng = np.random.default_rng(43)
         for alg in all_algebras:
-            eng = _engine(alg)
+            eng = _Engine(alg)
             q = sample_points(alg, 5, 47, 0.25)
             xis = 0.5 * rng.standard_normal((5, alg.dim))
             for t in (0.25, 0.5, 1.0):
@@ -742,7 +740,7 @@ def dphi_by_differences(eng, t, P):
 class TestDphi:
     def test_closed_form_matches_differences(self, all_algebras, sl3):
         for alg in [*all_algebras, sl3]:
-            eng = _engine(alg)
+            eng = _Engine(alg)
             P = sample_points(alg, 6, 59, 0.3)
             for t in (0.0, 0.25, 0.5, 1.0):
                 J = eng.dphi_t(t, P)
@@ -750,7 +748,7 @@ class TestDphi:
                 assert np.max(np.abs(J - dphi_by_differences(eng, t, P))) <= 1e-9
 
     def test_identity_blocks_at_t_zero(self, so3):
-        J = _engine(so3).dphi_t(0.0, sample_points(so3, 3, 61, 0.3))
+        J = _Engine(so3).dphi_t(0.0, sample_points(so3, 3, 61, 0.3))
         assert np.array_equal(J, np.broadcast_to(np.hstack([np.eye(3)] * 2), J.shape))
 
 
@@ -778,12 +776,12 @@ class TestCumulativeSimpson:
 
 class TestFlow:
     def test_origin_is_stationary(self, so3):
-        states = flow_integrate(so3, ORIGIN3, steps=20)
-        assert np.max(np.abs(states[-1].point.as_array())) <= 1e-12
-        assert abs(states[-1].log_density) <= 1e-12
+        _, points, log_density = flow_integrate(so3, ORIGIN3, steps=20)
+        assert np.max(np.abs(points[-1])) <= 1e-12
+        assert abs(log_density[-1]) <= 1e-12
 
     def test_transport_small(self, so3):
-        eng = _engine(so3)
+        eng = _Engine(so3)
         q = sample_points(so3, 3, 53, 0.25)
         ts, traj, dens = eng.flow(q, 60)
         phi0 = eng.phi_t_map(0.0, q)
@@ -794,9 +792,9 @@ class TestFlow:
                 assert np.max(np.abs(lk - dens[k])) <= 1e-5
 
     def test_flow_states_shape(self, so3):
-        states = flow_integrate(so3, SAMPLE3, steps=10)
-        assert states[0].t == 0.0 and states[-1].t == pytest.approx(1.0)
-        assert len(states) == 11
+        ts, points, log_density = flow_integrate(so3, SAMPLE3, steps=10)
+        assert ts[0] == 0.0 and ts[-1] == pytest.approx(1.0)
+        assert ts.shape == (11,) and points.shape == (11, 6) and log_density.shape == (11,)
 
     def test_one_step_is_refused(self, so3):
         # one step would leave the log-density the trapezoid, whose volume
@@ -812,7 +810,7 @@ class TestFlow:
 
     def test_step_gate_reports_exit_time(self, so3):
         # engine-level: a trajectory outside |X| <= r trips the per-step check
-        eng = _engine(so3)
+        eng = _Engine(so3)
         q = np.array([[0.505, 0.0, 0.0, 0.0, 0.1, 0.0]])
         with pytest.raises(OutsideDomainError, match="left V at t"):
             eng.flow(q, 10)
@@ -821,9 +819,9 @@ class TestFlow:
         # check_point's rounding allowance holds along the flow as well:
         # so3 orbits keep |X| fixed, so a start it admits stays admitted
         p = PointV(np.array([0.5 + 5e-13, 0.0, 0.0]), np.array([0.0, 0.1, 0.0]))
-        states = flow_integrate(so3, p, steps=10)
-        assert len(states) == 11
-        assert abs(np.linalg.norm(states[-1].point.X) - (0.5 + 5e-13)) <= 1e-12
+        ts, points, _ = flow_integrate(so3, p, steps=10)
+        assert len(ts) == 11
+        assert abs(np.linalg.norm(points[-1, :3]) - (0.5 + 5e-13)) <= 1e-12
 
     def test_transport_drift_chunks_are_invisible(self, so3, monkeypatch):
         # the stacked comparison takes _CHUNK points per call; a cap that
@@ -839,7 +837,7 @@ class TestFlow:
         # the divergence rides on each step's first RK4 call; the oracle
         # takes it after the trajectory, one call per step
         for alg in all_algebras:
-            eng = _engine(alg)
+            eng = _Engine(alg)
             P = sample_points(alg, 2, 83, 0.3)
             _, traj, dens = eng.flow(P, 10)
             ref_traj, ref_dens = oracle_flow(eng, P, 10)
@@ -865,7 +863,7 @@ class TestFlow:
     def test_orbit_radii_conserved(self, so3):
         # leaves are products of coadjoint orbits; for so3 these are spheres,
         # so the flow must preserve |X| and |Y| exactly
-        eng = _engine(so3)
+        eng = _Engine(so3)
         q = np.array([[0.3, 0.0, 0.0, 0.0, 0.3, 0.0]])
         _, traj, _ = eng.flow(q, 40)
         rX = np.linalg.norm(traj[:, 0, :3], axis=1)
@@ -877,7 +875,7 @@ class TestFlow:
 class TestRichardson:
     def test_fd_exterior_derivative_order_two(self, so3):
         # the cocycle-closure FD residual must shrink ~4x when h halves
-        eng = _engine(so3)
+        eng = _Engine(so3)
         q = SAMPLE3.as_array()
         i, j, k = 0, 1, 4
 
@@ -914,3 +912,24 @@ class TestSuiteRunner:
     def test_radius_guard(self, so3):
         with pytest.raises(ValueError):
             sample_points(so3, 3, 1, 0.9)
+
+
+class TestPurity:
+    def test_public_api_leaves_descriptor_untouched(self, so3):
+        # a fresh descriptor, which no earlier call can have touched: the
+        # public functions write nothing onto it
+        alg = load_algebra({"name": "so3", "basis": so3.basis,
+                            "form": "neg_half_trace", "domain_radius": 0.5})
+
+        def snapshot():
+            return {k: v.tobytes() if isinstance(v, np.ndarray) else v
+                    for k, v in vars(alg).items()}
+
+        before = snapshot()
+        kirillov_P0(alg, SAMPLE3)
+        sigma(alg, SAMPLE3)
+        extract_AB(alg, SAMPLE3)
+        lambda_det(alg, 1.0, SAMPLE3)
+        flow_integrate(alg, SAMPLE3, steps=4)
+        run_geometry_suite(alg, n_samples=4, seed=7, radius=0.25, steps=4)
+        assert snapshot() == before

@@ -34,3 +34,22 @@ def test_layers():
     assert package_imports("freelie") == set()
     assert package_imports("matrixlie") == {"freelie"}
     assert package_imports("geom") <= {"freelie", "matrixlie"}
+
+
+def unused_imports(source: str) -> set:
+    """The names a module's source imports but never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_import_is_used():
+    assert unused_imports("import os.path\nfrom x import a, b as c\nc()") == {"os", "a"}
+    # __init__ imports to re-export
+    modules = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+    found = {m: unused_imports((SRC / f"{m}.py").read_text()) for m in modules}
+    assert found == {m: set() for m in modules}
