@@ -22,9 +22,9 @@ bounds the domain: where a truncated series has not converged, or its
 value is not finite, OutsideDomainError.
 
 Chart maps: a descriptor whose basis is the standard so(3) basis
-_hat3(e_1), _hat3(e_2), _hat3(e_3) uses the Rodrigues formulas, one of 2 x 2
-matrices uses the 2 x 2 closed forms, and every other descriptor uses the
-batched exponential _expm and the batched, gated logarithm _logm_checked.
+_hat3(e_1), _hat3(e_2), _hat3(e_3) uses the Rodrigues formulas, and every
+other descriptor, sl(2) and gl(2) among them, uses the batched exponential
+_expm and the batched, gated logarithm _logm_checked.
 The choice is made once, from the verified basis, when the descriptor is
 built.  _expm is the degree-13 Pade approximant with scaling and squaring
 (Higham 2005) in plain numpy: the scaling is chosen and the squarings are
@@ -87,7 +87,7 @@ class QuadraticLieAlgebra:
     domain_radius: float
     structure: np.ndarray = field(init=False)   # c[a, b, k]: [e_a,e_b] = c[a,b,k] e_k
     Qinv: np.ndarray = field(init=False)
-    chart: str = field(init=False)             # "so3" | "2x2" | "generic"
+    chart: str = field(init=False)             # "so3" | "generic"
 
     def __post_init__(self):
         self.basis = _basis_array(self.basis)
@@ -117,12 +117,10 @@ class QuadraticLieAlgebra:
         if np.max(np.abs(recon - comms)) > _VALIDATION_TOL * max(1.0, np.max(np.abs(comms))):
             raise AlgebraValidationError("basis does not close under brackets")
         self._validate()
-        # the closed-form charts hold for the basis, whatever the name says
+        # the closed-form chart holds for the basis, whatever the name says
         if (self.basis.shape == (3, 3, 3)
                 and np.max(np.abs(self.basis - _hat3(np.eye(3)))) <= _VALIDATION_TOL):
             self.chart = "so3"
-        elif self.matrix_size == 2:
-            self.chart = "2x2"
         else:
             self.chart = "generic"
 
@@ -189,12 +187,11 @@ class QuadraticLieAlgebra:
 
     # -- chart maps (exp/log on the defining representation) -----------------
     def exp_chart(self, X: Vec) -> np.ndarray:
-        """exp of coordinate vectors, batched; closed forms for so3 and 2 x 2."""
+        """exp of coordinate vectors, batched; the closed form for so3."""
         X = np.atleast_2d(_finite(X, "exp_chart"))
         if self.chart == "so3":
             return _so3_exp(X)
-        M = self.to_matrix(X)
-        return _exp_checked(_exp_2x2(M) if self.chart == "2x2" else _expm(M), "exp_chart")
+        return _exp_checked(_expm(self.to_matrix(X)), "exp_chart")
 
     def log_chart(self, M: np.ndarray) -> Vec:
         """Principal log of chart matrices back to coordinates, batched."""
@@ -203,8 +200,6 @@ class QuadraticLieAlgebra:
         M = M.reshape(-1, *M.shape[-2:])
         if self.chart == "so3":
             out = _so3_log(M)
-        elif self.chart == "2x2":
-            out = self.from_matrix(_log_2x2(M))
         else:
             out = self.from_matrix(_logm_checked(M))
         return out[0] if squeeze else out
@@ -369,7 +364,7 @@ def _sqrtm_db(A: np.ndarray) -> np.ndarray:
     raise OutsideDomainError("outside exp(U): square-root iteration did not converge")
 
 
-# -- closed-form charts ------------------------------------------------------
+# -- the so(3) chart ---------------------------------------------------------
 
 def _hat3(v: np.ndarray) -> np.ndarray:
     out = np.zeros(v.shape[:-1] + (3, 3))
@@ -409,43 +404,6 @@ def _so3_log(R: np.ndarray) -> np.ndarray:
         f = np.where(small, 1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0,
                      theta / np.where(small, 1.0, np.sin(theta)))
     return a * f[..., None]
-
-
-def _exp_2x2(M: np.ndarray) -> np.ndarray:
-    tau = 0.5 * np.trace(M, axis1=-2, axis2=-1)
-    N = M - tau[..., None, None] * np.eye(2)
-    mu2 = -np.linalg.det(N)                     # N^2 = mu^2 I
-    mu = np.sqrt(mu2.astype(complex))
-    small = np.abs(mu) < 1e-4
-    mu_safe = np.where(small, 1.0, mu)
-    with np.errstate(over="ignore", invalid="ignore"):   # exp_chart gates overflow
-        ch = np.where(small, 1.0 + mu2 / 2.0 + mu2 * mu2 / 24.0, np.cosh(mu))
-        sh = np.where(small, 1.0 + mu2 / 6.0 + mu2 * mu2 / 120.0, np.sinh(mu) / mu_safe)
-        out = (ch[..., None, None] * np.eye(2) + sh[..., None, None] * N)
-        return np.exp(tau)[..., None, None] * out.real
-
-
-def _log_2x2(M: np.ndarray) -> np.ndarray:
-    det = np.linalg.det(M)
-    if np.any(det <= 1e-12):
-        raise OutsideDomainError("outside exp(U): nonpositive determinant")
-    s = np.sqrt(det)
-    U = M / s[..., None, None]
-    c = 0.5 * np.trace(U, axis1=-2, axis2=-1)
-    if np.any(c <= -1.0 + 1e-10):
-        raise OutsideDomainError("outside exp(U): 2x2 trace at branch cut")
-    W = U - c[..., None, None] * np.eye(2)
-    mu2 = (c * c - 1.0).astype(complex)
-    mu = np.sqrt(mu2)
-    small = np.abs(mu) < 1e-4
-    mu_safe = np.where(small, 1.0, mu)
-    # angle a with cosh a = c, sinh a = mu; a/mu = arcsinh(mu)/mu near 0
-    a = np.log(c + mu)
-    f = np.where(small, 1.0 - mu2 / 6.0 + 3.0 * mu2 * mu2 / 40.0, a / mu_safe)
-    out = f[..., None, None] * W
-    if np.max(np.abs(out.imag)) > 1e-9:
-        raise OutsideDomainError("outside exp(U): complex 2x2 logarithm")
-    return np.log(s)[..., None, None] * np.eye(2) + out.real
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ def all_algebras():
 
 @pytest.fixture(scope="session")
 def sl3():
-    """sl(3, R) with the trace form: 3 x 3 matrices, so no closed-form chart."""
+    """sl(3, R) with the trace form: not the so(3) basis, so the generic chart."""
     E = np.zeros((8, 3, 3))
     E[0, 0, 0], E[0, 1, 1] = 1.0, -1.0
     E[1, 1, 1], E[1, 2, 2] = 1.0, -1.0

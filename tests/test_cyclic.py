@@ -21,7 +21,6 @@ from kvgeom.freelie import (
     u_series,
 )
 from kvgeom.kvsolve import solve_kv
-from kvgeom.matrixlie import get_algebra
 
 from conftest import (
     AssocSeries,

@@ -43,7 +43,6 @@ from conftest import (
     exp_series,
     frac_add,
     frac_mul,
-    is_zero_matrix,
     lie_to_assoc,
     log_unitriangular,
     lyndon_sweep,

@@ -474,7 +474,6 @@ class TestLambda:
         assert lambda_det(so3, 1.0, ORIGIN3) == pytest.approx(1.0, abs=1e-14)
 
     def test_matches_kappa(self, all_algebras, points):
-        from kvgeom.matrixlie import kappa_t
         for alg in all_algebras:
             eng = _Engine(alg)
             P = points[alg.name]

@@ -50,6 +50,7 @@ def unused_imports(source: str) -> set:
 def test_every_import_is_used():
     assert unused_imports("import os.path\nfrom x import a, b as c\nc()") == {"os", "a"}
     # __init__ imports to re-export
-    modules = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
-    found = {m: unused_imports((SRC / f"{m}.py").read_text()) for m in modules}
-    assert found == {m: set() for m in modules}
+    paths = sorted(path for path in SRC.glob("*.py") if path.stem != "__init__")
+    paths += sorted(Path(__file__).parent.glob("*.py"))
+    found = {path.name: unused_imports(path.read_text()) for path in paths}
+    assert found == {name: set() for name in found}

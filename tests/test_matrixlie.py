@@ -17,7 +17,6 @@ from kvgeom.matrixlie import (
     PointV,
     QuadraticLieAlgebra,
     analytic_ad,
-    builtin_algebras,
     fn_dexp,
     fn_dexp_right,
     fn_todd,
@@ -168,16 +167,23 @@ class TestMatrixLog:
         with pytest.raises(OutsideDomainError):
             matrix_log(np.diag([-1.0, 1.0]))
 
-    def test_stack_matches_per_matrix_logm(self, sl3):
+    def test_stack_matches_per_matrix_logm(self, sl2, gl2, sl3):
         rng = np.random.default_rng(13)
         X, Y = 0.3 * rng.standard_normal((2, 16, sl3.dim))
-        M = np.concatenate([
+        M3 = np.concatenate([
             sl3.exp_chart(X) @ sl3.exp_chart(Y),
             matrix_exp(2.5 * sl3.to_matrix(X[:4])),        # several square roots
             matrix_exp(0.5 * rng.standard_normal((4, 3, 3))),
         ])
-        ref = np.stack([scipy.linalg.logm(m).real for m in M])
-        assert np.max(np.abs(matrix_log(M) - ref)) <= 1e-13
+        # the 2 x 2 chart products, against the same independent oracle
+        M2 = []
+        for alg in (sl2, gl2):
+            X2, Y2 = 0.3 * rng.standard_normal((2, 16, alg.dim))
+            M2.append(alg.exp_chart(X2) @ alg.exp_chart(Y2))
+        M2 = np.concatenate(M2)
+        for M in (M3, M2):
+            ref = np.stack([scipy.linalg.logm(m).real for m in M])
+            assert np.max(np.abs(matrix_log(M) - ref)) <= 1e-13
 
     def test_jordan_block(self):
         J = np.array([[1.2, 1.0, 0.0], [0.0, 1.2, 1.0], [0.0, 0.0, 1.2]])
@@ -231,14 +237,16 @@ class TestCharts:
             X = 0.4 * rng.standard_normal((8, alg.dim))
             assert np.max(np.abs(alg.log_chart(alg.exp_chart(X)) - X)) <= 1e-12
 
-    def test_chart_chosen_by_basis_not_name(self, so3):
+    def test_chart_chosen_by_basis_not_name(self, so3, sl2, gl2):
         # a scaled so(3) basis under the built-in's name takes the generic
-        # chart; the standard basis under another name keeps the closed form
+        # chart; the standard basis under another name keeps the closed form;
+        # the 2 x 2 algebras have no closed form of their own
         scaled = load_algebra({"name": "so3", "basis": 2.0 * so3.basis,
                                "form": "neg_half_trace", "domain_radius": 0.3})
         renamed = load_algebra({"name": "rotations", "basis": so3.basis,
                                 "form": "neg_half_trace", "domain_radius": 0.5})
         assert (so3.chart, scaled.chart, renamed.chart) == ("so3", "generic", "so3")
+        assert sl2.chart == gl2.chart == "generic"
         X = 0.3 * np.random.default_rng(14).standard_normal((8, 3))
         for alg in (scaled, renamed):
             ref = np.stack([scipy.linalg.expm(m) for m in alg.to_matrix(X)])
@@ -246,6 +254,14 @@ class TestCharts:
             assert np.max(np.abs(E - ref)) <= 1e-13
             assert np.max(np.abs(alg.log_chart(ref) - X)) <= 1e-12
             assert all(np.array_equal(e, alg.exp_chart(x)[0]) for e, x in zip(E, X))
+
+    def test_2x2_branch_cuts_rejected(self, sl2, gl2):
+        # a double eigenvalue -1 in SL(2) and a negative determinant in GL(2):
+        # neither has a real principal logarithm
+        with pytest.raises(OutsideDomainError):
+            sl2.log_chart(np.array([[-1.0, 1.0], [0.0, -1.0]]))
+        with pytest.raises(OutsideDomainError):
+            gl2.log_chart(np.diag([-1.0, 2.0]))
 
     @pytest.mark.parametrize("name", ["so3", "sl2", "gl2", "sl3"])
     def test_non_finite_input_rejected(self, name, request):
