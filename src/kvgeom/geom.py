@@ -40,7 +40,6 @@ from .freelie import (
     g_coefficients,
     one_minus_exp_neg,
     one_minus_exp_neg_over_s,
-    s_over_one_minus_exp_neg,
     sinh_minus_s_over_s2,
 )
 from .matrixlie import (
@@ -69,15 +68,17 @@ _SUITE_SUBSAMPLE = 20       # points of the suite's Jacobi, moment-map and flow 
 # sigma's five series at ad: L = (1 - e^{-s})/s, R = (e^s - 1)/s, e^{-s},
 # the inverse of L, s/(1 - e^{-s}), and varpi's phi = (sinh s - s)/s^2.
 # L, R and e^{-s} stop at s^21 and phi at s^20, at coefficients of 1/22!.
+# The inverse of L is the trace equation's g(s) = s/(e^s - 1) at -s: one
+# Bernoulli table serves both rows.
+_TODD = g_coefficients(_G_TERMS - 1)
 _SIGMA_ROWS = _float_rows(one_minus_exp_neg_over_s(_SERIES_TERMS - 1),
                           exp_minus_one_over_s(_SERIES_TERMS - 1),
                           exp_neg(_SERIES_TERMS - 1),
-                          s_over_one_minus_exp_neg(_G_TERMS - 1),
+                          [(-1) ** k * c for k, c in enumerate(_TODD)],
                           sinh_minus_s_over_s2(_SERIES_TERMS - 2))
 # the eq1 operator: s L(s) = 1 - e^{-s} and s R(s) = e^s - 1
 _EQ1_ROWS = _float_rows(one_minus_exp_neg(_SERIES_TERMS - 1), exp_minus_one(_SERIES_TERMS - 1))
-# the trace equation's g(s) = s/(e^s - 1)
-_TODD_ROW = _float_rows(g_coefficients(_G_TERMS - 1))
+_TODD_ROW = _float_rows(_TODD)
 
 # Gauss-Kronrod G7/K15 on [-1, 1], as in QUADPACK's qk15 (Piessens et al.
 # 1983): the Kronrod abscissae from the end point to the centre, their K15
@@ -184,9 +185,10 @@ class _Engine:
         """Product Kirillov bivector, block diagonal, P_W = -ad_W Q^{-1}."""
         d = self.d
         B = P.shape[0]
+        blocks = -self.alg.ad(P.reshape(B, 2, d)) @ self.Qi      # (B, 2, d, d)
         out = np.zeros((B, 2 * d, 2 * d))
-        out[:, :d, :d] = -self.alg.ad(P[:, :d]) @ self.Qi
-        out[:, d:, d:] = -self.alg.ad(P[:, d:]) @ self.Qi
+        out[:, :d, :d] = blocks[:, 0]
+        out[:, d:, d:] = blocks[:, 1]
         return 0.5 * (out - np.transpose(out, (0, 2, 1)))
 
     def varpi(self, W: np.ndarray) -> np.ndarray:
@@ -290,7 +292,8 @@ class _Engine:
         dets = np.linalg.det(M)
         if np.any(dets <= 0.0):
             raise OutsideDomainError("outside V: det(1 + sigma_t P0) not positive")
-        if np.any(np.linalg.cond(M) > _COND_LIMIT):
+        sv = np.linalg.svd(M, compute_uv=False)
+        if np.any(sv[:, 0] / sv[:, -1] > _COND_LIMIT):      # the 2-norm condition number
             raise OutsideDomainError("outside V: gauge factor ill conditioned")
 
     def p_t(self, t: float, P: np.ndarray) -> np.ndarray:

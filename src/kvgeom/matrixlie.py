@@ -12,7 +12,9 @@ interpolating maps Phi_t, and the density kappa_t.
 
 Every f(ad_X) goes through one kernel, ad_series: a stack of truncated
 power series reduced to the powers A^0 ... A^{d-1} by the Cayley-Hamilton
-recurrence, with a gate on each series' last term.  analytic_ad,
+recurrence in A^2, since ad_X is skew for the invariant form and its
+characteristic polynomial is even or odd, with a gate on the odd power
+sums that this relies on and a gate on each series' last term.  analytic_ad,
 jacobian_J and kappa_t apply it to fn_dexp, fn_dexp_right and fn_todd,
 read-only (1, 48) float rows.  _float_rows builds every row, here and in
 the batched engine in geom, as float() of an exact table of freelie, the
@@ -22,7 +24,7 @@ bounds the domain: where a truncated series has not converged, or its
 value is not finite, OutsideDomainError.
 
 Chart maps: a descriptor whose basis is the standard so(3) basis
-_hat3(e_1), _hat3(e_2), _hat3(e_3) uses the Rodrigues formulas, and every
+_SO3_BASIS, hat(e_1), hat(e_2), hat(e_3), uses the Rodrigues formulas, and every
 other descriptor, sl(2) and gl(2) among them, uses the batched exponential
 _expm and the batched, gated logarithm _logm_checked.
 The choice is made once, from the verified basis, when the descriptor is
@@ -30,7 +32,11 @@ built.  _expm is the degree-13 Pade approximant with scaling and squaring
 (Higham 2005) in plain numpy: the scaling is chosen and the squarings are
 masked per matrix, so a stack gives bitwise each matrix's own result.  It
 also serves matrix_exp and the round-trip gate of _logm_checked.  An
-exponential that is not finite raises OutsideDomainError.
+exponential that is not finite raises OutsideDomainError.  _logm_checked
+takes square roots only until ||R - I||_1 <= 0.7266, the Kenney-Laub
+bound of its 16-node Gauss-Legendre [16/16] Pade step, so most chart
+products of the domain need none; a matrix nearer I takes the 8- or
+4-node step that its norm allows.
 """
 
 from __future__ import annotations
@@ -47,8 +53,15 @@ Vec = np.ndarray
 
 _VALIDATION_TOL = 1e-12
 _CLOSURE_TOL = 1e-9
-_LOG_THETA = 0.25       # square roots until ||R - I||_1 <= theta (Pade step)
-_LOG_PADE_NODES = 8     # Gauss-Legendre nodes: the [8/8] Pade of log(I + E)
+# The [m/m] Pade steps of log(I + E), m Gauss-Legendre nodes, and their
+# Kenney-Laub bounds theta_m: |r_m(-theta) - log(1 - theta)| <= 2^-53
+# |log(1 - theta)| (theta_4, theta_8, theta_16 = 0.037835, 0.325305,
+# 0.726634 from high-precision nodes, rounded down).  Square roots go on
+# until ||R - I||_1 <= theta_16; then each matrix takes the fewest nodes
+# whose bound covers it, since a stack costs one small solve per node and
+# matrix, and most matrices of a sweep lie near I.
+_LOG_PADE = ((4, 0.0378), (8, 0.3253), (16, 0.7266))
+_LOG_THETA = _LOG_PADE[-1][1]
 _SQRT_TOL = 1e-8        # Denman-Beavers: one step past ||M_k - I||_1 <= tol
 _SQRT_MAX_ITER = 50     # Denman-Beavers steps per square root
 _MAX_SQRTS = 40         # square roots per matrix
@@ -117,9 +130,13 @@ class QuadraticLieAlgebra:
         if np.max(np.abs(recon - comms)) > _VALIDATION_TOL * max(1.0, np.max(np.abs(comms))):
             raise AlgebraValidationError("basis does not close under brackets")
         self._validate()
+        # ad_X = (X @ _ad_table).reshape(d, d): _ad_table[a, k d + b] = c[a, b, k]
+        self._ad_table = np.ascontiguousarray(
+            self.structure.transpose(0, 2, 1).reshape(d, d * d))
+        self._ad_table.flags.writeable = False
         # the closed-form chart holds for the basis, whatever the name says
-        if (self.basis.shape == (3, 3, 3)
-                and np.max(np.abs(self.basis - _hat3(np.eye(3)))) <= _VALIDATION_TOL):
+        if (self.basis.shape == _SO3_BASIS.shape
+                and np.max(np.abs(self.basis - _SO3_BASIS)) <= _VALIDATION_TOL):
             self.chart = "so3"
         else:
             self.chart = "generic"
@@ -153,7 +170,8 @@ class QuadraticLieAlgebra:
 
     def ad(self, X: Vec) -> np.ndarray:
         """Matrix of ad_X in the basis; supports stacked inputs (..., d)."""
-        return np.einsum('...a,abk->...kb', np.asarray(X, dtype=float), self.structure)
+        X = np.asarray(X, dtype=float)
+        return (X @ self._ad_table).reshape(X.shape[:-1] + (self.dim, self.dim))
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
         return np.einsum('...a,...b,abk->...k', np.asarray(u, float),
@@ -297,7 +315,8 @@ def _gl_nodes(n: int, a: float = 0.0, b: float = 1.0) -> Tuple[np.ndarray, np.nd
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-_GL_NODES, _GL_WEIGHTS = _gl_nodes(_LOG_PADE_NODES)
+_LOG_NODES = [_gl_nodes(m) for m, _ in _LOG_PADE]
+_LOG_STEP_BOUNDS = np.array([theta for _, theta in _LOG_PADE[:-1]])
 
 
 def _norm1(M: np.ndarray) -> np.ndarray:
@@ -311,8 +330,13 @@ def _logm_checked(M: np.ndarray) -> np.ndarray:
     Inverse scaling and squaring in real arithmetic (Al-Mohy and Higham,
     SIAM J. Sci. Comput. 34 (2012)): s_i Denman-Beavers square roots of
     matrix i until R_i = M_i^{1/2^s_i} has ||R_i - I||_1 <= _LOG_THETA, then
-    log(I + E) = sum_j w_j (I + x_j E)^{-1} E at the Gauss-Legendre nodes
-    x_j of [0, 1] (the [m/m] Pade approximant), times 2^s_i.
+    log(I + E) = sum_j w_j (I + x_j E)^{-1} E at the m Gauss-Legendre
+    nodes x_j of [0, 1] (the [m/m] Pade approximant), times 2^s_i, with
+    m = 4, 8 or 16, the fewest whose bound theta_m covers ||E||_1.  The
+    error is at most |r_m(-||E||) - log(1 - ||E||)| (Kenney and Laub, SIAM
+    J. Matrix Anal. Appl. 10 (1989); Higham, Functions of Matrices, 2008,
+    ch. 11), within 2^-53 of |log(1 - ||E||)| up to theta_m.  Each matrix's
+    result depends on that matrix alone.
 
     Raises OutsideDomainError for the whole stack if any matrix has an
     eigenvalue on the closed negative real axis (where the principal log is
@@ -330,18 +354,27 @@ def _logm_checked(M: np.ndarray) -> np.ndarray:
     eye = np.eye(n)
     R = A.copy()
     s = np.zeros(len(A))
+    size = _norm1(R - eye)
     while True:
-        far = ~(_norm1(R - eye) <= _LOG_THETA)
+        far = ~(size <= _LOG_THETA)
         if not np.any(far):
             break
         if np.max(s[far]) >= _MAX_SQRTS:
             raise OutsideDomainError("outside exp(U): too many square roots")
         R[far] = _sqrtm_db(R[far])
         s[far] += 1
+        size[far] = _norm1(R[far] - eye)
     E = R - eye
-    Z = np.linalg.solve(eye + _GL_NODES[:, None, None, None] * E,
-                        np.broadcast_to(E, (_LOG_PADE_NODES,) + E.shape))
-    L = np.einsum('j,j...->...', _GL_WEIGHTS, Z) * (2.0 ** s)[:, None, None]
+    step = np.searchsorted(_LOG_STEP_BOUNDS, size)
+    L = np.empty_like(E)
+    for k in np.flatnonzero(np.bincount(step, minlength=len(_LOG_NODES))):
+        x, w = _LOG_NODES[k]
+        sel = step == k
+        Ek = E[sel]
+        Z = np.linalg.solve(eye + x[:, None, None, None] * Ek,
+                            np.broadcast_to(Ek, (len(x),) + Ek.shape))
+        L[sel] = np.einsum('j,j...->...', w, Z)
+    L *= (2.0 ** s)[:, None, None]
     err = np.max(np.abs(_expm(L) - A), axis=(-2, -1))
     if not np.all(err <= 1e-10 * (1.0 + scale)):
         raise OutsideDomainError("outside exp(U): exp/log round trip failed")
@@ -366,44 +399,38 @@ def _sqrtm_db(A: np.ndarray) -> np.ndarray:
 
 # -- the so(3) chart ---------------------------------------------------------
 
-def _hat3(v: np.ndarray) -> np.ndarray:
-    out = np.zeros(v.shape[:-1] + (3, 3))
-    out[..., 0, 1] = -v[..., 2]; out[..., 1, 0] = v[..., 2]
-    out[..., 0, 2] = v[..., 1];  out[..., 2, 0] = -v[..., 1]
-    out[..., 1, 2] = -v[..., 0]; out[..., 2, 1] = v[..., 0]
-    return out
+# the standard so(3) basis hat(e_1), hat(e_2), hat(e_3); as a (3, 9) table it
+# maps v to hat(v) = v @ _SO3_HAT and a matrix R to vee(R - R^T) / 2 = R @ _SO3_VEE
+_SO3_BASIS = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
+                       [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+                       [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+_SO3_BASIS.flags.writeable = False
+_SO3_HAT = _SO3_BASIS.reshape(3, 9)
+_SO3_VEE = 0.5 * _SO3_HAT.T
+_SO3_VEE.flags.writeable = False
 
 
 def _so3_exp(v: np.ndarray) -> np.ndarray:
+    """Rodrigues: I + sin(t)/t K + (1 - cos t)/t^2 K^2, t = |v|, K = hat(v).
+
+    sin(t)/t = sinc(t/pi) and (1 - cos t)/t^2 = sinc(t/(2 pi))^2 / 2 hold at
+    t = 0 too, with no series branch.
+    """
     theta = np.linalg.norm(v, axis=-1)
-    K = _hat3(v)
-    K2 = K @ K
-    t2 = theta * theta
-    small = theta < 1e-3
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0,
-                     np.sin(theta) / np.where(small, 1.0, theta))
-        c = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0,
-                     (1.0 - np.cos(theta)) / np.where(small, 1.0, t2))
-    eye = np.broadcast_to(np.eye(3), K.shape)
-    return eye + s[..., None, None] * K + c[..., None, None] * K2
+    K = (v @ _SO3_HAT).reshape(v.shape[:-1] + (3, 3))
+    s = np.sinc(theta / np.pi)
+    c = 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2
+    return np.eye(3) + s[..., None, None] * K + c[..., None, None] * (K @ K)
 
 
 def _so3_log(R: np.ndarray) -> np.ndarray:
+    """vee(R - R^T)/2 times t / sin t = 1 / sinc(t/pi), t the rotation angle."""
     tr = np.trace(R, axis1=-2, axis2=-1)
-    ct = np.clip((tr - 1.0) / 2.0, -1.0, 1.0)
-    theta = np.arccos(ct)
+    theta = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
     if np.any(theta > 2.8):
         raise OutsideDomainError("outside exp(U): rotation angle near pi")
-    a = np.stack([R[..., 2, 1] - R[..., 1, 2],
-                  R[..., 0, 2] - R[..., 2, 0],
-                  R[..., 1, 0] - R[..., 0, 1]], axis=-1) / 2.0
-    t2 = theta * theta
-    small = theta < 1e-3
-    with np.errstate(invalid="ignore", divide="ignore"):
-        f = np.where(small, 1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0,
-                     theta / np.where(small, 1.0, np.sin(theta)))
-    return a * f[..., None]
+    a = R.reshape(R.shape[:-2] + (9,)) @ _SO3_VEE
+    return a / np.sinc(theta / np.pi)[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -422,42 +449,68 @@ def ad_series(A: np.ndarray, coeffs: np.ndarray
 
     Reduces every series to the power basis A^0 ... A^{d-1} by the
     Cayley-Hamilton recurrence (Putzer 1966; Higham, Functions of
-    Matrices, 2008, ch. 1).  The characteristic polynomial of each A_n
-    comes from tr(A_n^k) by Newton's identities, and the table r holds
-    A_n^k = sum_j r[k, j, n] A_n^j, a scalar recurrence per point.
-    Raises OutsideDomainError if, at some point, the last nonzero term
-    of a series, |c_k| sum_j |r[k, j, n]| max|A_n^j|, exceeds
-    1e-12 (1 + max|f_s(A_n)|).
+    Matrices, 2008, ch. 1), taken in A^2.  Each A_n is ad_W of a quadratic
+    algebra, skew for the invariant form Q (A^T Q = -Q A), so its
+    eigenvalues come in pairs +-lambda and its characteristic polynomial is
+    x^e psi(x^2), d = 2 m + e, with psi of degree m.  Newton's identities on
+    the even power sums tr(A^2k) / 2 give psi, and A^k = A^(e + o) (A^2)^i,
+    k = e + o + 2 i, reduces by the scalar recurrence of y^i modulo psi(y),
+    a geometric sequence when m = 1.  The table r holds
+    A_n^k = sum_j r[k, j, n] A_n^j, zero where j and k differ in parity.
+
+    Raises ValueError if an odd power sum tr(A_n^k), k <= d, exceeds
+    1e-10 d |A_n|_F^k: such a stack is not skew for any invariant form, and
+    its odd coefficients would be dropped.  Raises OutsideDomainError if,
+    at some point, the last nonzero term of a series,
+    |c_k| sum_j |r[k, j, n]| max|A_n^j|, exceeds 1e-12 (1 + max|f_s(A_n)|).
 
     Returns (F, pw, r): F (N, S, d, d) the series values, pw (N, d, d, d)
     the powers A^0 ... A^{d-1}, and r (K, d, N) the reduction table.
     """
     N, d = A.shape[0], A.shape[-1]
     K = coeffs.shape[1]
+    m, e = divmod(d, 2)
     pw = np.empty((N, d, d, d))
     pw[:, 0] = np.eye(d)
-    Ak = A
     for j in range(1, d):
-        pw[:, j] = Ak
-        Ak = Ak @ A
-    # power sums p_k = tr(A^k), k = 1 .. d (Ak is now A^d), then Newton's
-    # identities k e_k = sum_i (-1)^(i-1) e_(k-i) p_i for the elementary
-    # symmetric functions e_k of the eigenvalues
+        np.matmul(pw[:, j - 1], A, out=pw[:, j])
+    # power sums p_k = tr(A^k), k = 0 .. d; the odd ones vanish for a skew A
     p = np.empty((d + 1, N))
-    p[1:d] = np.einsum('njii->jn', pw[:, 1:])
-    p[d] = np.einsum('nii->n', Ak)
-    sgn = (-1.0) ** np.arange(d)
-    e = np.empty((d + 1, N))
-    e[0] = 1.0
-    for k in range(1, d + 1):
-        e[k] = (sgn[:k] @ (e[k - 1::-1] * p[1:k + 1])) / k
-    # Cayley-Hamilton: A^d = sum_j q_j A^j with q_(d-k) = (-1)^(k-1) e_k
-    q = (e[1:] * sgn[:, None])[::-1]                             # (d, N)
-    r = np.empty((K, d, N))
-    r[:d] = np.eye(d)[:K, :, None]
-    for k in range(d, K):
-        np.multiply(r[k - 1, d - 1], q, out=r[k])
-        r[k, 1:] += r[k - 1, :-1]
+    p[:d] = np.einsum('njii->jn', pw)
+    p[d] = np.einsum('nij,nji->n', pw[:, d - 1], A)
+    odd = np.abs(p[1::2])
+    norm = np.sqrt(np.einsum('nij,nij->n', A, A))
+    if np.any(odd > 1e-10 * d * norm ** np.arange(1, d + 1, 2)[:, None]):
+        raise ValueError(
+            f"ad_series: odd power sum tr(A^k) {np.nanmax(odd):.2e} does not vanish; "
+            "the stack is not skew for an invariant form")
+    # Newton's identities k E_k = sum_i (-1)^(i-1) E_(k-i) P_i on the power
+    # sums P_i = p_2i / 2 of y = lambda^2 give psi(y) = sum_k (-1)^k E_k y^(m-k)
+    P = 0.5 * p[2::2]
+    sgn = (-1.0) ** np.arange(m)
+    E = np.empty((m + 1, N))
+    E[0] = 1.0
+    for k in range(1, m + 1):
+        E[k] = (sgn[:k] @ (E[k - 1::-1] * P[:k])) / k
+    # y^m = sum_j q_j y^j with q_(m-k) = (-1)^(k-1) E_k; rho[i] holds y^i
+    q = (E[1:] * sgn[:, None])[::-1]                             # (m, N)
+    half = (K + 1 - e) // 2
+    rho = np.zeros((max(half, m), m, N))
+    if m == 1:
+        rho[:, 0] = q
+        rho[0, 0] = 1.0
+        np.cumprod(rho, axis=0, out=rho)
+    elif m > 1:
+        rho[:m] = np.eye(m)[:, :, None]
+        for i in range(m, half):
+            np.multiply(rho[i - 1, m - 1], q, out=rho[i])
+            rho[i, 1:] += rho[i - 1, :-1]
+    # interleave: A^(o + 2 i) = sum_j rho[i, j] A^(o + 2 j) for o = e, e + 1
+    r = np.zeros((K, d, N))
+    r[0, 0] = 1.0                       # A^0 = I, outside both blocks when d is odd
+    for o in (e, e + 1):
+        block = r[o::2, o::2]
+        block[...] = rho[:len(block)]
     coef = (coeffs @ r.reshape(K, d * N)).reshape(-1, d, N).transpose(2, 0, 1)
     F = (coef @ pw.reshape(N, d, d * d)).reshape(N, -1, d, d)
     # tail gate on the last nonzero term of each series, per point
@@ -551,7 +604,7 @@ def kappa_t(alg: QuadraticLieAlgebra, t: float, p: PointV) -> float | np.ndarray
 # built-in algebras
 
 def _so3() -> QuadraticLieAlgebra:
-    basis = _hat3(np.eye(3))
+    basis = _SO3_BASIS
     # pairing -1/2 tr(uv) makes the Gram matrix the identity
     gram = -0.5 * np.einsum('aij,bji->ab', basis, basis)
     return QuadraticLieAlgebra("so3", basis, gram, domain_radius=0.5)

@@ -262,9 +262,12 @@ def _power_sum(coeffs, A):
 
 class TestSeriesKernel:
     COEFFS = np.concatenate([fn_dexp, fn_dexp_right, fn_todd])[:, :40]
+    # psi, the characteristic polynomial in ad_W^2, of degree 1 (so3, sl2),
+    # 2 (gl2, oscillator), 3 (so4) and 4 (sl3)
+    ALGEBRAS = ("so3", "sl2", "gl2", "oscillator", "so4", "sl3")
 
-    def test_matches_power_sum(self, all_algebras, sl3):
-        for alg in [*all_algebras, sl3]:
+    def test_matches_power_sum(self, request):
+        for alg in map(request.getfixturevalue, self.ALGEBRAS):
             P = sample_points(alg, 16, 61, alg.domain_radius)
             A = alg.ad(np.concatenate([P[:, :alg.dim], P[:, alg.dim:],
                                        P[:, :alg.dim] + P[:, alg.dim:]]))
@@ -273,17 +276,34 @@ class TestSeriesKernel:
                 ref = _power_sum(c, A)
                 assert np.max(np.abs(F[:, s] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    def test_powers_and_table(self, sl3):
-        # A^k = sum_j r[k, j] A^j for every k, in the returned power basis
-        A = sl3.ad(sample_points(sl3, 4, 67, 0.3)[:, :sl3.dim])
-        _, pw, r = ad_series(A, self.COEFFS)
-        Ak = np.broadcast_to(np.eye(sl3.dim), A.shape).copy()
-        for k in range(self.COEFFS.shape[1]):
-            if k < sl3.dim:
-                assert np.array_equal(pw[:, k], Ak)
-            recon = np.einsum('jn,njuv->nuv', r[k], pw)
-            assert np.max(np.abs(recon - Ak)) <= 1e-15 * (1.0 + np.max(np.abs(Ak)))
-            Ak = Ak @ A
+    def test_powers_and_table(self, request):
+        # A^k = sum_j r[k, j] A^j for every k, in the returned power basis,
+        # with r[k, j] = 0 where j and k differ in parity
+        for alg in map(request.getfixturevalue, self.ALGEBRAS):
+            d = alg.dim
+            A = alg.ad(sample_points(alg, 4, 67, alg.domain_radius)[:, :d])
+            _, pw, r = ad_series(A, self.COEFFS)
+            parity = np.add.outer(np.arange(r.shape[0]), np.arange(d)) % 2 == 1
+            assert not np.any(r[parity])
+            Ak = np.broadcast_to(np.eye(d), A.shape).copy()
+            for k in range(self.COEFFS.shape[1]):
+                if k < d:
+                    assert np.array_equal(pw[:, k], Ak)
+                recon = np.einsum('jn,njuv->nuv', r[k], pw)
+                assert np.max(np.abs(recon - Ak)) <= 1e-15 * (1.0 + np.max(np.abs(Ak))), \
+                    (alg.name, k)
+                Ak = Ak @ A
+
+    def test_refuses_stack_not_skew(self, so3):
+        # diag(1, 2, 3) has tr A = 6: no invariant form makes it skew, and its
+        # odd characteristic coefficients would be dropped, so it is refused
+        # rather than reduced wrongly; one such matrix refuses the stack
+        A = np.stack([so3.ad(np.array([0.1, 0.2, 0.3])), np.diag([1.0, 2.0, 3.0])])
+        with pytest.raises(ValueError, match="odd power sum"):
+            ad_series(A, self.COEFFS)
+        # tr A = 0 but tr A^3 = -6, eigenvalues 1, 1, -2
+        with pytest.raises(ValueError, match="odd power sum"):
+            ad_series(np.diag([1.0, 1.0, -2.0])[None], self.COEFFS)
 
     def test_engine_coefficients_match_float_formula(self):
         # every float row is float() of its exact table, bit for bit, at the

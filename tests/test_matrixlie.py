@@ -12,6 +12,8 @@ import scipy.linalg
 import kvgeom
 from kvgeom.freelie import bch
 from kvgeom.matrixlie import (
+    _LOG_PADE,
+    _LOG_THETA,
     AlgebraValidationError,
     OutsideDomainError,
     PointV,
@@ -148,6 +150,17 @@ class TestMatrixExp:
         assert out.strip() == "[]"
 
 
+def _square_roots(M):
+    """Square roots the logarithm takes before its Pade step: until
+    ||M - I||_1 <= _LOG_THETA, by scipy's sqrtm."""
+    eye = np.eye(M.shape[-1])
+    count = 0
+    while np.max(np.sum(np.abs(M - eye), axis=0)) > _LOG_THETA:
+        M = scipy.linalg.sqrtm(M).real
+        count += 1
+    return count
+
+
 class TestMatrixLog:
     def test_identity(self):
         assert np.allclose(matrix_log(np.eye(4)), 0.0)
@@ -163,25 +176,39 @@ class TestMatrixLog:
         out = matrix_log(np.diag([math.e, 1.0]))
         assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 
+    @pytest.mark.parametrize("nodes, theta", _LOG_PADE)
+    def test_pade_step_at_its_bound(self, nodes, theta):
+        # |E|_1 = theta takes no square root and the step of that many
+        # nodes, which alone meets log1p to a few units of 2^-53 at both ends
+        x = np.array([-theta, theta])
+        assert _square_roots(np.diag(1.0 + x)) == 0
+        L = np.diag(matrix_log(np.diag(1.0 + x)))
+        ref = np.log1p((1.0 + x) - 1.0)     # of the matrix as rounded
+        assert np.max(np.abs(L - ref) / np.abs(ref)) <= 4 * 2.0 ** -53
+
     def test_negative_axis_rejected(self):
         with pytest.raises(OutsideDomainError):
             matrix_log(np.diag([-1.0, 1.0]))
 
     def test_stack_matches_per_matrix_logm(self, sl2, gl2, sl3):
+        # chart products of every generic-chart algebra, at three scales so
+        # that each stack has matrices taking 0, 1 and at least 2 square
+        # roots before the Pade step, against an independent oracle
         rng = np.random.default_rng(13)
-        X, Y = 0.3 * rng.standard_normal((2, 16, sl3.dim))
-        M3 = np.concatenate([
-            sl3.exp_chart(X) @ sl3.exp_chart(Y),
-            matrix_exp(2.5 * sl3.to_matrix(X[:4])),        # several square roots
+        scale = np.array([0.1, 0.4, 0.8])[None, :, None, None]
+        stacks = []
+        for alg in (sl2, gl2, sl3):
+            X, Y = (scale * rng.standard_normal((2, 3, 16, alg.dim))
+                    / math.sqrt(alg.dim)).reshape(2, 48, alg.dim)
+            M = alg.exp_chart(X) @ alg.exp_chart(Y)
+            roots = {_square_roots(m) for m in M}
+            assert {0, 1} <= roots and max(roots) >= 2, (alg.name, roots)
+            stacks.append(M)
+        stacks.append(np.concatenate([
+            matrix_exp(0.75 * sl3.to_matrix(rng.standard_normal((4, sl3.dim)))),
             matrix_exp(0.5 * rng.standard_normal((4, 3, 3))),
-        ])
-        # the 2 x 2 chart products, against the same independent oracle
-        M2 = []
-        for alg in (sl2, gl2):
-            X2, Y2 = 0.3 * rng.standard_normal((2, 16, alg.dim))
-            M2.append(alg.exp_chart(X2) @ alg.exp_chart(Y2))
-        M2 = np.concatenate(M2)
-        for M in (M3, M2):
+        ]))
+        for M in stacks:
             ref = np.stack([scipy.linalg.logm(m).real for m in M])
             assert np.max(np.abs(matrix_log(M) - ref)) <= 1e-13
 
@@ -254,6 +281,21 @@ class TestCharts:
             assert np.max(np.abs(E - ref)) <= 1e-13
             assert np.max(np.abs(alg.log_chart(ref) - X)) <= 1e-12
             assert all(np.array_equal(e, alg.exp_chart(x)[0]) for e, x in zip(E, X))
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-9, 1e-3, 2.79])
+    def test_so3_closed_forms_match_scipy(self, so3, theta):
+        # at the rotation angle 0, deep inside the range a series once
+        # served (below 1e-3), at its old branch point, and near the 2.8 cut
+        axes = np.random.default_rng(15).standard_normal((16, 3))
+        v = theta * axes / np.linalg.norm(axes, axis=1, keepdims=True)
+        R = np.stack([scipy.linalg.expm(m) for m in so3.to_matrix(v)])
+        assert np.max(np.abs(so3.exp_chart(v) - R)) <= 1e-14
+        ref = np.stack([so3.from_matrix(scipy.linalg.logm(m).real) for m in R])
+        L = so3.log_chart(R)
+        # near pi the angle from the trace is ill conditioned, for scipy too
+        tol = 1e-15 if theta < 1.0 else 2e-13
+        assert np.max(np.abs(L - ref)) <= tol
+        assert np.max(np.abs(L - v)) <= tol * theta
 
     def test_2x2_branch_cuts_rejected(self, sl2, gl2):
         # a double eigenvalue -1 in SL(2) and a negative determinant in GL(2):
