@@ -234,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_args(args: argparse.Namespace) -> None:
     """The usage rules argparse does not state; ValueError if one fails."""
     if not 1 <= getattr(args, "degree", 1) <= MAX_DEGREE:
-        raise ValueError(f"degree must be in 1..{MAX_DEGREE} (the dense exact "
-                         "elimination of the joint solve is impractical beyond that)")
+        raise ValueError(f"degree must be in 1..{MAX_DEGREE} (the golden digests "
+                         "pin the reports only that far)")
     if getattr(args, "samples", 1) < 1:
         raise ValueError("samples must be >= 1")
     if getattr(args, "steps", 2) < 2:

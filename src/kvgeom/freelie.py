@@ -12,9 +12,9 @@ the same degree.  So the Lyndon entries of a Lie element alone determine
 it, through a unitriangular Lyndon x Lyndon system solved in lex order
 (`_lyndon_solve`, with the rows `_lyndon_part`); no other word is read.
 The bracket of two Lyndon words is one such solve (`_bracket`); it gives
-`lie_bracket`, `swap_generators` and, in integers, the matrix of ad_y
-between consecutive degrees (`ad_matrix`).  ad_x needs no solve: for a
-Lyndon word w != x, [x, b(w)] = b(xw).  One integer f(ad) kernel,
+`lie_bracket`.  The integer matrices of ad_x and ad_y between consecutive
+degrees (`ad_matrix`) need none: [x, b(w)] = b(xw) for w != x, and
+[y, b(w)] is the solve of -b(w) y alone.  One integer f(ad) kernel,
 `_ad_series_sum`, runs on those matrices and never leaves the Lyndon basis:
 `ad_series_apply` and the solver's eq1 operator both call it.
 
@@ -302,15 +302,17 @@ def ad_matrix(letter: str, d: int) -> Mapping[str, Tuple[Tuple[str, int], ...]]:
 
     ad_x is read off in closed form: for a Lyndon word w != x, xw is Lyndon
     with standard factorization (x, w), w being smaller than its proper
-    suffixes, so [x, b(w)] = b(xw).  ad_y takes `_bracket`.
+    suffixes, so [x, b(w)] = b(xw).  No word y v of length >= 2 is Lyndon,
+    so [y, b(w)] = y b(w) - b(w) y is the solve of -b(w) y alone.
     """
     if letter not in ALPHABET:
         raise ValueError(f"unknown generator {letter!r}")
     if letter == "x":
         return MappingProxyType({w: (("x" + w, 1),) if w != "x" else ()
                                  for w in lyndon_basis(d)})
-    return MappingProxyType({w: tuple(sorted(_bracket(letter, w).items()))
-                             for w in lyndon_basis(d)})
+    return MappingProxyType({
+        w: tuple(sorted(_lyndon_solve({v + "y": -k for v, k in word_expansion(w)}).items()))
+        for w in lyndon_basis(d)})
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ the left side minus the operator on the parts solved so far; its
 degree-(d+1) coefficients are the right-hand side.  The joint strategy
 appends the degree-d necklace components of the trace equation, whose
 columns are `cyclic.trace_column`.
-Each degree is solved by fraction-free Gauss-Jordan elimination on rows
-scaled to integers; free variables are set to zero under a fixed column
-order (A-coefficients before B-coefficients, words in lex order).
+Each degree is solved by fraction-free Gauss-Jordan elimination on sparse
+integer rows, pivoting from the last column to the first of a fixed order
+(A-coefficients before B-coefficients, words in lex order): the free
+variables, set to zero, are the earliest unknowns.
 """
 
 from __future__ import annotations
@@ -86,77 +87,72 @@ def kv1_residual(pair: KVPair, degree: int) -> LieSeries:
 # ---------------------------------------------------------------------------
 # exact linear algebra
 
-def _rref(rows: List[List[int]], ncols: int) -> Tuple[List[List[int]], List[int]]:
-    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+def _combine(row: Dict[int, int], prow: Dict[int, int], c: int) -> Dict[int, int]:
+    """p row - f prow, with f, p their entries in column c (so column c
+    drops out), divided by its content: only the nonzero entries are read."""
+    f, p = row[c], prow[c]
+    g = math.gcd(f, p)
+    f, p = f // g, p // g
+    out = {k: p * v for k, v in row.items()}
+    for k, v in prow.items():
+        w = out.get(k, 0) - f * v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    g = math.gcd(*out.values())
+    return {k: v // g for k, v in out.items()} if g > 1 else out
 
-    Returns (rows, pivot column indices) in reduced echelon form up to a
-    nonzero integer factor per row: pivot row i is zero in every pivot
-    column but pivots[i], and dividing it by its entry there gives the
-    RREF row.  Pivots are taken over the first ncols columns, the first
-    nonzero entry at or below the current row in each; trailing rows with
-    no entry left are dropped.  Every row stays a nonzero multiple of the
-    row that elimination over the rationals holds, with its content
-    divided out, so the zero pattern, and with it the pivots, match.
+
+def _rref(rows: List[Dict[int, int]], order: List[int]) -> Tuple[List[Dict[int, int]], List[int]]:
+    """Fraction-free Gauss-Jordan elimination of {column: nonzero int} rows.
+
+    Pivot columns are tried in `order`; in each, the shortest remaining row
+    that holds it is the pivot row, and only the rows that hold the column
+    are combined with it.  Returns (pivot rows, pivot columns): dividing
+    pivot row i by its entry in pivots[i] gives the RREF row, which is
+    unique for the order.
     """
-    mat = [row[:] for row in rows]
+    rest = [row for row in rows if row]
+    done: List[Dict[int, int]] = []
     pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot is None:
+    for c in order:
+        holders = [i for i, row in enumerate(rest) if c in row]
+        if not holders:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        prow = mat[r]
-        p = prow[c]
-        for i in range(len(mat)):
-            f = mat[i][c]
-            if i != r and f:
-                row = [p * a - f * b for a, b in zip(mat[i], prow)]
-                g = math.gcd(*row)
-                mat[i] = [v // g for v in row] if g > 1 else row
+        prow = rest.pop(min(holders, key=lambda i: len(rest[i])))
+        done = [_combine(row, prow, c) if c in row else row for row in done]
+        rest = [_combine(row, prow, c) if c in row else row for row in rest]
+        done.append(prow)
         pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r] + [row for row in mat[r:] if any(row)], pivots
+    return done, pivots
 
 
 def solve_exact(rows: List[List[Fraction]], rhs: List[Fraction]
-                ) -> Tuple[List[Fraction], List[List[Fraction]], Tuple[int, int]]:
+                ) -> Tuple[List[Fraction], List[int], Tuple[int, int]]:
     """Solve M x = b exactly; free variables zero.
 
     Entries are Fractions or ints.  Each row of [M | b] is scaled to
-    integers by the lcm of its denominators and eliminated by `_rref`; a
-    solution entry is the one division of its RREF row by the pivot.
-    Pivots are chosen scanning columns right to left, so the free variables
-    (zeroed) are the earliest columns under the fixed ordering: with
-    A-coefficients listed before B-coefficients this prefers solutions
-    supported on B.  Returns (particular solution, kernel basis,
-    (rank M, rank [M|b])); callers inspect the ranks for feasibility.
+    integers by the lcm of its denominators and eliminated by `_rref`,
+    pivoting on the columns of M from the last to the first, so the free
+    columns are the earliest (solutions prefer B), and on b last, which is
+    a pivot exactly when there is no solution.  Returns (particular
+    solution, free columns, (rank M, rank [M|b])).
     """
     n = len(rows[0]) if rows else 0
     aug = []
     for row, b in zip(rows, rhs):
-        entries = row[::-1] + [b]
-        scale = math.lcm(*(v.denominator for v in entries))
-        aug.append([v.numerator * (scale // v.denominator) for v in entries])
-    red, pivots = _rref(aug, n)
-    rank_lhs = len(pivots)
-    # the rows past the pivot rows are zero on M; any of them spans b
-    rank_aug = rank_lhs + (len(red) > rank_lhs)
+        entries = {c: v for c, v in enumerate([*row, b]) if v}
+        scale = math.lcm(*(v.denominator for v in entries.values()))
+        aug.append({c: v.numerator * (scale // v.denominator) for c, v in entries.items()})
+    red, pivots = _rref(aug, [*range(n - 1, -1, -1), n])
+    rank_aug = len(pivots)
+    rank_lhs = rank_aug - (n in pivots)
     sol = [Fraction(0)] * n
     if rank_aug == rank_lhs:
-        for i, c in enumerate(pivots):
-            sol[n - 1 - c] = Fraction(red[i][n], red[i][c])
-    kernel: List[List[Fraction]] = []
-    free_cols = [c for c in range(n) if c not in pivots]
-    for fc in free_cols:
-        vec = [Fraction(0)] * n
-        vec[n - 1 - fc] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[n - 1 - c] = Fraction(-red[i][fc], red[i][c])
-        kernel.append(vec)
-    return sol, kernel, (rank_lhs, rank_aug)
+        for row, c in zip(red, pivots):
+            sol[c] = Fraction(row.get(n, 0), row[c])
+    return sol, [c for c in range(n) if c not in pivots], (rank_lhs, rank_aug)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,15 @@ Every f(ad_X) goes through one kernel, ad_series: a stack of truncated
 power series reduced to the powers A^0 ... A^{d-1} by the Cayley-Hamilton
 recurrence in A^2, since ad_X is skew for the invariant form and its
 characteristic polynomial is even or odd, with a gate on the odd power
-sums that this relies on and a gate on each series' last term.  analytic_ad,
-jacobian_J and kappa_t apply it to fn_dexp, fn_dexp_right and fn_todd,
-read-only (1, 48) float rows.  _float_rows builds every row, here and in
-the batched engine in geom, as float() of an exact table of freelie, the
-one place where series coefficients are written; this module imports
-nothing else of the package.  The tail gate, not the poles at 2 pi i k,
-bounds the domain: where a truncated series has not converged, or its
-value is not finite, OutsideDomainError.
+sums that this relies on and a gate on each series' last term.  analytic_ad
+applies it to read-only (1, 48) float rows: fn_dexp (jacobian_J, kappa_t),
+fn_dexp_right (geom.cartan_eta) and fn_todd (read only by the tests).
+_float_rows builds every row, here and in the batched engine in geom, as
+float() of an exact table of freelie, the one place where series
+coefficients are written; this module imports nothing else of the
+package.  The tail gate, not the poles at 2 pi i k, bounds the domain:
+where a truncated series has not converged, or its value is not finite,
+OutsideDomainError.
 
 Chart maps: a descriptor whose basis is the standard so(3) basis
 _SO3_BASIS, hat(e_1), hat(e_2), hat(e_3), uses the Rodrigues formulas, and every

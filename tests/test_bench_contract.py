@@ -12,6 +12,7 @@ import functools
 import gc
 import importlib.util
 import types
+from collections import Counter
 from pathlib import Path
 
 import kvgeom
@@ -48,6 +49,30 @@ def test_traced_layer_functions_exist():
     entries = _load_tracer().LAYER_FUNCTIONS
     absent = {name for name, path, attr, _ in entries if not _resolves(path, attr)}
     assert absent == KNOWN_ABSENT
+
+
+def test_solve_counter_reads_solve_exact(monkeypatch):
+    # the tracer's counter unpacks solve_exact's arguments and result: on
+    # the joint degree-3 system (3 eq1 rows and 2 necklace rows over the 4
+    # unknowns of A_3 and B_3, no free variable) it counts all three
+    systems = []
+
+    def recording(rows, rhs):
+        systems.append((rows, rhs))
+        return solve(rows, rhs)
+
+    solve = kvsolve.solve_exact
+    monkeypatch.setattr(kvsolve, "solve_exact", recording)
+    kvsolve.solve_kv(3, "joint-eq1-eq2")
+    monkeypatch.undo()
+    rows, rhs = systems[-1]
+    rows2, _ = kvsolve._eq2_rows(3, cyclic._trace_rhs(3).component(3))
+    assert rows == kvsolve._eq1_rows(3) + rows2
+    result = solve(rows, rhs)
+    assert result[1:] == ([], (4, 4))
+    counts = Counter()
+    _load_tracer()._count_solve(counts, {}, (rows, rhs), result)
+    assert counts == {"kvsolve.unknowns": 4, "kvsolve.rows": 5, "kvsolve.rank": 4}
 
 
 # how bench/run.py names the package's modules: as attributes of the

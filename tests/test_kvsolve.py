@@ -138,28 +138,29 @@ def solve_by_fractions(rows, rhs):
 
 
 def assert_matches_fraction_oracle(rows, rhs):
-    sol, kernel, ranks = solve_exact(rows, rhs)
-    o_sol, o_kernel, o_ranks, (o_red, o_pivots) = solve_by_fractions(rows, rhs)
+    sol, free, ranks = solve_exact(rows, rhs)
+    o_sol, _, o_ranks, (_, o_pivots) = solve_by_fractions(rows, rhs)
     assert ranks == o_ranks
-    assert sol == o_sol and kernel == o_kernel
-    assert all(type(v) is Fraction for v in sol + sum(kernel, []))
-    # the integer rows are the rational RREF rows up to one factor per row
+    assert sol == o_sol
+    assert all(type(v) is Fraction for v in sol)
+    # the oracle pivots on M reversed, left to right; the rest are free
     n = len(rows[0]) if rows else 0
+    assert free == sorted(set(range(n)) - {n - 1 - c for c in o_pivots})
+    # the integer rows are the rational RREF rows of [M | b] up to one
+    # factor per row, read in the oracle's column order: M reversed, then b
     aug = []
     for row, b in zip(rows, rhs):
-        entries = [F(v) for v in row[::-1]] + [F(b)]
+        entries = [F(v) for v in row] + [F(b)]
         scale = math.lcm(*(v.denominator for v in entries))
-        aug.append([int(v * scale) for v in entries])
-    red, pivots = kvsolve._rref(aug, n)
-    assert pivots == o_pivots and len(red) == len(o_red)
-    for i, row in enumerate(red):
-        lead = row[pivots[i]] if i < len(pivots) else next(v for v in row if v)
-        scaled = [F(v, lead) for v in row]
-        if i < len(pivots):
-            assert scaled == o_red[i]
-        else:
-            # a left-over row is zero on M; only its (nonzero) b entry remains
-            assert scaled[:n] == o_red[i][:n] == [0] * n and o_red[i][n]
+        aug.append({c: int(v * scale) for c, v in enumerate(entries) if v})
+    order = [*range(n - 1, -1, -1), n]
+    red, pivots = kvsolve._rref(aug, order)
+    o_red, o_pivots = rref_fraction([[F(v) for v in row[::-1]] + [F(b)]
+                                     for row, b in zip(rows, rhs)], n + 1)
+    assert pivots == [order[c] for c in o_pivots]
+    assert len(red) == len(o_red) == len(pivots)
+    for row, c, o_row in zip(red, pivots, o_red):
+        assert [F(row.get(j, 0), row[c]) for j in order] == o_row
 
 
 def random_system(rng, m, n, rank, infeasible=False):
@@ -227,13 +228,13 @@ class TestEliminationOracle:
 
 
 def eq1_kernel(d):
-    """The kernel vectors of the degree-d eq1 block from solve_exact, as
-    pairs (A, B) of degree-d Lie series."""
+    """The kernel vectors of the degree-d eq1 block, from the Fraction
+    oracle, as pairs (A, B) of degree-d Lie series."""
     words = lyndon_basis(d)
     k = len(words)
     rows = kvsolve._eq1_rows(d)
     return [(LieSeries(d, dict(zip(words, vec[:k]))), LieSeries(d, dict(zip(words, vec[k:]))))
-            for vec in solve_exact(rows, [0] * len(rows))[1]]
+            for vec in solve_by_fractions(rows, [0] * len(rows))[1]]
 
 
 class TestKernel:
@@ -288,9 +289,9 @@ class TestKernel:
         nullity = []
         for d in range(1, 9):
             rows = kvsolve._eq1_rows(d)
-            _, kernel, (rank, _) = solve_exact(rows, [0] * len(rows))
-            assert len(kernel) == len(rows[0]) - rank
-            nullity.append(len(kernel))
+            _, free, (rank, _) = solve_exact(rows, [0] * len(rows))
+            assert len(free) == len(rows[0]) - rank
+            nullity.append(len(free))
         assert nullity == [3, 0, 1, 0, 3, 0, 6, 4]
 
 

@@ -1,6 +1,7 @@
 """The import layering of the package, read off the source with ast."""
 
 import ast
+import sys
 from pathlib import Path
 
 import kvgeom
@@ -34,6 +35,27 @@ def test_layers():
     assert package_imports("freelie") == set()
     assert package_imports("matrixlie") == {"freelie"}
     assert package_imports("geom") <= {"freelie", "matrixlie"}
+
+
+def top_level_imports(source: str) -> set:
+    """The top-level names of every absolute import in a source, the
+    imports inside functions included."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_runtime_dependencies():
+    # numpy is the only runtime dependency: scipy, sympy, mpmath and
+    # hypothesis stay in the tests
+    probe = "import a.b\nfrom . import c\ndef f():\n    from d.e import g\n"
+    assert top_level_imports(probe) == {"a", "d"}
+    found = set().union(*(top_level_imports(path.read_text()) for path in SRC.glob("*.py")))
+    assert found - sys.stdlib_module_names <= {"numpy", "kvgeom"}
 
 
 def unused_imports(source: str) -> set:
