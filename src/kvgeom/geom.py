@@ -37,9 +37,9 @@ from .freelie import (
     exp_minus_one,
     exp_minus_one_over_s,
     exp_neg,
-    g_coefficients,
     one_minus_exp_neg,
     one_minus_exp_neg_over_s,
+    s_over_one_minus_exp_neg,
     sinh_minus_s_over_s2,
 )
 from .matrixlie import (
@@ -52,12 +52,13 @@ from .matrixlie import (
     analytic_ad,
     fn_dexp,
     fn_dexp_right,
+    fn_todd,
     kappa_t,
     phi_t,
 )
 
 _SERIES_TERMS = 22          # terms for L/R series on ad (spectra stay small)
-_G_TERMS = 30               # terms for the Todd-type series (radius 2 pi)
+_G_TERMS = 30               # terms for sigma's s/(1 - e^{-s}) (radius 2 pi)
 _ALPHA_GATE = 1e-12         # |K15 - G7| bound on the Moser 1-form, relative to 1 + |alpha|
 _FD_STEP = 1e-5             # central differences: step _FD_STEP (1 + |p_i|) in p_i
 _COND_LIMIT = 1e12
@@ -68,17 +69,15 @@ _SUITE_SUBSAMPLE = 20       # points of the suite's Jacobi, moment-map and flow 
 # sigma's five series at ad: L = (1 - e^{-s})/s, R = (e^s - 1)/s, e^{-s},
 # the inverse of L, s/(1 - e^{-s}), and varpi's phi = (sinh s - s)/s^2.
 # L, R and e^{-s} stop at s^21 and phi at s^20, at coefficients of 1/22!.
-# The inverse of L is the trace equation's g(s) = s/(e^s - 1) at -s: one
-# Bernoulli table serves both rows.
-_TODD = g_coefficients(_G_TERMS - 1)
+# The inverse of L, to s^29, is the Todd series g(s) = s/(e^s - 1) at -s,
+# whose float row fn_todd serves the trace equation (kv2_residual).
 _SIGMA_ROWS = _float_rows(one_minus_exp_neg_over_s(_SERIES_TERMS - 1),
                           exp_minus_one_over_s(_SERIES_TERMS - 1),
                           exp_neg(_SERIES_TERMS - 1),
-                          [(-1) ** k * c for k, c in enumerate(_TODD)],
+                          s_over_one_minus_exp_neg(_G_TERMS - 1),
                           sinh_minus_s_over_s2(_SERIES_TERMS - 2))
 # the eq1 operator: s L(s) = 1 - e^{-s} and s R(s) = e^s - 1
 _EQ1_ROWS = _float_rows(one_minus_exp_neg(_SERIES_TERMS - 1), exp_minus_one(_SERIES_TERMS - 1))
-_TODD_ROW = _float_rows(_TODD)
 
 # Gauss-Kronrod G7/K15 on [-1, 1], as in QUADPACK's qk15 (Piessens et al.
 # 1983): the Kronrod abscissae from the end point to the centre, their K15
@@ -135,6 +134,15 @@ def _cumulative_simpson(f: np.ndarray, dt: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # batched engine
+
+def _chunked(f: Callable[[np.ndarray], np.ndarray], P: np.ndarray,
+             shape: Tuple[int, ...]) -> np.ndarray:
+    """f on the stack P, _CHUNK points per call, as one (len(P),) + shape array."""
+    out = np.empty((len(P),) + shape)
+    for lo in range(0, len(P), _CHUNK):
+        out[lo:lo + _CHUNK] = f(P[lo:lo + _CHUNK])
+    return out
+
 
 def _central_differences(field: Callable[[np.ndarray], np.ndarray],
                          P: np.ndarray) -> np.ndarray:
@@ -197,11 +205,8 @@ class _Engine:
         The integral -1/2 int_0^1 t^2 L(t ad_W)^T K_W L(t ad_W) dt, in
         closed form (see _varpi_from_powers).
         """
-        out = np.empty((W.shape[0], self.d, self.d))
-        for lo in range(0, W.shape[0], _CHUNK):
-            F = ad_series(self.alg.ad(W[lo:lo + _CHUNK]), _SIGMA_ROWS[4:])[0]
-            out[lo:lo + _CHUNK] = self._varpi_from_powers(F[:, 0])
-        return out
+        return _chunked(lambda V: self._varpi_from_powers(
+            ad_series(self.alg.ad(V), _SIGMA_ROWS[4:])[0][:, 0]), W, (self.d, self.d))
 
     def _varpi_from_powers(self, phi: np.ndarray) -> np.ndarray:
         """varpi = Q phi(ad_W), from the series phi(s) = (sinh s - s)/s^2 at ad_W.
@@ -215,10 +220,7 @@ class _Engine:
 
     def sigma(self, P: np.ndarray) -> np.ndarray:
         """The gauge 2-form at each point, as (B, 2d, 2d)."""
-        out = np.empty((P.shape[0], 2 * self.d, 2 * self.d))
-        for lo in range(0, P.shape[0], _CHUNK):
-            out[lo:lo + _CHUNK] = self._sigma_chunk(P[lo:lo + _CHUNK])
-        return out
+        return _chunked(self._sigma_chunk, P, (2 * self.d, 2 * self.d))
 
     def _sigma_chunk(self, P: np.ndarray) -> np.ndarray:
         d = self.d
@@ -344,8 +346,8 @@ class _Engine:
         lhs = (np.einsum('bij,bji->b', self.alg.ad(X), DA)
                + np.einsum('bij,bji->b', self.alg.ad(Y), DB))
         Z = phi_t(self.alg, 1.0, PointV(X, Y))
-        F = ad_series(self.alg.ad(np.concatenate([X, Y, Z])), _TODD_ROW)[0]
-        tr = np.trace(F[:, 0], axis1=-2, axis2=-1).reshape(3, -1)
+        G = analytic_ad(self.alg, fn_todd, np.concatenate([X, Y, Z]))
+        tr = np.trace(G, axis1=-2, axis2=-1).reshape(3, -1)
         rhs = -0.5 * (tr[0] + tr[1] - tr[2] - d)
         return np.abs(lhs - rhs)
 
@@ -567,16 +569,10 @@ def transport_drift(alg: QuadraticLieAlgebra, P: np.ndarray, steps: int
     t = np.repeat(ts[1:], B)[:, None]
     scaled = (ts[1:, None, None] * traj[1:]).reshape(-1, n2)
     phi0 = np.tile(eng.phi_t_map(0.0, P), (steps, 1))
-    dens = dens[1:].reshape(-1)
-    phi_drift = 0.0
-    vol_drift = 0.0
-    for lo in range(0, len(scaled), _CHUNK):
-        ch = slice(lo, lo + _CHUNK)
-        phi = eng.phi_t_map(1.0, scaled[ch]) / t[ch]
-        phi_drift = max(phi_drift, float(np.max(np.abs(phi - phi0[ch]))))
-        lk = np.log(eng.kappa(1.0, scaled[ch]))
-        vol_drift = max(vol_drift, float(np.max(np.abs(lk - dens[ch]))))
-    return phi_drift, vol_drift
+    phi = _chunked(lambda S: eng.phi_t_map(1.0, S), scaled, (alg.dim,)) / t
+    lk = np.log(_chunked(lambda S: eng.kappa(1.0, S), scaled, ()))
+    return (float(np.max(np.abs(phi - phi0), initial=0.0)),
+            float(np.max(np.abs(lk - dens[1:].reshape(-1)), initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

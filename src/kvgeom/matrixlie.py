@@ -4,7 +4,9 @@ An algebra descriptor carries a matrix basis, the Gram matrix of an
 invariant nondegenerate pairing, structure constants derived from the
 basis, and a domain radius inside which exp is a chart.  Descriptors are
 validated on construction (antisymmetry, Jacobi, invariance of the form,
-unimodularity) and immutable afterwards.
+unimodularity) and immutable afterwards.  load_algebra builds one from a
+JSON descriptor; the built-ins so3, sl2 and gl2 are entries of the same
+schema in _BUILTINS, which get_algebra builds once each.
 
 The module also provides numerically robust exp/log, the operator calculus
 f(ad_X) for analytic f given by a Taylor table, the Jacobian of exp, the
@@ -16,7 +18,7 @@ recurrence in A^2, since ad_X is skew for the invariant form and its
 characteristic polynomial is even or odd, with a gate on the odd power
 sums that this relies on and a gate on each series' last term.  analytic_ad
 applies it to read-only (1, 48) float rows: fn_dexp (jacobian_J, kappa_t),
-fn_dexp_right (geom.cartan_eta) and fn_todd (read only by the tests).
+fn_dexp_right (geom.cartan_eta) and fn_todd (geom's trace equation).
 _float_rows builds every row, here and in the batched engine in geom, as
 float() of an exact table of freelie, the one place where series
 coefficients are written; this module imports nothing else of the
@@ -42,9 +44,10 @@ products of the domain need none; a matrix nearer I takes the 8- or
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -164,10 +167,6 @@ class QuadraticLieAlgebra:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
-
-    @property
-    def matrix_size(self) -> int:
-        return self.basis.shape[1]
 
     def ad(self, X: Vec) -> np.ndarray:
         """Matrix of ad_X in the basis; supports stacked inputs (..., d)."""
@@ -310,10 +309,10 @@ def matrix_log(M: np.ndarray) -> np.ndarray:
     return _logm_checked(_finite(M, "matrix_log"))
 
 
-def _gl_nodes(n: int, a: float = 0.0, b: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights of order n on [a, b]."""
+def _gl_nodes(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of order n on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+    return 0.5 * x + 0.5, 0.5 * w
 
 
 _LOG_NODES = [_gl_nodes(m) for m, _ in _LOG_PADE]
@@ -604,53 +603,32 @@ def kappa_t(alg: QuadraticLieAlgebra, t: float, p: PointV) -> float | np.ndarray
 # ---------------------------------------------------------------------------
 # built-in algebras
 
-def _so3() -> QuadraticLieAlgebra:
-    basis = _SO3_BASIS
-    # pairing -1/2 tr(uv) makes the Gram matrix the identity
-    gram = -0.5 * np.einsum('aij,bji->ab', basis, basis)
-    return QuadraticLieAlgebra("so3", basis, gram, domain_radius=0.5)
-
-
-def _sl2() -> QuadraticLieAlgebra:
-    h = np.array([[1.0, 0.0], [0.0, -1.0]])
-    e = np.array([[0.0, 1.0], [0.0, 0.0]])
-    f = np.array([[0.0, 0.0], [1.0, 0.0]])
-    basis = np.stack([h, e, f])
-    gram = np.einsum('aij,bji->ab', basis, basis)   # trace form
-    return QuadraticLieAlgebra("sl2", basis, gram, domain_radius=0.5)
-
-
-def _gl2() -> QuadraticLieAlgebra:
-    basis = np.zeros((4, 2, 2))
-    basis[0, 0, 0] = 1.0
-    basis[1, 0, 1] = 1.0
-    basis[2, 1, 0] = 1.0
-    basis[3, 1, 1] = 1.0
-    gram = np.einsum('aij,bji->ab', basis, basis)   # trace form
-    return QuadraticLieAlgebra("gl2", basis, gram, domain_radius=0.4)
-
-
-_BUILTINS: dict[str, Callable[[], QuadraticLieAlgebra]] = {
-    "so3": _so3, "sl2": _sl2, "gl2": _gl2,
+# descriptors in load_algebra's schema: so(3) under -1/2 tr(u v), whose Gram
+# matrix is the identity; sl(2, R) in the basis h, e, f and gl(2, R) in the
+# matrix units E_11, E_12, E_21, E_22, both under the trace form
+_BUILTINS = {
+    "so3": {"basis": _SO3_BASIS, "form": "neg_half_trace", "domain_radius": 0.5},
+    "sl2": {"basis": [[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]],
+                      [[0.0, 0.0], [1.0, 0.0]]], "domain_radius": 0.5},
+    "gl2": {"basis": np.eye(4).reshape(4, 2, 2), "domain_radius": 0.4},
 }
-_cache: dict[str, QuadraticLieAlgebra] = {}
 
 
 def builtin_algebras() -> List[QuadraticLieAlgebra]:
     """The validated built-in algebras: so(3), sl(2,R), gl(2,R)."""
-    return [get_algebra(name) for name in ("so3", "sl2", "gl2")]
+    return [get_algebra(name) for name in _BUILTINS]
 
 
+@functools.lru_cache(maxsize=None)
 def get_algebra(name: str) -> QuadraticLieAlgebra:
+    """The built-in algebra of that name, built once; KeyError for any other."""
     if name not in _BUILTINS:
         raise KeyError(f"unknown algebra {name!r}; choose from {sorted(_BUILTINS)}")
-    if name not in _cache:
-        _cache[name] = _BUILTINS[name]()
-    return _cache[name]
+    return load_algebra({"name": name, **_BUILTINS[name]})
 
 
 def load_algebra(source) -> QuadraticLieAlgebra:
-    """Load a custom algebra from a JSON descriptor (path or dict).
+    """Load an algebra from a JSON descriptor (path or dict).
 
     Schema: {"name": str, "basis": [[[...]]],
              "form": "trace" | "neg_half_trace" | [[...]],

@@ -277,26 +277,6 @@ def eval_lie_series_exact(series, MX, MY):
     return acc
 
 
-def eval_lie_series_float(series, alg, X, Y):
-    """Evaluate a LieSeries numerically in algebra coordinates."""
-    from kvgeom.freelie import standard_factorization
-
-    values = {"x": np.asarray(X, float), "y": np.asarray(Y, float)}
-
-    def value(word):
-        if word in values:
-            return values[word]
-        u, v = standard_factorization(word)
-        out = alg.bracket(value(u), value(v))
-        values[word] = out
-        return out
-
-    acc = np.zeros(alg.dim)
-    for w, c in series.items():
-        acc = acc + float(c) * value(w)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # The truncated tensor algebra over Fractions, a dict from word to
 # coefficient: the oracle for the integer kernels of freelie (u_series, bch,

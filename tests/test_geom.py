@@ -145,8 +145,8 @@ class TestCartanEta:
 
 def _adaptive_gl(f, a, b, tol, depth=8):
     """16/32-node Gauss-Legendre pair, bisected until |I32 - I16| <= tol."""
-    xs16, ws16 = _gl_nodes(16, a, b)
-    xs32, ws32 = _gl_nodes(32, a, b)
+    (xs16, ws16), (xs32, ws32) = ((a + (b - a) * x, (b - a) * w)
+                                  for x, w in (_gl_nodes(16), _gl_nodes(32)))
     i16 = float(np.dot(ws16, f(xs16)))
     i32 = float(np.dot(ws32, f(xs32)))
     err = abs(i32 - i16)
@@ -307,8 +307,8 @@ class TestSeriesKernel:
 
     def test_engine_coefficients_match_float_formula(self):
         # every float row is float() of its exact table, bit for bit, at the
-        # engine's truncations (22 terms for L, R and e^{-s}, 30 for the
-        # Todd-type series) and zero-padded with +0.0
+        # engine's truncations (22 terms for L, R and e^{-s}, 30 for sigma's
+        # s/(1 - e^{-s}), 48 for analytic_ad's rows) and zero-padded with +0.0
         def floats(table, width):
             return np.array([float(c) for c in table] + [0.0] * (width - len(table)))
 
@@ -317,7 +317,6 @@ class TestSeriesKernel:
                                 exp_neg(21), s_over_one_minus_exp_neg(29),
                                 sinh_minus_s_over_s2(20)]),
             (geom._EQ1_ROWS, [one_minus_exp_neg(21), exp_minus_one(21)]),
-            (geom._TODD_ROW, [g_coefficients(29)]),
             (np.concatenate([fn_dexp, fn_dexp_right, fn_todd]),
              [one_minus_exp_neg_over_s(47), exp_minus_one_over_s(47), g_coefficients(47)]),
         ]
@@ -851,6 +850,17 @@ class TestFlow:
         split = transport_drift(so3, P, 12)
         assert whole[0] == split[0]
         assert abs(whole[1] - split[1]) <= 1e-15
+
+    def test_sigma_and_varpi_chunks_are_invisible(self, so3, monkeypatch):
+        # sigma and varpi take _CHUNK points per call as well: 11 points in
+        # chunks of 5, 5 and 1 give the one-chunk values
+        eng = _Engine(so3)
+        P = sample_points(so3, 11, 71, 0.3)
+        whole = eng.sigma(P), eng.varpi(P[:, :3])
+        monkeypatch.setattr(geom, "_CHUNK", 5)
+        for one, split in zip(whole, (eng.sigma(P), eng.varpi(P[:, :3]))):
+            assert split.shape == one.shape
+            assert np.max(np.abs(split - one)) <= 1e-15 * np.max(np.abs(one))
 
     def test_shared_divergence_matches_per_step_oracle(self, all_algebras):
         # the divergence rides on each step's first RK4 call; the oracle

@@ -11,6 +11,7 @@ import scipy.linalg
 
 import kvgeom
 from kvgeom.freelie import bch
+from kvgeom.kvsolve import KVPair, evaluate_pair
 from kvgeom.matrixlie import (
     _LOG_PADE,
     _LOG_THETA,
@@ -31,8 +32,6 @@ from kvgeom.matrixlie import (
     phi_t,
 )
 
-from conftest import eval_lie_series_float
-
 
 class TestBuiltins:
     def test_names_and_dims(self, all_algebras):
@@ -49,6 +48,32 @@ class TestBuiltins:
     def test_gl2_form_signature(self, gl2):
         eigs = np.linalg.eigvalsh(gl2.Q)
         assert (np.sum(eigs > 0), np.sum(eigs < 0)) == (3, 1)
+
+    def test_builtins_pinned(self, so3, sl2, gl2):
+        # each built-in's form, radius and chart exactly, and its structure
+        # constants, which construction solves for from the brackets, to ulps:
+        # so3 has Q = I and [e_a, e_b] = eps_abk e_k; sl2 (h, e, f) has
+        # [h, e] = 2e, [h, f] = -2f, [e, f] = h; gl2 has the matrix units
+        # E_ij at 2i + j, [E_ij, E_kl] = delta_jk E_il - delta_li E_kj; both
+        # under the trace form
+        eps = np.zeros((3, 3, 3))
+        for a, b, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            eps[a, b, k], eps[b, a, k] = 1.0, -1.0
+        sl2_c = np.zeros((3, 3, 3))
+        for a, b, k, c in ((0, 1, 1, 2.0), (0, 2, 2, -2.0), (1, 2, 0, 1.0)):
+            sl2_c[a, b, k], sl2_c[b, a, k] = c, -c
+        gl2_c = np.zeros((4, 4, 4))
+        for i, j, k, l in np.ndindex(2, 2, 2, 2):
+            gl2_c[2 * i + j, 2 * k + l, 2 * i + l] += j == k
+            gl2_c[2 * i + j, 2 * k + l, 2 * k + j] -= l == i
+        gl2_q = np.array([[1.0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+        expected = ((so3, np.eye(3), 0.5, "so3", eps),
+                    (sl2, np.array([[2.0, 0, 0], [0, 0, 1], [0, 1, 0]]), 0.5, "generic", sl2_c),
+                    (gl2, gl2_q, 0.4, "generic", gl2_c))
+        for alg, Q, radius, chart, c in expected:
+            assert np.array_equal(alg.Q, Q), alg.name
+            assert (alg.domain_radius, alg.chart) == (radius, chart)
+            assert np.max(np.abs(alg.structure - c)) <= 1e-15, alg.name
 
     def test_construction_invariants(self, all_algebras):
         for alg in all_algebras:
@@ -309,7 +334,7 @@ class TestCharts:
     def test_non_finite_input_rejected(self, name, request):
         # every chart, closed-form or generic, refuses NaN and inf up front
         alg = request.getfixturevalue(name)
-        n = alg.matrix_size
+        n = alg.basis.shape[1]
         with pytest.raises(ValueError, match="non-finite"):
             alg.log_chart(np.full((n, n), np.nan))
         with pytest.raises(ValueError, match="non-finite"):
@@ -530,7 +555,7 @@ class TestPhiT:
         for alg in all_algebras:
             X = 0.05 * rng.standard_normal(alg.dim)
             Y = 0.05 * rng.standard_normal(alg.dim)
-            series_val = eval_lie_series_float(z8, alg, X, Y)
+            series_val = evaluate_pair(KVPair(z8, z8, 8), alg, X, Y)[0]
             direct = phi_t(alg, 1.0, PointV(X, Y))
             # degree-9 remainder at |X|,|Y| ~ 0.05
             assert np.max(np.abs(series_val - direct)) <= 1e-11
