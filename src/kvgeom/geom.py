@@ -62,6 +62,7 @@ _G_TERMS = 30               # terms for sigma's s/(1 - e^{-s}) (radius 2 pi)
 _ALPHA_GATE = 1e-12         # |K15 - G7| bound on the Moser 1-form, relative to 1 + |alpha|
 _FD_STEP = 1e-5             # central differences: step _FD_STEP (1 + |p_i|) in p_i
 _COND_LIMIT = 1e12
+_GAUGE_NEAR = 0.99          # |M - I|_F under which the gauge factor M passes both gates
 _CHUNK = 4096
 _SUITE_SUBSAMPLE = 20       # points of the suite's Jacobi, moment-map and flow checks
 
@@ -291,6 +292,17 @@ class _Engine:
 
     @staticmethod
     def _check_gauge(M: np.ndarray) -> None:
+        """OutsideDomainError unless every det M > 0 and cond_2 M <= _COND_LIMIT.
+
+        A stack with |M - I|_F <= _GAUGE_NEAR at every matrix passes both
+        without det or SVD: each eigenvalue lies within |M - I|_2 <= 0.99 of
+        1, so the real ones are positive and det M > 0, and each singular
+        value lies in [0.01, 1.99] (Weyl), so cond_2 M <= 199.  Any other
+        stack, a NaN among them, takes the exact gates.
+        """
+        E = M - np.eye(M.shape[-1])
+        if np.all(np.einsum('nij,nij->n', E, E) <= _GAUGE_NEAR ** 2):
+            return
         dets = np.linalg.det(M)
         if np.any(dets <= 0.0):
             raise OutsideDomainError("outside V: det(1 + sigma_t P0) not positive")

@@ -16,7 +16,10 @@ Every f(ad_X) goes through one kernel, ad_series: a stack of truncated
 power series reduced to the powers A^0 ... A^{d-1} by the Cayley-Hamilton
 recurrence in A^2, since ad_X is skew for the invariant form and its
 characteristic polynomial is even or odd, with a gate on the odd power
-sums that this relies on and a gate on each series' last term.  analytic_ad
+sums that this relies on and a gate on each series' last term.  The
+series' coefficients are contracted with that recurrence's values rho
+directly, with no table of every power's reduction, and the constants a
+coefficient table needs are built once per table (_series_plan).  analytic_ad
 applies it to read-only (1, 48) float rows: fn_dexp (jacobian_J, kappa_t),
 fn_dexp_right (geom.cartan_eta) and fn_todd (geom's trace equation).
 _float_rows builds every row, here and in the batched engine in geom, as
@@ -107,8 +110,10 @@ class QuadraticLieAlgebra:
     chart: str = field(init=False)             # "so3" | "generic"
 
     def __post_init__(self):
-        self.basis = _basis_array(self.basis)
-        self.Q = np.asarray(self.Q, dtype=float)
+        # own copies, read-only once built: no caller and no built-in entry
+        # shares an array with the descriptor
+        self.basis = _basis_array(self.basis).copy()
+        self.Q = np.array(self.Q, dtype=float)
         d = self.basis.shape[0]
         if self.Q.shape != (d, d):
             raise AlgebraValidationError("form must be d x d")
@@ -137,7 +142,8 @@ class QuadraticLieAlgebra:
         # ad_X = (X @ _ad_table).reshape(d, d): _ad_table[a, k d + b] = c[a, b, k]
         self._ad_table = np.ascontiguousarray(
             self.structure.transpose(0, 2, 1).reshape(d, d * d))
-        self._ad_table.flags.writeable = False
+        for a in (self.basis, self.Q, self.Qinv, self.structure, self._pinv, self._ad_table):
+            a.flags.writeable = False
         # the closed-form chart holds for the basis, whatever the name says
         if (self.basis.shape == _SO3_BASIS.shape
                 and np.max(np.abs(self.basis - _SO3_BASIS)) <= _VALIDATION_TOL):
@@ -443,6 +449,39 @@ def _entry_max(M: np.ndarray) -> np.ndarray:
     return np.max(np.abs(flat, out=flat), axis=0).reshape(M.shape[:-2])
 
 
+@functools.lru_cache(maxsize=64)
+def _series_plan(table: bytes, S: int, K: int, d: int) -> tuple:
+    """What ad_series needs of a (S, K) coefficient table at dimension d.
+
+    Keyed on the table's bytes, so that each table's plan is built once.
+    Returns (m, e, half, C, tail_plan), d = 2 m + e, half = (K + 1 - e) // 2:
+      - C (half, 2, S): C[i, b, s] = coeffs[s, e + b + 2 i], zero past K,
+        the coefficients of the parity blocks A^(o + 2 i), o = e + b;
+      - tail_plan = (c, c0, i, j) for the last nonzero term c_k A^k of each
+        row (k = K - 1 for an all-zero row): k = o + 2 i with
+        A^k = sum_l rho[i, l] A^j[l], and c = |c_k| (S, 1); when d is odd
+        and k = 0, A^0 = I lies outside both blocks, so c0 = |c_0| takes
+        that row's term and c = 0.
+    """
+    coeffs = np.frombuffer(table).reshape(S, K)
+    m, e = divmod(d, 2)
+    half = (K + 1 - e) // 2
+    C = np.zeros((half, 2, S))
+    C[:, 0] = coeffs[:, e::2].T
+    C[:(K - e) // 2, 1] = coeffs[:, e + 1::2].T
+    last = K - 1 - np.argmax(coeffs[:, ::-1] != 0, axis=1)
+    o = e + (last - e) % 2
+    identity = last < o
+    c = np.abs(coeffs[np.arange(S), last])[:, None]
+    c0 = np.where(identity[:, None], c, 0.0)
+    i = np.where(identity, 0, (last - o) // 2)
+    j = np.where(identity[:, None], 0, o[:, None] + 2 * np.arange(m))
+    tail_plan = (np.where(identity[:, None], 0.0, c), c0, i, j)
+    for a in (C, *tail_plan):
+        a.flags.writeable = False
+    return m, e, half, C, tail_plan
+
+
 def ad_series(A: np.ndarray, coeffs: np.ndarray
               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Truncated power series sum_k coeffs[s, k] A^k on a stack (N, d, d).
@@ -455,21 +494,29 @@ def ad_series(A: np.ndarray, coeffs: np.ndarray
     x^e psi(x^2), d = 2 m + e, with psi of degree m.  Newton's identities on
     the even power sums tr(A^2k) / 2 give psi, and A^k = A^(e + o) (A^2)^i,
     k = e + o + 2 i, reduces by the scalar recurrence of y^i modulo psi(y),
-    a geometric sequence when m = 1.  The table r holds
-    A_n^k = sum_j r[k, j, n] A_n^j, zero where j and k differ in parity.
+    a geometric sequence when m = 1: A_n^(o + 2 i) = sum_j rho[i, j, n]
+    A_n^(o + 2 j) for o = e and o = e + 1.  The coefficients of both parity
+    blocks of every series are contracted with rho directly, each entry
+    summed in ascending i, so the contraction gives a point the same bits
+    at any stack size; the table's constants come from _series_plan.
 
     Raises ValueError if an odd power sum tr(A_n^k), k <= d, exceeds
     1e-10 d |A_n|_F^k: such a stack is not skew for any invariant form, and
     its odd coefficients would be dropped.  Raises OutsideDomainError if,
-    at some point, the last nonzero term of a series,
-    |c_k| sum_j |r[k, j, n]| max|A_n^j|, exceeds 1e-12 (1 + max|f_s(A_n)|).
+    at some point, the last nonzero term of a series, |c_k| sum_j
+    |rho[i, j, n]| max|A_n^(o + 2 j)| for k = o + 2 i, exceeds 1e-12
+    (1 + max|f_s(A_n)|).  That bound is at least 1e-12 where F is finite,
+    so a stack whose every tail is at most 1e-12 and whose F is finite
+    passes without max|f_s(A_n)|; any other takes the full gate.
 
-    Returns (F, pw, r): F (N, S, d, d) the series values, pw (N, d, d, d)
-    the powers A^0 ... A^{d-1}, and r (K, d, N) the reduction table.
+    Returns (F, pw, rho): F (N, S, d, d) the series values, pw (N, d, d, d)
+    the powers A^0 ... A^{d-1}, and rho (R, m, N) the reduction in A^2, with
+    R >= half = (K + 1 - e) // 2 rows.
     """
     N, d = A.shape[0], A.shape[-1]
-    K = coeffs.shape[1]
-    m, e = divmod(d, 2)
+    S, K = coeffs.shape
+    m, e, half, C, (c_last, c_0, i_last, j_last) = _series_plan(
+        np.ascontiguousarray(coeffs, dtype=float).tobytes(), S, K, d)
     pw = np.empty((N, d, d, d))
     pw[:, 0] = np.eye(d)
     for j in range(1, d):
@@ -494,8 +541,7 @@ def ad_series(A: np.ndarray, coeffs: np.ndarray
         E[k] = (sgn[:k] @ (E[k - 1::-1] * P[:k])) / k
     # y^m = sum_j q_j y^j with q_(m-k) = (-1)^(k-1) E_k; rho[i] holds y^i
     q = (E[1:] * sgn[:, None])[::-1]                             # (m, N)
-    half = (K + 1 - e) // 2
-    rho = np.zeros((max(half, m), m, N))
+    rho = np.zeros((max(half, m, 1), m, N))
     if m == 1:
         rho[:, 0] = q
         rho[0, 0] = 1.0
@@ -505,25 +551,26 @@ def ad_series(A: np.ndarray, coeffs: np.ndarray
         for i in range(m, half):
             np.multiply(rho[i - 1, m - 1], q, out=rho[i])
             rho[i, 1:] += rho[i - 1, :-1]
-    # interleave: A^(o + 2 i) = sum_j rho[i, j] A^(o + 2 j) for o = e, e + 1
-    r = np.zeros((K, d, N))
-    r[0, 0] = 1.0                       # A^0 = I, outside both blocks when d is odd
-    for o in (e, e + 1):
-        block = r[o::2, o::2]
-        block[...] = rho[:len(block)]
-    coef = (coeffs @ r.reshape(K, d * N)).reshape(-1, d, N).transpose(2, 0, 1)
-    F = (coef @ pw.reshape(N, d, d * d)).reshape(N, -1, d, d)
+    # coef[s, o + 2 j] = sum_i coeffs[s, o + 2 i] rho[i, j]: i has the
+    # largest strides of C and rho, so einsum never makes it the inner loop,
+    # and every entry is a multiply and an add per i, in ascending i
+    coef = np.empty((S, d, N))
+    if e:
+        coef[:, 0] = coeffs[:, :1]      # A^0 = I, outside both blocks
+    coef[:, e:].reshape(S, m, 2, N)[...] = np.einsum('ibs,ijn->sjbn', C, rho[:half])
+    F = (coef.transpose(2, 0, 1) @ pw.reshape(N, d, d * d)).reshape(N, -1, d, d)
     # tail gate on the last nonzero term of each series, per point
-    last = K - 1 - np.argmax(coeffs[:, ::-1] != 0, axis=1)
     size = _entry_max(pw).T                                      # (d, N)
-    tail = (np.abs(coeffs[np.arange(len(coeffs)), last])[:, None]
-            * np.sum(np.abs(r[last]) * size, axis=1))            # (S, N)
+    tail = c_last * np.sum(np.abs(rho[i_last]) * size[j_last], axis=1) + c_0   # (S, N)
+    # 1e-12 (1 + max|F|) >= 1e-12 where F is finite
+    if np.all(tail <= 1e-12) and np.isfinite(F).all():
+        return F, pw, rho
     bound = 1e-12 * (1.0 + _entry_max(F).T)
     if not np.all(tail <= bound):                    # NaN fails the gate too
         raise OutsideDomainError(
             f"outside V: truncated series tail {np.max(tail):.2e} exceeds "
             f"{1e-12:.0e} (1 + |f(ad)|); spectrum of ad too large")
-    return F, pw, r
+    return F, pw, rho
 
 
 def _float_rows(*tables: Sequence) -> np.ndarray:

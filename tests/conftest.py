@@ -106,6 +106,22 @@ def oscillator():
                          "form": form})
 
 
+def reduction_table(rho, K, d):
+    """The (K, d, N) table r with A^k = sum_j r[k, j] A^j, from ad_series' rho.
+
+    rho[i, j] reduces A^(o + 2 i) to A^(o + 2 j) for o = e, e + 1 (d = 2 m + e);
+    A^0 = I lies outside both blocks when d is odd.  Entries where j and k
+    differ in parity are zero.
+    """
+    e = d % 2
+    r = np.zeros((K, d, rho.shape[-1]))
+    r[0, 0] = 1.0
+    for o in (e, e + 1):
+        block = r[o::2, o::2]
+        block[...] = rho[:len(block)]
+    return r
+
+
 def oracle_varpi(alg, W):
     """varpi at the stack W (B, d) by the double-sum closed form, as (B, d, d).
 
@@ -121,7 +137,8 @@ def oracle_varpi(alg, W):
     H = 1.0 / (kl[:, None] + kl[None, :] + 3.0)
     N, d = W.shape
     K = np.einsum('ijl,lk,...k->...ij', alg.structure, alg.Q, W)
-    _, pw, r = ad_series(alg.ad(W), cL[None])
+    _, pw, rho = ad_series(alg.ad(W), cL[None])
+    r = reduction_table(rho, 22, d)
     R = (cL[:, None, None] * r).transpose(2, 0, 1)
     C = np.transpose(R, (0, 2, 1)) @ H @ R
     KA = (K[:, None] @ pw).reshape(N, d, d * d)                  # K A^j

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvgeom import geom
 from kvgeom.freelie import (
@@ -50,7 +53,7 @@ from kvgeom.matrixlie import (
     phi_t,
 )
 
-from conftest import dsigma_dt, oracle_flow, oracle_varpi
+from conftest import dsigma_dt, oracle_flow, oracle_varpi, reduction_table
 from test_matrixlie import oracle_analytic_ad
 
 ORIGIN3 = PointV(np.zeros(3), np.zeros(3))
@@ -282,7 +285,8 @@ class TestSeriesKernel:
         for alg in map(request.getfixturevalue, self.ALGEBRAS):
             d = alg.dim
             A = alg.ad(sample_points(alg, 4, 67, alg.domain_radius)[:, :d])
-            _, pw, r = ad_series(A, self.COEFFS)
+            _, pw, rho = ad_series(A, self.COEFFS)
+            r = reduction_table(rho, self.COEFFS.shape[1], d)
             parity = np.add.outer(np.arange(r.shape[0]), np.arange(d)) % 2 == 1
             assert not np.any(r[parity])
             Ak = np.broadcast_to(np.eye(d), A.shape).copy()
@@ -293,6 +297,21 @@ class TestSeriesKernel:
                 assert np.max(np.abs(recon - Ak)) <= 1e-15 * (1.0 + np.max(np.abs(Ak))), \
                     (alg.name, k)
                 Ak = Ak @ A
+
+    def test_peak_memory_at_divergence_stack(self, so3):
+        # one divergence call of the so3 flow: 13 points, 16 sigma samples each,
+        # 3 ad matrices per sample.  With a zero-filled (K, d, N) reduction
+        # table the call peaked at about 1.25 MiB; from rho, and with the tail
+        # gate settled without a copy of the values, about 0.68
+        A = so3.ad(0.1 * np.random.default_rng(3).standard_normal((624, 3)))
+        ad_series(A, geom._SIGMA_ROWS)
+        tracemalloc.start()
+        try:
+            ad_series(A, geom._SIGMA_ROWS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_refuses_stack_not_skew(self, so3):
         # diag(1, 2, 3) has tr A = 6: no invariant form makes it skew, and its
@@ -359,6 +378,16 @@ class TestSeriesKernel:
              for W in (X, Y, Z)]
         ref = np.sqrt(J[0] * J[1] / J[2])
         assert np.max(np.abs(eng.kappa(1.0, P) - ref) / np.abs(ref)) <= 1e-12
+
+    def test_tail_gate_refuses_non_finite_value(self, so3, sl3):
+        # a tail far below 1e-12 does not settle the gate when the value is
+        # not finite: a NaN or infinite coefficient before the last term
+        for alg in (so3, sl3):
+            A = alg.ad(0.1 * np.random.default_rng(5).standard_normal((4, alg.dim)))
+            for row in ([np.nan, 1.0, 1e-30], [1.0, np.inf, 0.0, 1e-30]):
+                with pytest.raises(OutsideDomainError, match="series tail"), \
+                        np.errstate(invalid="ignore", over="ignore"):
+                    ad_series(A, np.array([row]))
 
     def test_tail_gate_quiet_on_builtin_domains(self, all_algebras):
         # both factors on the boundary sphere of each built-in's domain
@@ -483,6 +512,82 @@ class TestGauge:
                 basis = U[:, s > 1e-10]
                 proj = basis @ basis.T
                 assert np.max(np.abs(b - proj @ b @ proj.T)) <= 1e-9
+
+
+class TestGaugeGates:
+    # the gauge factor M = 1 + sigma_t P0 from _gauge(sigma_t, P0), here with
+    # P0 = 1 so that M - 1 = sigma_t; matrix 0 of each stack is M = 1
+    @staticmethod
+    def _stack(*rest):
+        return np.stack([np.zeros((6, 6)), *rest]), np.eye(6)
+
+    @staticmethod
+    def _count_exact(monkeypatch):
+        calls = []
+        for name in ("det", "svd"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _fn=fn, _n=name, **k:
+                                calls.append(_n) or _fn(*a, **k))
+        return calls
+
+    def test_nonpositive_det_refuses_stack(self, so3):
+        # det M = -1 at one matrix; its neighbours lie well inside the bound
+        bad = np.diag([-2.0, 0, 0, 0, 0, 0])
+        sig, P0 = self._stack(0.01 * np.ones((6, 6)), bad)
+        with pytest.raises(OutsideDomainError, match="det"):
+            _Engine(so3)._gauge(sig, P0)
+
+    def test_ill_conditioned_refuses_stack(self, so3):
+        # det M = 1e-13 > 0 but cond_2 M = 1e13
+        bad = np.diag([-1.0 + 1e-13, 0, 0, 0, 0, 0])
+        sig, P0 = self._stack(0.01 * np.ones((6, 6)), bad)
+        assert np.linalg.det(np.eye(6) + bad) > 0.0
+        with pytest.raises(OutsideDomainError, match="ill conditioned"):
+            _Engine(so3)._gauge(sig, P0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n)),
+        st.floats(0.0, 0.99))
+    def test_norm_bound_implies_both_gates(self, entries, radius):
+        # |E|_F <= 0.99: every eigenvalue of 1 + E lies within 0.99 of 1 and
+        # every singular value in [0.01, 1.99]
+        n = math.isqrt(len(entries))
+        E = np.array(entries).reshape(n, n)
+        norm = np.linalg.norm(E)
+        if norm > 0.0:
+            E = E / norm * radius
+        M = np.eye(n) + E
+        assert np.linalg.det(M) > 0.0
+        sv = np.linalg.svd(M, compute_uv=False)
+        assert sv[0] / sv[-1] <= 199.0
+        _Engine._check_gauge(M[None])
+
+    def test_bound_settles_without_det_or_svd(self, so3, monkeypatch):
+        calls = self._count_exact(monkeypatch)
+        E = np.full((6, 6), 0.99 / 6 * (1 - 1e-12))
+        sig, P0 = self._stack(E, -E)
+        _Engine(so3)._gauge(sig, P0)
+        assert calls == []
+
+    def test_just_above_bound_takes_exact_gates(self, so3, monkeypatch):
+        # |E|_F = 0.995 with det and cond fine: the exact path runs and passes
+        calls = self._count_exact(monkeypatch)
+        E = np.diag([0.995, 0, 0, 0, 0, 0])
+        sig, P0 = self._stack(E)
+        M = _Engine(so3)._gauge(sig, P0)
+        assert calls == ["det", "svd"]
+        assert np.array_equal(M[1], np.eye(6) + E)
+
+    def test_nan_takes_exact_gates(self, so3, monkeypatch):
+        # the exact gates refuse it (today numpy's SVD raises LinAlgError)
+        calls = self._count_exact(monkeypatch)
+        E = np.zeros((6, 6))
+        E[0, 0] = np.nan
+        sig, P0 = self._stack(E)
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            _Engine(so3)._gauge(sig, P0)
+        assert calls == ["det", "svd"]
 
 
 class TestLambda:

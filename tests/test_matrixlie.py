@@ -131,6 +131,32 @@ class TestBuiltins:
         with pytest.raises(KeyError):
             get_algebra("e8")
 
+    def test_descriptor_arrays_read_only(self):
+        # get_algebra hands every caller the same descriptor: no caller may
+        # change what the next one gets, and gl2's basis is its own array, not
+        # a view of the np.eye(4) in the built-in entry
+        for name in ("so3", "sl2", "gl2"):
+            alg = get_algebra(name)
+            arrays = {attr: getattr(alg, attr).copy()
+                      for attr in ("basis", "Q", "Qinv", "structure", "_pinv")}
+            for attr in arrays:
+                with pytest.raises(ValueError):
+                    getattr(alg, attr)[(0,) * getattr(alg, attr).ndim] = 5.0
+            again = get_algebra(name)
+            for attr, before in arrays.items():
+                assert np.array_equal(getattr(again, attr), before), (name, attr)
+        gl2 = get_algebra("gl2")
+        assert gl2.basis.base is None
+        assert np.array_equal(gl2.basis, np.eye(4).reshape(4, 2, 2))
+
+    def test_constructor_copies_its_arrays(self, so3):
+        # the caller's arrays stay writeable and do not alias the descriptor's
+        basis, Q = so3.basis.copy(), np.eye(3)
+        alg = QuadraticLieAlgebra("so3copy", basis, Q, 0.5)
+        assert not (np.shares_memory(alg.basis, basis) or np.shares_memory(alg.Q, Q))
+        Q[0, 0] = 5.0
+        assert alg.Q[0, 0] == 1.0
+
 
 class TestMatrixExp:
     def test_zero(self):
