@@ -138,7 +138,12 @@ def _cumulative_simpson(f: np.ndarray, dt: float) -> np.ndarray:
 
 def _chunked(f: Callable[[np.ndarray], np.ndarray], P: np.ndarray,
              shape: Tuple[int, ...]) -> np.ndarray:
-    """f on the stack P, _CHUNK points per call, as one (len(P),) + shape array."""
+    """f on the stack P, _CHUNK points per call, as one (len(P),) + shape array.
+
+    A stack of one chunk is f(P) itself; an empty one never calls f.
+    """
+    if 0 < len(P) <= _CHUNK:
+        return f(P)
     out = np.empty((len(P),) + shape)
     for lo in range(0, len(P), _CHUNK):
         out[lo:lo + _CHUNK] = f(P[lo:lo + _CHUNK])

@@ -27,7 +27,9 @@ float() of an exact table of freelie, the one place where series
 coefficients are written; this module imports nothing else of the
 package.  The tail gate, not the poles at 2 pi i k, bounds the domain:
 where a truncated series has not converged, or its value is not finite,
-OutsideDomainError.
+OutsideDomainError.  It first bounds each max|A^j| by |A|_F^j, from the
+norm the odd-sum gate already takes, and computes the powers' maxima only
+where that bounded tail exceeds 1e-12 or a value is not finite.
 
 Chart maps: a descriptor whose basis is the standard so(3) basis
 _SO3_BASIS, hat(e_1), hat(e_2), hat(e_3), uses the Rodrigues formulas, and every
@@ -42,7 +44,9 @@ exponential that is not finite raises OutsideDomainError.  _logm_checked
 takes square roots only until ||R - I||_1 <= 0.7266, the Kenney-Laub
 bound of its 16-node Gauss-Legendre [16/16] Pade step, so most chart
 products of the domain need none; a matrix nearer I takes the 8- or
-4-node step that its norm allows.
+4-node step that its norm allows.  The same norm settles its spectrum
+gate: every eigenvalue lies within ||A - I||_1 of 1, so only a matrix
+beyond 0.7266 has its eigenvalues computed.
 """
 
 from __future__ import annotations
@@ -195,8 +199,8 @@ class QuadraticLieAlgebra:
         M = np.asarray(M, dtype=float)
         coords = np.einsum('di,...i->...d', self._pinv, M.reshape(*M.shape[:-2], -1))
         recon = self.to_matrix(coords)
-        resid = np.max(np.abs(recon - M), axis=(-2, -1))
-        if np.any(resid > closure_tol * (1.0 + np.max(np.abs(M)))):
+        resid = np.abs(recon - M).max(axis=(-2, -1))
+        if (resid > closure_tol * (1.0 + np.abs(M).max())).any():
             raise OutsideDomainError(
                 f"matrix leaves the subalgebra (closure residual {np.max(resid):.2e})")
         return coords
@@ -252,14 +256,14 @@ class PointV:
 def _finite(M, where: str) -> np.ndarray:
     """M as a float array; ValueError if any entry is not finite."""
     M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError(f"non-finite entries in {where} input")
     return M
 
 
 def _exp_checked(E: np.ndarray, where: str) -> np.ndarray:
     """E, unless the exponential overflowed: OutsideDomainError."""
-    if not np.all(np.isfinite(E)):
+    if not np.isfinite(E).all():
         raise OutsideDomainError(f"{where}: the exponential is not finite")
     return E
 
@@ -284,11 +288,16 @@ def _expm(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     n = M.shape[-1]
     A = M.reshape(-1, n, n)
+    top = 0
     with np.errstate(over="ignore", divide="ignore"):
-        s = np.ceil(np.log2(_norm1(A) / _EXPM_THETA))
-    # log2(0) = -inf gives s = 0; a norm that overflowed is below n 2^1024
-    s = np.clip(s, 0, 1100).astype(int)
-    A = np.ldexp(A, -s[:, None, None])
+        norm = _norm1(A)
+        # every s_i is 0 where every norm is at most theta_13, and a scaling
+        # by 2^0 with no squaring is an exact no-op
+        if not norm.max(initial=0.0) <= _EXPM_THETA:
+            # log2(0) = -inf gives s = 0; a norm that overflowed is below n 2^1024
+            s = np.ceil(np.log2(norm / _EXPM_THETA)).clip(0, 1100).astype(int)
+            top = s.max(initial=0)
+            A = np.ldexp(A, -s[:, None, None])
     b = _EXPM_PADE
     eye = np.eye(n)
     A2 = A @ A
@@ -299,10 +308,11 @@ def _expm(M: np.ndarray) -> np.ndarray:
     V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
          + b[6] * A6 + b[4] * A4 + b[2] * A2 + eye)
     R = np.linalg.solve(V - U, V + U)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(s.max(initial=0)):
-            sq = s > k
-            R[sq] = R[sq] @ R[sq]
+    if top:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(top):
+                sq = s > k
+                R[sq] = R[sq] @ R[sq]
     return R.reshape(M.shape)
 
 
@@ -327,7 +337,7 @@ _LOG_STEP_BOUNDS = np.array([theta for _, theta in _LOG_PADE[:-1]])
 
 def _norm1(M: np.ndarray) -> np.ndarray:
     """Matrix 1-norm of each matrix of a stack."""
-    return np.max(np.sum(np.abs(M), axis=-2), axis=-1)
+    return np.abs(M).sum(axis=-2).max(axis=-1)
 
 
 def _logm_checked(M: np.ndarray) -> np.ndarray:
@@ -347,42 +357,51 @@ def _logm_checked(M: np.ndarray) -> np.ndarray:
     Raises OutsideDomainError for the whole stack if any matrix has an
     eigenvalue on the closed negative real axis (where the principal log is
     not real), needs more than _MAX_SQRTS square roots, has a square root
-    that does not converge, or fails the exp/log round trip.
+    that does not converge, or fails the exp/log round trip.  The spectrum
+    gate computes eigenvalues only for the matrices with ||A_i - I||_1 >
+    _LOG_THETA: every eigenvalue lambda of A_i has |lambda - 1| <= ||A_i -
+    I||_1, so for the others Re lambda >= 1 - _LOG_THETA > 0.27 and the
+    gate cannot fire.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[-1]
     A = M.reshape(-1, n, n)
-    scale = np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)))
-    eigs = np.linalg.eigvals(A)
-    sc = scale[:, None]
-    if np.any((eigs.real <= 1e-12 * sc) & (np.abs(eigs.imag) <= 1e-10 * sc)):
-        raise OutsideDomainError("outside exp(U): spectrum meets the negative real axis")
+    scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
     eye = np.eye(n)
-    R = A.copy()
+    R = A
     s = np.zeros(len(A))
-    size = _norm1(R - eye)
-    while True:
-        far = ~(size <= _LOG_THETA)
-        if not np.any(far):
-            break
-        if np.max(s[far]) >= _MAX_SQRTS:
+    size = _norm1(A - eye)
+    far = ~(size <= _LOG_THETA)
+    if far.any():
+        # only these can have an eigenvalue near the negative axis
+        eigs = np.linalg.eigvals(A[far])
+        sc = scale[far, None]
+        if ((eigs.real <= 1e-12 * sc) & (np.abs(eigs.imag) <= 1e-10 * sc)).any():
+            raise OutsideDomainError("outside exp(U): spectrum meets the negative real axis")
+        R = A.copy()
+    while far.any():
+        if s[far].max() >= _MAX_SQRTS:
             raise OutsideDomainError("outside exp(U): too many square roots")
         R[far] = _sqrtm_db(R[far])
         s[far] += 1
         size[far] = _norm1(R[far] - eye)
+        far = ~(size <= _LOG_THETA)
     E = R - eye
     step = np.searchsorted(_LOG_STEP_BOUNDS, size)
+    groups = np.flatnonzero(np.bincount(step, minlength=len(_LOG_NODES)))
     L = np.empty_like(E)
-    for k in np.flatnonzero(np.bincount(step, minlength=len(_LOG_NODES))):
+    for k in groups:
         x, w = _LOG_NODES[k]
-        sel = step == k
+        # a stack whose matrices all take one step needs no mask
+        sel = step == k if len(groups) > 1 else slice(None)
         Ek = E[sel]
         Z = np.linalg.solve(eye + x[:, None, None, None] * Ek,
                             np.broadcast_to(Ek, (len(x),) + Ek.shape))
         L[sel] = np.einsum('j,j...->...', w, Z)
-    L *= (2.0 ** s)[:, None, None]
-    err = np.max(np.abs(_expm(L) - A), axis=(-2, -1))
-    if not np.all(err <= 1e-10 * (1.0 + scale)):
+    if s.any():
+        L *= (2.0 ** s)[:, None, None]
+    err = np.abs(_expm(L) - A).max(axis=(-2, -1))
+    if not (err <= 1e-10 * (1.0 + scale)).all():
         raise OutsideDomainError("outside exp(U): exp/log round trip failed")
     return L.reshape(M.shape)
 
@@ -398,7 +417,7 @@ def _sqrtm_db(A: np.ndarray) -> np.ndarray:
         Minv = np.linalg.inv(Mk)
         Y = 0.5 * Y @ (eye + Minv)
         Mk = 0.5 * eye + 0.25 * (Mk + Minv)
-        if np.all(done):
+        if done.all():
             return Y
     raise OutsideDomainError("outside exp(U): square-root iteration did not converge")
 
@@ -414,6 +433,15 @@ _SO3_BASIS.flags.writeable = False
 _SO3_HAT = _SO3_BASIS.reshape(3, 9)
 _SO3_VEE = 0.5 * _SO3_HAT.T
 _SO3_VEE.flags.writeable = False
+_EPS = np.finfo(float).eps
+
+
+def _sinc(x: np.ndarray) -> np.ndarray:
+    """np.sinc(x) = sin(pi x) / (pi x) for a float array, with numpy's own
+    substitution of machine epsilon for pi x = 0, without its wrapper."""
+    y = np.pi * x
+    y = np.where(y, y, _EPS)
+    return np.sin(y) / y
 
 
 def _so3_exp(v: np.ndarray) -> np.ndarray:
@@ -422,31 +450,29 @@ def _so3_exp(v: np.ndarray) -> np.ndarray:
     sin(t)/t = sinc(t/pi) and (1 - cos t)/t^2 = sinc(t/(2 pi))^2 / 2 hold at
     t = 0 too, with no series branch.
     """
-    theta = np.linalg.norm(v, axis=-1)
+    theta = np.sqrt(np.add.reduce(v * v, axis=-1))
     K = (v @ _SO3_HAT).reshape(v.shape[:-1] + (3, 3))
-    s = np.sinc(theta / np.pi)
-    c = 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2
+    s = _sinc(theta / np.pi)
+    c = 0.5 * _sinc(theta / (2.0 * np.pi)) ** 2
     return np.eye(3) + s[..., None, None] * K + c[..., None, None] * (K @ K)
 
 
 def _so3_log(R: np.ndarray) -> np.ndarray:
     """vee(R - R^T)/2 times t / sin t = 1 / sinc(t/pi), t the rotation angle."""
-    tr = np.trace(R, axis1=-2, axis2=-1)
-    theta = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
-    if np.any(theta > 2.8):
+    tr = R.trace(axis1=-2, axis2=-1)
+    theta = np.arccos(((tr - 1.0) / 2.0).clip(-1.0, 1.0))
+    if (theta > 2.8).any():
         raise OutsideDomainError("outside exp(U): rotation angle near pi")
     a = R.reshape(R.shape[:-2] + (9,)) @ _SO3_VEE
-    return a / np.sinc(theta / np.pi)[..., None]
+    return a / _sinc(theta / np.pi)[..., None]
 
 
 # ---------------------------------------------------------------------------
 # analytic functions of ad_X
 
 def _entry_max(M: np.ndarray) -> np.ndarray:
-    """np.max(np.abs(M), axis=(-2, -1)), taken along the outer axis of a
-    transposed copy, which numpy reduces element-wise across rows (faster)."""
-    flat = M.reshape(-1, M.shape[-2] * M.shape[-1]).T.copy()
-    return np.max(np.abs(flat, out=flat), axis=0).reshape(M.shape[:-2])
+    """np.max(np.abs(M), axis=(-2, -1)), with no temporary the size of M."""
+    return np.maximum(M.max(axis=(-2, -1)), -M.min(axis=(-2, -1)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -454,14 +480,17 @@ def _series_plan(table: bytes, S: int, K: int, d: int) -> tuple:
     """What ad_series needs of a (S, K) coefficient table at dimension d.
 
     Keyed on the table's bytes, so that each table's plan is built once.
-    Returns (m, e, half, C, tail_plan), d = 2 m + e, half = (K + 1 - e) // 2:
+    Returns (m, e, half, C, tail_plan, eye, expo, sgn), d = 2 m + e,
+    half = (K + 1 - e) // 2:
       - C (half, 2, S): C[i, b, s] = coeffs[s, e + b + 2 i], zero past K,
         the coefficients of the parity blocks A^(o + 2 i), o = e + b;
       - tail_plan = (c, c0, i, j) for the last nonzero term c_k A^k of each
         row (k = K - 1 for an all-zero row): k = o + 2 i with
         A^k = sum_l rho[i, l] A^j[l], and c = |c_k| (S, 1); when d is odd
         and k = 0, A^0 = I lies outside both blocks, so c0 = |c_0| takes
-        that row's term and c = 0.
+        that row's term and c = 0 (see _series_tail);
+      - eye = I_d, expo = 0 ... d as a column, the exponents of the norm
+        bounds, and sgn = (-1)^i, i < m, the signs of Newton's identities.
     """
     coeffs = np.frombuffer(table).reshape(S, K)
     m, e = divmod(d, 2)
@@ -477,9 +506,20 @@ def _series_plan(table: bytes, S: int, K: int, d: int) -> tuple:
     i = np.where(identity, 0, (last - o) // 2)
     j = np.where(identity[:, None], 0, o[:, None] + 2 * np.arange(m))
     tail_plan = (np.where(identity[:, None], 0.0, c), c0, i, j)
-    for a in (C, *tail_plan):
+    eye, expo, sgn = np.eye(d), np.arange(d + 1)[:, None], (-1.0) ** np.arange(m)
+    for a in (C, *tail_plan, eye, expo, sgn):
         a.flags.writeable = False
-    return m, e, half, C, tail_plan
+    return m, e, half, C, tail_plan, eye, expo, sgn
+
+
+def _series_tail(tail_plan: tuple, rho: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The last nonzero term of each series at each point, bounded as (S, N).
+
+    |c_k| sum_j |rho[i, j, n]| size[o + 2 j, n] for k = o + 2 i (|c_0| for
+    an identity term), where size[j, n] bounds max|A_n^j|.
+    """
+    c, c0, i, j = tail_plan
+    return c * (np.abs(rho[i]) * size[j]).sum(axis=1) + c0
 
 
 def ad_series(A: np.ndarray, coeffs: np.ndarray
@@ -506,8 +546,10 @@ def ad_series(A: np.ndarray, coeffs: np.ndarray
     at some point, the last nonzero term of a series, |c_k| sum_j
     |rho[i, j, n]| max|A_n^(o + 2 j)| for k = o + 2 i, exceeds 1e-12
     (1 + max|f_s(A_n)|).  That bound is at least 1e-12 where F is finite,
-    so a stack whose every tail is at most 1e-12 and whose F is finite
-    passes without max|f_s(A_n)|; any other takes the full gate.
+    and max|A_n^j| <= |A_n|_F^j, the norm the odd-sum gate takes: a stack
+    whose every tail, with |A_n|_F^j in place of max|A_n^j|, is at most
+    1e-12 and whose F is finite passes without either maximum.  Any other
+    stack takes the full gate.
 
     Returns (F, pw, rho): F (N, S, d, d) the series values, pw (N, d, d, d)
     the powers A^0 ... A^{d-1}, and rho (R, m, N) the reduction in A^2, with
@@ -515,10 +557,10 @@ def ad_series(A: np.ndarray, coeffs: np.ndarray
     """
     N, d = A.shape[0], A.shape[-1]
     S, K = coeffs.shape
-    m, e, half, C, (c_last, c_0, i_last, j_last) = _series_plan(
+    m, e, half, C, tail_plan, eye, expo, sgn = _series_plan(
         np.ascontiguousarray(coeffs, dtype=float).tobytes(), S, K, d)
     pw = np.empty((N, d, d, d))
-    pw[:, 0] = np.eye(d)
+    pw[:, 0] = eye
     for j in range(1, d):
         np.matmul(pw[:, j - 1], A, out=pw[:, j])
     # power sums p_k = tr(A^k), k = 0 .. d; the odd ones vanish for a skew A
@@ -526,15 +568,15 @@ def ad_series(A: np.ndarray, coeffs: np.ndarray
     p[:d] = np.einsum('njii->jn', pw)
     p[d] = np.einsum('nij,nji->n', pw[:, d - 1], A)
     odd = np.abs(p[1::2])
-    norm = np.sqrt(np.einsum('nij,nij->n', A, A))
-    if np.any(odd > 1e-10 * d * norm ** np.arange(1, d + 1, 2)[:, None]):
+    # |A|_F^k, k = 0 .. d: the odd-sum gate's scale and the tail gate's bound
+    norms = np.sqrt(np.einsum('nij,nij->n', A, A)) ** expo
+    if (odd > 1e-10 * d * norms[1::2]).any():
         raise ValueError(
             f"ad_series: odd power sum tr(A^k) {np.nanmax(odd):.2e} does not vanish; "
             "the stack is not skew for an invariant form")
     # Newton's identities k E_k = sum_i (-1)^(i-1) E_(k-i) P_i on the power
     # sums P_i = p_2i / 2 of y = lambda^2 give psi(y) = sum_k (-1)^k E_k y^(m-k)
     P = 0.5 * p[2::2]
-    sgn = (-1.0) ** np.arange(m)
     E = np.empty((m + 1, N))
     E[0] = 1.0
     for k in range(1, m + 1):
@@ -543,11 +585,11 @@ def ad_series(A: np.ndarray, coeffs: np.ndarray
     q = (E[1:] * sgn[:, None])[::-1]                             # (m, N)
     rho = np.zeros((max(half, m, 1), m, N))
     if m == 1:
-        rho[:, 0] = q
         rho[0, 0] = 1.0
-        np.cumprod(rho, axis=0, out=rho)
+        for i in range(1, len(rho)):
+            np.multiply(rho[i - 1], q, out=rho[i])
     elif m > 1:
-        rho[:m] = np.eye(m)[:, :, None]
+        rho[:m] = eye[:m, :m, None]
         for i in range(m, half):
             np.multiply(rho[i - 1, m - 1], q, out=rho[i])
             rho[i, 1:] += rho[i - 1, :-1]
@@ -559,14 +601,12 @@ def ad_series(A: np.ndarray, coeffs: np.ndarray
         coef[:, 0] = coeffs[:, :1]      # A^0 = I, outside both blocks
     coef[:, e:].reshape(S, m, 2, N)[...] = np.einsum('ibs,ijn->sjbn', C, rho[:half])
     F = (coef.transpose(2, 0, 1) @ pw.reshape(N, d, d * d)).reshape(N, -1, d, d)
-    # tail gate on the last nonzero term of each series, per point
-    size = _entry_max(pw).T                                      # (d, N)
-    tail = c_last * np.sum(np.abs(rho[i_last]) * size[j_last], axis=1) + c_0   # (S, N)
-    # 1e-12 (1 + max|F|) >= 1e-12 where F is finite
-    if np.all(tail <= 1e-12) and np.isfinite(F).all():
+    # tail gate on the last nonzero term of each series, per point; with F
+    # finite, 1e-12 (1 + max|F|) >= 1e-12 >= the tail bounded by |A|_F^j
+    if (_series_tail(tail_plan, rho, norms) <= 1e-12).all() and np.isfinite(F).all():
         return F, pw, rho
-    bound = 1e-12 * (1.0 + _entry_max(F).T)
-    if not np.all(tail <= bound):                    # NaN fails the gate too
+    tail = _series_tail(tail_plan, rho, _entry_max(pw).T)
+    if not (tail <= 1e-12 * (1.0 + _entry_max(F).T)).all():   # NaN fails the gate too
         raise OutsideDomainError(
             f"outside V: truncated series tail {np.max(tail):.2e} exceeds "
             f"{1e-12:.0e} (1 + |f(ad)|); spectrum of ad too large")
@@ -630,9 +670,12 @@ def phi_t(alg: QuadraticLieAlgebra, t: float, p: PointV) -> Vec:
     Y = np.asarray(p.Y, dtype=float)
     if t == 0.0:
         return X + Y
-    E = alg.exp_chart(t * np.stack([X, Y]).reshape(-1, alg.dim))
+    W = np.stack([X, Y]).reshape(-1, alg.dim)
+    # at t = 1 both scalings by t are exact no-ops
+    E = alg.exp_chart(W if t == 1.0 else t * W)
     n = len(E) // 2
-    return alg.log_chart(E[:n] @ E[n:]).reshape(X.shape) / t
+    Z = alg.log_chart(E[:n] @ E[n:]).reshape(X.shape)
+    return Z if t == 1.0 else Z / t
 
 
 def kappa_t(alg: QuadraticLieAlgebra, t: float, p: PointV) -> float | np.ndarray:

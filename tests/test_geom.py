@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvgeom import geom
+from kvgeom import geom, matrixlie
 from kvgeom.freelie import (
     exp_minus_one,
     exp_minus_one_over_s,
@@ -43,8 +43,12 @@ from kvgeom.geom import (
 from kvgeom.matrixlie import (
     OutsideDomainError,
     PointV,
+    _entry_max,
     _gl_nodes,
+    _series_plan,
+    _series_tail,
     ad_series,
+    analytic_ad,
     fn_dexp,
     fn_dexp_right,
     fn_todd,
@@ -401,6 +405,52 @@ class TestSeriesKernel:
             eng = _Engine(alg)
             assert np.all(np.isfinite(eng.sigma(u)))
             assert np.all(eng.kappa(1.0, u) > 0.0)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, len(ALGEBRAS) - 1), st.floats(1e-3, 12.0),
+           st.integers(0, 2 ** 32 - 1))
+    def test_frobenius_tail_bound_dominates(self, so3, sl2, gl2, oscillator, so4,
+                                            sl3, index, radius, seed):
+        # max|A^j| <= |A|_F^j, so on every row the tail bounded by the norm
+        # of the odd-sum gate is at least the exact tail (radii at which no
+        # power underflows)
+        alg = (so3, sl2, gl2, oscillator, so4, sl3)[index]
+        d = alg.dim
+        u = np.random.default_rng(seed).standard_normal((4, d))
+        A = alg.ad(radius * u / np.linalg.norm(u, axis=1, keepdims=True))
+        norms = np.sqrt(np.einsum('nij,nij->n', A, A)) ** np.arange(d + 1)[:, None]
+        for table in (self.COEFFS, np.concatenate([fn_dexp, fn_dexp_right, fn_todd]),
+                      geom._SIGMA_ROWS):
+            S, K = table.shape
+            # a zero row as wide gives the same powers and rho at any radius
+            _, pw, rho = ad_series(A, np.zeros((1, K)))
+            size = _entry_max(pw).T
+            assert np.all(norms[:d] >= size)
+            tail_plan = _series_plan(table.tobytes(), S, K, d)[4]
+            assert np.all(_series_tail(tail_plan, rho, norms)
+                          >= _series_tail(tail_plan, rho, size))
+
+    def test_tail_gate_settled_by_frobenius_bound(self, so3, monkeypatch):
+        # on so3's domain sphere every bounded tail is below 1e-12, so no
+        # maximum is taken; at spectral radius 3.4 s/(e^s - 1) needs the
+        # exact maxima, and passes
+        calls = []
+        entry_max = matrixlie._entry_max
+        monkeypatch.setattr(matrixlie, "_entry_max",
+                            lambda M: calls.append(M.shape) or entry_max(M))
+        u = np.random.default_rng(79).standard_normal((40, 6))
+        for blk in (slice(0, 3), slice(3, 6)):
+            u[:, blk] *= so3.domain_radius / np.linalg.norm(u[:, blk], axis=1,
+                                                            keepdims=True)
+        eng = _Engine(so3)
+        eng.sigma(u)
+        eng.moser_w(1.0, u[:4])
+        for f in (fn_dexp, fn_dexp_right, fn_todd):
+            analytic_ad(so3, f, u[:, :3])
+        assert calls == []
+        analytic_ad(so3, fn_todd, np.array([0.0, 0.0, 3.4]))
+        assert len(calls) >= 1
 
 
 class TestSigma:

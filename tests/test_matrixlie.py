@@ -278,6 +278,27 @@ class TestMatrixLog:
         with pytest.raises(OutsideDomainError):
             sl3.log_chart(M)
 
+    def test_spectrum_gate_settled_by_norm(self, sl3, monkeypatch):
+        # every eigenvalue lies within ||M - I||_1 of 1, so up to theta_16 no
+        # matrix can reach the negative axis and eigvals is never called;
+        # one matrix beyond theta_16 takes the exact gate
+        class EigvalsCalled(Exception):
+            pass
+
+        def refuse(A):
+            raise EigvalsCalled
+
+        eye = np.eye(3)
+        M = sl3.exp_chart(0.1 * np.random.default_rng(17).standard_normal((6, sl3.dim)))
+        assert np.max(np.sum(np.abs(M - eye), axis=-2)) <= _LOG_THETA
+        ref = matrix_log(M)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        assert np.array_equal(matrix_log(M), ref)
+        M[4] = sl3.exp_chart(np.full(sl3.dim, 0.3))
+        assert np.max(np.sum(np.abs(M[4] - eye), axis=0)) > _LOG_THETA
+        with pytest.raises(EigvalsCalled):
+            matrix_log(M)
+
     def test_square_root_iteration_capped(self):
         # Denman-Beavers halves a huge eigenvalue per step: no convergence
         with pytest.raises(OutsideDomainError):
@@ -492,6 +513,21 @@ class TestAnalyticAdKernel:
         assert np.max(np.abs(F - ref)) <= 1e-12 * np.max(np.abs(ref))
         with pytest.raises(OutsideDomainError, match="series tail"):
             analytic_ad(so3, fn_todd, np.array([0.0, 0.0, 4.0]))
+
+    # the smallest |X| on a ray at which the full tail gate raises, found by
+    # bisection to 1e-9 with the gate computing every max|A^j|: the norm
+    # precheck must leave that edge where it is
+    @pytest.mark.parametrize("name, row, direction, inside", [
+        ("so3", "fn_todd", (0.0, 0.0, 1.0), 3.469479670),
+        ("sl3", "fn_dexp", (1.0,) * 8, 9.920911322),
+    ])
+    def test_tail_gate_edge_pinned(self, request, name, row, direction, inside):
+        alg = request.getfixturevalue(name)
+        f = {"fn_todd": fn_todd, "fn_dexp": fn_dexp}[row]
+        u = np.array(direction) / np.linalg.norm(direction)
+        analytic_ad(alg, f, inside * u)
+        with pytest.raises(OutsideDomainError, match="series tail"):
+            analytic_ad(alg, f, (inside + 1e-9) * u)
 
     def test_non_finite_input_fails_gate(self, so3, sl3):
         for alg in (so3, sl3):
