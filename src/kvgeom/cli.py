@@ -10,6 +10,7 @@ written) or an OutsideDomainError (no report), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -231,6 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser main uses, built on first use: parse_args leaves it as it was."""
+    return build_parser()
+
+
 def _check_args(args: argparse.Namespace) -> None:
     """The usage rules argparse does not state; ValueError if one fails."""
     if not 1 <= getattr(args, "degree", 1) <= MAX_DEGREE:
@@ -255,7 +262,7 @@ _DISPATCH = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_args(args)
         return _DISPATCH[args.command](args)

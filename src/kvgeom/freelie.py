@@ -75,8 +75,30 @@ def lyndon_basis(degree: int) -> List[str]:
 
 
 @functools.lru_cache(maxsize=None)
+def _lyndon_table() -> List[Tuple[str, ...]]:
+    """The Lyndon words by length (entry k: those of length k, lex order),
+    from the longest Duval run made so far; _lyndon_upto extends it."""
+    return [()]
+
+
+def _lyndon_upto(degree: int) -> List[Tuple[str, ...]]:
+    """_lyndon_table, covering every length <= degree.
+
+    One Duval run to the top degree asked so far serves every lower degree;
+    a higher degree reruns it to that degree.  The solver asks for its top
+    degree first (bch's prefixes), so a solve makes one run.
+    """
+    table = _lyndon_table()
+    if len(table) <= degree:
+        by_length: List[List[str]] = [[] for _ in range(degree + 1)]
+        for w in lyndon_words_upto(degree):
+            by_length[len(w)].append(w)
+        table[:] = map(tuple, by_length)
+    return table
+
+
 def _lyndon_basis(degree: int) -> Tuple[str, ...]:
-    return tuple(w for w in lyndon_words_upto(degree) if len(w) == degree)
+    return _lyndon_upto(degree)[degree]
 
 
 @functools.lru_cache(maxsize=None)
@@ -88,7 +110,8 @@ def _lyndon_set(degree: int) -> frozenset:
 @functools.lru_cache(maxsize=None)
 def _lyndon_prefixes(degree: int) -> frozenset:
     """Every word that is a prefix of a Lyndon word of length <= degree."""
-    return frozenset(w[:i] for w in lyndon_words_upto(degree) for i in range(1, len(w) + 1))
+    return frozenset(w[:i] for words in _lyndon_upto(degree)[:degree + 1]
+                     for w in words for i in range(1, len(w) + 1))
 
 
 @functools.lru_cache(maxsize=None)

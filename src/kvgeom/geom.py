@@ -60,7 +60,8 @@ from .matrixlie import (
 _SERIES_TERMS = 22          # terms for L/R series on ad (spectra stay small)
 _G_TERMS = 30               # terms for sigma's s/(1 - e^{-s}) (radius 2 pi)
 _ALPHA_GATE = 1e-12         # |K15 - G7| bound on the Moser 1-form, relative to 1 + |alpha|
-_FD_STEP = 1e-5             # central differences: step _FD_STEP (1 + |p_i|) in p_i
+_FD_STEP = 1e-5             # central differences: step _FD_STEP (1 + |<p, u>|) along a unit u
+_RANK_RTOL = 1e-6           # orbit-map singular values above _RANK_RTOL sigma_1 count toward r
 _COND_LIMIT = 1e12
 _GAUGE_NEAR = 0.99          # |M - I|_F under which the gauge factor M passes both gates
 _CHUNK = 4096
@@ -150,27 +151,94 @@ def _chunked(f: Callable[[np.ndarray], np.ndarray], P: np.ndarray,
     return out
 
 
+def _stencil(P: np.ndarray, U: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The central-difference stencil of the points P (B, n) along unit directions.
+
+    U (B, n, m) holds m unit directions u_k per point as columns.  The step
+    along u_k is h_k = _FD_STEP (1 + |<p, u_k>|), the one step rule of the
+    module; on a coordinate axis it is _FD_STEP (1 + |p_i|).  Returns the
+    stack (2m B, n) of the points p + h_k u_k, p - h_k u_k (pairs in k,
+    points within a pair) and the steps h (m, B).
+    """
+    h = _FD_STEP * (1.0 + np.abs(P[:, None] @ U)[:, 0].T)
+    step = h[..., None] * np.transpose(U, (2, 0, 1))            # (m, B, n)
+    return np.concatenate([P + step, P - step], axis=1).reshape(-1, P.shape[1]), h
+
+
+def _differences(vals: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """(f(p + h_k u_k) - f(p - h_k u_k)) / (2 h_k), as (m, B, ...), from the
+    field's values (2m B, ...) on a _stencil stack and its steps h (m, B)."""
+    m, B = h.shape
+    vals = vals.reshape((2 * m, B) + vals.shape[1:])
+    return (vals[0::2] - vals[1::2]) / (2 * h).reshape((m, B) + (1,) * (vals.ndim - 2))
+
+
 def _central_differences(field: Callable[[np.ndarray], np.ndarray],
                          P: np.ndarray) -> np.ndarray:
     """Central differences of a batched field along every coordinate.
 
-    P is a stack (B, n) of points; the step in p_i is h_i = _FD_STEP (1 + |p_i|),
-    the one step rule of the module.  The field is called once, on the stack
-    of the 2n B points p + h_i e_i, p - h_i e_i.  Returns D (n, B, ...) with
+    P is a stack (B, n) of points; the field is called once, on the _stencil
+    stack of the coordinate axes.  Returns D (n, B, ...) with
     D[i] = (f(p + h_i e_i) - f(p - h_i e_i)) / (2 h_i).  Callers that want
     another axis order copy it to C order, since einsum's summation order
     follows the memory layout of its operands.
     """
     B, n = P.shape
-    h = _FD_STEP * (1.0 + np.abs(P))
-    stack = np.repeat(P[None], 2 * n, axis=0)
-    for i in range(n):
-        stack[2 * i, :, i] += h[:, i]
-        stack[2 * i + 1, :, i] -= h[:, i]
-    vals = field(stack.reshape(-1, n))
-    vals = vals.reshape((2 * n, B) + vals.shape[1:])
-    step = (2 * h.T).reshape((n, B) + (1,) * (vals.ndim - 2))
-    return (vals[0::2] - vals[1::2]) / step
+    stack, h = _stencil(P, np.broadcast_to(np.eye(n), (B, n, n)))
+    return _differences(field(stack), h)
+
+
+def _orbit_map(alg: QuadraticLieAlgebra, P: np.ndarray) -> np.ndarray:
+    """T_p xi = ([xi, X], [xi, Y]) = (-ad_X xi, -ad_Y xi) at each point, as (B, 2d, d):
+    the derivative at the identity of the diagonal adjoint action on g x g."""
+    B, n = P.shape
+    return -alg.ad(P.reshape(B, 2, n // 2)).reshape(B, n, n // 2)
+
+
+def _block_diag(blocks: np.ndarray) -> np.ndarray:
+    """blockdiag(M_0, M_1) from a stack (B, 2, d, d), as (B, 2d, 2d)."""
+    B, _, d, _ = blocks.shape
+    out = np.zeros((B, 2 * d, 2 * d))
+    out[:, :d, :d] = blocks[:, 0]
+    out[:, d:, d:] = blocks[:, 1]
+    return out
+
+
+def _equivariant_trace(alg: QuadraticLieAlgebra, field: Callable[[np.ndarray], np.ndarray],
+                       P: np.ndarray, weight: np.ndarray | None = None
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+    """(f(P) (B, 2d), tr(W(p) Df(p)) (B,)) for an equivariant field f on g x g.
+
+    f maps a stack (N, 2d) to (N, 2d) and commutes with the diagonal adjoint
+    action, so along the orbit its derivative is known: Df(p) T_p = T_{f(p)}
+    (_orbit_map).  Take the SVD T_p = U Sigma V^T and let r be the smallest
+    numerical rank in the stack, the count of sigma_k > _RANK_RTOL sigma_1
+    (r = 0 at the origin; r < d where the stabilizer is positive-dimensional,
+    at X || Y or on a centre).  With u_k the columns of U the trace splits
+    into the orbit part tr(T_p^+ W T_{f(p)}), T_p^+ = V Sigma^{-1} U^T on the
+    top r singular triples, which needs no field value beyond f(p), and the
+    transverse part sum_k u_k^T W Df(p) u_k over the 2d - r columns beyond r,
+    by central differences along u_k (_stencil).  Any orthonormal split gives
+    the same trace; the threshold only bounds the 1/sigma_r amplification of
+    rounding in the orbit part.  The field is called once, on the points P
+    followed by their 2 (2d - r) perturbations.  W (B, 2d, 2d) defaults to
+    the identity, where the trace is the divergence.
+    """
+    B, n = P.shape
+    U, s, Vt = np.linalg.svd(_orbit_map(alg, P))
+    r = int((s > _RANK_RTOL * s[:, :1]).sum(axis=1).min(initial=n // 2))
+    U1, U2 = U[:, :, :r], U[:, :, r:]
+    stack, h = _stencil(P, U2)
+    vals = field(np.concatenate([P, stack]))
+    f = vals[:B]
+    D = _differences(vals[B:], h)                                  # (2d - r, B, 2d)
+    Tf = _orbit_map(alg, f)
+    if weight is not None:
+        Tf = weight @ Tf
+        U2 = np.transpose(weight, (0, 2, 1)) @ U2
+    # tr(V Sigma^{-1} U^T W T_f) = sum_k (u_k^T W T_f v_k) / sigma_k over k < r
+    orbit = np.einsum('bik,bij,bkj->b', U1, Tf, Vt[:, :r] / s[:, :r, None])
+    return f, orbit + np.einsum('bik,kbi->b', U2, D)
 
 
 def _dphi(F: np.ndarray, B: int) -> np.ndarray:
@@ -197,12 +265,7 @@ class _Engine:
     # -- elementary pieces ---------------------------------------------------
     def p0(self, P: np.ndarray) -> np.ndarray:
         """Product Kirillov bivector, block diagonal, P_W = -ad_W Q^{-1}."""
-        d = self.d
-        B = P.shape[0]
-        blocks = -self.alg.ad(P.reshape(B, 2, d)) @ self.Qi      # (B, 2, d, d)
-        out = np.zeros((B, 2 * d, 2 * d))
-        out[:, :d, :d] = blocks[:, 0]
-        out[:, d:, d:] = blocks[:, 1]
+        out = _block_diag(-self.alg.ad(P.reshape(P.shape[0], 2, self.d)) @ self.Qi)
         return 0.5 * (out - np.transpose(out, (0, 2, 1)))
 
     def varpi(self, W: np.ndarray) -> np.ndarray:
@@ -353,15 +416,19 @@ class _Engine:
         return kappa_t(self.alg, t, PointV.from_array(P, self.d))
 
     def kv2_residual(self, P: np.ndarray) -> np.ndarray:
-        """|LHS - RHS| of the trace equation, delta-derivatives by FD."""
+        """|LHS - RHS| of the trace equation.
+
+        The left side tr(ad_X d_X A) + tr(ad_Y d_Y B) is tr(W D(A, B)) with
+        W = blockdiag(ad_X, ad_Y), taken by _equivariant_trace: the pair
+        (A, B) is equivariant, so D(A, B) T_p = T_{(A, B)} along the orbit,
+        and extract runs on the points and their 2 (2d - r) perturbations,
+        r the smallest rank of the orbit map T_p in the stack.
+        """
         d = self.d
-        D = _central_differences(lambda Q: np.stack(self.extract(Q), axis=1), P)
-        # DA[:, :, j] = dA/dX_j, DB[:, :, j] = dB/dY_j
-        DA = np.ascontiguousarray(D[:d, :, 0].transpose(1, 2, 0))
-        DB = np.ascontiguousarray(D[d:, :, 1].transpose(1, 2, 0))
+        W = _block_diag(self.alg.ad(P.reshape(P.shape[0], 2, d)))
+        lhs = _equivariant_trace(
+            self.alg, lambda Q: np.concatenate(self.extract(Q), axis=1), P, W)[1]
         X, Y = P[:, :d], P[:, d:]
-        lhs = (np.einsum('bij,bji->b', self.alg.ad(X), DA)
-               + np.einsum('bij,bji->b', self.alg.ad(Y), DB))
         Z = phi_t(self.alg, 1.0, PointV(X, Y))
         G = analytic_ad(self.alg, fn_todd, np.concatenate([X, Y, Z]))
         tr = np.trace(G, axis1=-2, axis2=-1).reshape(3, -1)
@@ -441,17 +508,16 @@ class _Engine:
         return np.arange(steps + 1) * dt, traj, _cumulative_simpson(div, dt)
 
     def _divergence_w(self, t: float, q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(v_t (B, 2d), div v_t (B,)) at q, by central differences, from one
-        moser_w call on the points q and their perturbations."""
-        B = q.shape[0]
-        w = []
+        """(v_t (B, 2d), div v_t (B,)) at q, from one moser_w call.
 
-        def field(S: np.ndarray) -> np.ndarray:
-            w.append(self.moser_w(t, np.concatenate([q, S])))
-            return w[0][B:]
-
-        div = np.einsum('ibi->b', _central_differences(field, q))
-        return w[0][:B], div
+        v_t commutes with the diagonal adjoint action, so Dv_t(p) T_p =
+        T_{v_t(p)} gives the divergence along the orbit without differencing
+        (_equivariant_trace, W = I); central differences take the 2d - r
+        directions across the orbits, r the smallest rank of T_p in the
+        stack.  The call takes the points q and their 2 (2d - r)
+        perturbations: 7 points per point on so3 and sl2, 11 on gl2.
+        """
+        return _equivariant_trace(self.alg, lambda Q: self.moser_w(t, Q), q)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from kvgeom.freelie import (
     log1p_series,
     word_expansion,
 )
-from kvgeom.geom import _central_differences, _cumulative_simpson
+from kvgeom.geom import _central_differences, _cumulative_simpson, _equivariant_trace
 from kvgeom.matrixlie import (
     ad_series,
     builtin_algebras,
@@ -151,9 +151,9 @@ def oracle_flow(eng, P, steps):
     """The Moser flow with one divergence per step, after the trajectory.
 
     RK4 on dp/dt = -v_t, every stage its own moser_w call; then, at each
-    step, the divergence of v_t by central differences of moser_w(t, .),
-    integrated in t by cumulative Simpson.  Returns (trajectory
-    (steps+1, B, 2d), log_density (steps+1, B)).
+    step, the divergence of v_t through _equivariant_trace (which the geom
+    tests bound against full_stencil_trace), integrated in t by cumulative
+    Simpson.  Returns (trajectory (steps+1, B, 2d), log_density (steps+1, B)).
     """
     dt = 1.0 / steps
     q = P.astype(float)
@@ -167,9 +167,21 @@ def oracle_flow(eng, P, steps):
         q = q + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         traj.append(q)
     div = np.array([
-        np.einsum('ibi->b', _central_differences(lambda Q, t=k * dt: eng.moser_w(t, Q), q))
+        _equivariant_trace(eng.alg, lambda Q, t=k * dt: eng.moser_w(t, Q), q)[1]
         for k, q in enumerate(traj)])
     return np.array(traj), _cumulative_simpson(div, dt)
+
+
+def full_stencil_trace(field, P, weight=None):
+    """tr(W(p) Df(p)) with Df by central differences along all 2d coordinates.
+
+    The trace before the orbit split: the field is differenced on the 4d B
+    points p +- h_i e_i.  W (B, 2d, 2d) defaults to the identity.
+    """
+    J = np.transpose(_central_differences(field, P), (1, 2, 0))     # J[b, j, i] = df_j/dp_i
+    if weight is None:
+        return np.einsum('bii->b', J)
+    return np.einsum('bij,bji->b', weight, J)
 
 
 def dsigma_dt(eng, t, P, ht=1e-4):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from kvgeom import cyclic, kvsolve
+from kvgeom import cli, cyclic, kvsolve
 from kvgeom.cli import main
 from kvgeom.freelie import LieSeries, lyndon_basis
 
@@ -296,6 +296,21 @@ class TestFlowCommand:
 
 
 class TestUsage:
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # main builds its parser once; a call's flags and a usage error
+        # leave nothing behind for the next call
+        out_path = tmp_path / "bch.json"
+        assert run_cli(["bch", "--degree", "3", "--out", str(out_path)], capsys)[0] == 0
+        parser = cli._parser()
+        with pytest.raises(SystemExit) as exc:
+            main(["bch", "--frobnicate"])
+        assert exc.value.code == 2
+        out_path.unlink()
+        code, out = run_cli(["bch", "--degree", "2"], capsys)
+        assert code == 0 and strip_timestamp(out)["degree"] == 2
+        assert not out_path.exists() and cli._parser() is parser
+        assert cli.build_parser() is not parser
+
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bch", "--frobnicate"])

@@ -81,6 +81,27 @@ class TestLyndonBasis:
     def test_matches_brute_force(self, degree):
         assert lyndon_basis(degree) == brute_force_lyndon(degree)
 
+    def test_one_duval_run_serves_every_lower_degree(self, monkeypatch):
+        # from a cold memo, the top degree asked first runs Duval's
+        # generation once and every lower degree is served from that run;
+        # a higher degree reruns it, in either order the bases are the same
+        runs = []
+        duval = freelie.lyndon_words_upto
+        monkeypatch.setattr(freelie, "lyndon_words_upto",
+                            lambda n: runs.append(n) or duval(n))
+        freelie._lyndon_table.cache_clear()
+        try:
+            for degree in (6, 1, 4, 6, 5):
+                assert lyndon_basis(degree) == brute_force_lyndon(degree)
+            assert freelie._lyndon_prefixes(3) == {
+                w[:i] for k in (1, 2, 3) for w in brute_force_lyndon(k)
+                for i in range(1, k + 1)}
+            assert runs == [6]
+            assert lyndon_basis(8) == brute_force_lyndon(8)
+            assert lyndon_basis(7) == brute_force_lyndon(7) and runs == [6, 8]
+        finally:
+            freelie._lyndon_table.cache_clear()
+
     def test_upto_is_lex_sorted(self):
         words = lyndon_words_upto(5)
         assert words == sorted(words)

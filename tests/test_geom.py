@@ -22,8 +22,11 @@ from kvgeom.geom import (
     _K15_S,
     _K15_W,
     _Engine,
+    _block_diag,
     _central_differences,
     _cumulative_simpson,
+    _equivariant_trace,
+    _orbit_map,
     alpha,
     cartan_eta,
     extract_AB,
@@ -57,7 +60,13 @@ from kvgeom.matrixlie import (
     phi_t,
 )
 
-from conftest import dsigma_dt, oracle_flow, oracle_varpi, reduction_table
+from conftest import (
+    dsigma_dt,
+    full_stencil_trace,
+    oracle_flow,
+    oracle_varpi,
+    reduction_table,
+)
 from test_matrixlie import oracle_analytic_ad
 
 ORIGIN3 = PointV(np.zeros(3), np.zeros(3))
@@ -303,10 +312,11 @@ class TestSeriesKernel:
                 Ak = Ak @ A
 
     def test_peak_memory_at_divergence_stack(self, so3):
-        # one divergence call of the so3 flow: 13 points, 16 sigma samples each,
-        # 3 ad matrices per sample.  With a zero-filled (K, d, N) reduction
-        # table the call peaked at about 1.25 MiB; from rho, and with the tail
-        # gate settled without a copy of the values, about 0.68
+        # a 13-point so3 stack, the divergence call of the flow before it
+        # differenced only across the orbits (7 points now): 16 sigma samples
+        # each, 3 ad matrices per sample.  With a zero-filled (K, d, N)
+        # reduction table the call peaked at about 1.25 MiB; from rho, and
+        # with the tail gate settled without a copy of the values, about 0.68
         A = so3.ad(0.1 * np.random.default_rng(3).standard_normal((624, 3)))
         ad_series(A, geom._SIGMA_ROWS)
         tracemalloc.start()
@@ -886,6 +896,73 @@ class TestKV2Numeric:
         assert np.max(eng.kv2_residual(q)) <= 1e-5
 
 
+def orbit_test_points(alg, seed):
+    """Two generic points, then (X, 0), (X, X/2) and the origin: orbit maps
+    of full rank, of the stabilizer ranks of X, and of rank 0."""
+    d = alg.dim
+    P = sample_points(alg, 2, seed, 0.3)
+    X = P[0, :d]
+    return {"generic": P,
+            "Y = 0": np.concatenate([X, np.zeros(d)])[None],
+            "X || Y": np.concatenate([X, 0.5 * X])[None],
+            "origin": np.zeros((1, 2 * d))}
+
+
+class TestEquivariantTrace:
+    # the generic rank of the orbit map: d less the dimension of the centre
+    GENERIC_RANK = {"so3": 3, "sl2": 3, "gl2": 3, "sl3": 8}
+
+    @staticmethod
+    def counted(field, sizes):
+        def f(Q):
+            sizes.append(Q.shape[0])
+            return field(Q)
+        return f
+
+    def test_matches_full_stencil(self, all_algebras, sl3):
+        # W = I on moser_w (the flow's divergence) and W = blockdiag(ad_X,
+        # ad_Y) on extract (the left side of kv2), against the trace by
+        # central differences along all 2d coordinates
+        for alg in list(all_algebras) + [sl3]:
+            eng = _Engine(alg)
+            d = alg.dim
+            for where, P in orbit_test_points(alg, 97).items():
+                B = P.shape[0]
+                W = _block_diag(alg.ad(P.reshape(B, 2, d)))
+                for field, weight in ((lambda Q: eng.moser_w(0.7, Q), None),
+                                      (lambda Q: np.concatenate(eng.extract(Q), axis=1), W)):
+                    sizes = []
+                    f, tr = _equivariant_trace(alg, self.counted(field, sizes), P, weight)
+                    ref = full_stencil_trace(field, P, weight)
+                    assert np.max(np.abs(tr - ref)) <= 1e-9, (alg.name, where)
+                    assert np.max(np.abs(f - field(P)), initial=0.0) <= 1e-14
+                    assert len(sizes) == 1 and (sizes[0] - B) % (2 * B) == 0
+                    r = 2 * d - (sizes[0] - B) // (2 * B)
+                    if where == "generic":
+                        assert r == self.GENERIC_RANK[alg.name], alg.name
+                    elif where == "origin":
+                        assert r == 0
+                    else:
+                        assert 0 < r < self.GENERIC_RANK[alg.name], (alg.name, where)
+
+    def test_moser_field_is_equivariant(self, all_algebras, sl3):
+        # the identity the orbit part rests on, by FD: Dv_t(p) T_p = T_{v_t(p)};
+        # then the helper's tr(W Dv_t) against tr(W J) for a random weight W
+        rng = np.random.default_rng(103)
+        for alg in list(all_algebras) + [sl3]:
+            eng = _Engine(alg)
+            P = sample_points(alg, 3, 101, 0.3)
+            W = rng.standard_normal((3, 2 * alg.dim, 2 * alg.dim))
+            for t in (0.4, 1.0):
+                J = np.transpose(_central_differences(lambda Q: eng.moser_w(t, Q), P), (1, 2, 0))
+                lhs = J @ _orbit_map(alg, P)
+                rhs = _orbit_map(alg, eng.moser_w(t, P))
+                assert np.max(np.abs(lhs - rhs)) <= 1e-9, alg.name
+                assert np.max(np.abs(rhs)) >= 1e-4     # the identity is not 0 = 0
+                tr = _equivariant_trace(alg, lambda Q: eng.moser_w(t, Q), P, W)[1]
+                assert np.max(np.abs(tr - np.einsum('bij,bji->b', W, J))) <= 1e-9, alg.name
+
+
 class TestStructure:
     def test_schouten_jacobi(self, all_algebras):
         for alg in all_algebras:
@@ -1041,8 +1118,10 @@ class TestFlow:
 
         monkeypatch.setattr(eng, "moser_w", counted)
         eng.flow(sample_points(so3, 2, 89, 0.3), 5)
+        # the divergence stack: the 2 points and their 2 (2d - r) = 6
+        # perturbations each, across the rank-3 orbits
         assert len(sizes) == 4 * 5 + 1
-        assert sizes.count(2 * (1 + 2 * 6)) == 6
+        assert sizes.count(2 * (1 + 2 * 3)) == 6
 
     def test_orbit_radii_conserved(self, so3):
         # leaves are products of coadjoint orbits; for so3 these are spheres,
