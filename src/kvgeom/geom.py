@@ -99,6 +99,7 @@ _K15_S = 0.5 + 0.5 * np.concatenate([-_XGK, _XGK[-2::-1]])
 _K15_W = 0.5 * np.concatenate([_WGK, _WGK[-2::-1]])
 _G7_W = np.zeros(15)
 _G7_W[1::2] = 0.5 * np.concatenate([_WG, _WG[-2::-1]])
+_KRONROD = np.stack([_K15_W, _K15_W - _G7_W])     # the integral and its error estimate
 _SAMPLE_S = np.append(_K15_S, 1.0)      # the Moser 1-form's sigma samples: K15 nodes, then s = 1
 
 DEFAULT_TOLERANCES: Dict[str, float] = {
@@ -132,6 +133,21 @@ def _cumulative_simpson(f: np.ndarray, dt: float) -> np.ndarray:
     else:
         out[1] = dt / 12.0 * (5 * f[0] + 8 * f[1] - f[2])
     return out
+
+
+# The Adams pair of order 6, in units of dt / 1440 and newest value first:
+# Adams-Bashforth on f_k ... f_{k-5} and Adams-Moulton on f_{k+1} ... f_{k-4},
+# each the integral over [t_k, t_{k+1}] of the Lagrange polynomial through
+# its six values.  _ADAMS_START RK4 steps give the first six.
+_AB6 = (4277, -7923, 9982, -7298, 2877, -475)
+_AM6 = (475, 1427, -798, 482, -173, 27)
+_ADAMS_START = 5
+
+
+def _adams(weights: Sequence[int], values: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_j weights[j] values[j] over the first len(weights) values, one
+    elementwise term at a time, so a point's bits do not depend on its stack."""
+    return sum(c * f for c, f in zip(weights, values))
 
 
 # ---------------------------------------------------------------------------
@@ -211,34 +227,43 @@ def _equivariant_trace(alg: QuadraticLieAlgebra, field: Callable[[np.ndarray], n
 
     f maps a stack (N, 2d) to (N, 2d) and commutes with the diagonal adjoint
     action, so along the orbit its derivative is known: Df(p) T_p = T_{f(p)}
-    (_orbit_map).  Take the SVD T_p = U Sigma V^T and let r be the smallest
-    numerical rank in the stack, the count of sigma_k > _RANK_RTOL sigma_1
-    (r = 0 at the origin; r < d where the stabilizer is positive-dimensional,
-    at X || Y or on a centre).  With u_k the columns of U the trace splits
-    into the orbit part tr(T_p^+ W T_{f(p)}), T_p^+ = V Sigma^{-1} U^T on the
-    top r singular triples, which needs no field value beyond f(p), and the
-    transverse part sum_k u_k^T W Df(p) u_k over the 2d - r columns beyond r,
-    by central differences along u_k (_stencil).  Any orthonormal split gives
-    the same trace; the threshold only bounds the 1/sigma_r amplification of
-    rounding in the orbit part.  The field is called once, on the points P
-    followed by their 2 (2d - r) perturbations.  W (B, 2d, 2d) defaults to
-    the identity, where the trace is the divergence.
+    (_orbit_map).  Take the SVD T_p = U Sigma V^T and let r_p be the
+    numerical rank at p, the count of sigma_k > _RANK_RTOL sigma_1 (r_p = 0
+    at the origin; r_p < d where the stabilizer is positive-dimensional, at
+    X || Y or on a centre).  With u_k the columns of U the trace splits into
+    the orbit part tr(T_p^+ W T_{f(p)}), T_p^+ = V Sigma^{-1} U^T on the top
+    r_p singular triples, which needs no field value beyond f(p), and the
+    transverse part sum_k u_k^T W Df(p) u_k over the 2d - r_p columns beyond
+    r_p, by central differences along u_k (_stencil).  Any orthonormal split
+    gives the same trace; the threshold only bounds the 1/sigma_r
+    amplification of rounding in the orbit part.  The points are taken in
+    groups of one rank, so a point's stencil and result do not depend on
+    the ranks of the others.  The field is called once, on the B points P
+    followed by the sum over points of their 2 (2d - r_p) perturbations.
+    W (B, 2d, 2d) defaults to the identity, where the trace is the
+    divergence.
     """
-    B, n = P.shape
+    B = P.shape[0]
     U, s, Vt = np.linalg.svd(_orbit_map(alg, P))
-    r = int((s > _RANK_RTOL * s[:, :1]).sum(axis=1).min(initial=n // 2))
-    U1, U2 = U[:, :, :r], U[:, :, r:]
-    stack, h = _stencil(P, U2)
-    vals = field(np.concatenate([P, stack]))
+    rank = (s > _RANK_RTOL * s[:, :1]).sum(axis=1)
+    groups = [(r, np.flatnonzero(rank == r)) for r in sorted(set(rank.tolist()))]
+    stencils = [_stencil(P[g], U[g, :, r:]) for r, g in groups]
+    vals = field(np.concatenate([P] + [stack for stack, _ in stencils]))
     f = vals[:B]
-    D = _differences(vals[B:], h)                                  # (2d - r, B, 2d)
     Tf = _orbit_map(alg, f)
+    WU = U
     if weight is not None:
         Tf = weight @ Tf
-        U2 = np.transpose(weight, (0, 2, 1)) @ U2
-    # tr(V Sigma^{-1} U^T W T_f) = sum_k (u_k^T W T_f v_k) / sigma_k over k < r
-    orbit = np.einsum('bik,bij,bkj->b', U1, Tf, Vt[:, :r] / s[:, :r, None])
-    return f, orbit + np.einsum('bik,kbi->b', U2, D)
+        WU = np.transpose(weight, (0, 2, 1)) @ U
+    tr = np.empty(B)
+    lo = B
+    for (r, g), (stack, h) in zip(groups, stencils):
+        D = _differences(vals[lo:lo + len(stack)], h)               # (2d - r, |g|, 2d)
+        lo += len(stack)
+        # tr(V Sigma^{-1} U^T W T_f) = sum_k (u_k^T W T_f v_k) / sigma_k over k < r
+        orbit = np.einsum('bik,bij,bkj->b', U[g, :, :r], Tf[g], Vt[g, :r] / s[g, :r, None])
+        tr[g] = orbit + np.einsum('bik,kbi->b', WU[g, :, r:], D)
+    return f, tr
 
 
 def _dphi(F: np.ndarray, B: int) -> np.ndarray:
@@ -338,11 +363,14 @@ class _Engine:
         """
         B, n2 = P.shape
         sig = self.sigma((t * _SAMPLE_S[:, None, None] * P[None]).reshape(-1, n2))
-        # iota_p at every sample: v[k, b] = p_b^T sigma(t s_k p_b)
-        v = (P[None, :, None, :] @ sig.reshape(16, B, n2, n2))[:, :, 0]
-        sv = (_K15_S[:, None, None] * v[:15]).reshape(15, B * n2)
-        cov = v[15] - (_K15_W @ sv).reshape(B, n2)
-        err = ((_K15_W - _G7_W) @ sv).reshape(B, n2)
+        # iota_p at every sample, v[k, b] = p_b^T sigma(t s_k p_b) = -sigma p_b
+        # (sigma is antisymmetric), then K15 and K15 - G7 on v as one matrix
+        # product.  Both give a point the same bits at any stack size; the
+        # vector-matrix products p^T sigma and _K15_W @ v did not
+        v = -(sig.reshape(16, B, n2, n2) @ P[None, :, :, None])[..., 0]
+        quad = (_KRONROD @ (_K15_S[:, None, None] * v[:15]).reshape(15, B * n2)).reshape(2, B, n2)
+        cov = v[15] - quad[0]
+        err = quad[1]
         bound = _ALPHA_GATE * (1.0 + np.max(np.abs(cov), axis=1))
         if not np.all(np.max(np.abs(err), axis=1) <= bound):
             raise OutsideDomainError(
@@ -474,14 +502,23 @@ class _Engine:
     # -- flow -------------------------------------------------------------------
     def flow(self, P0pts: np.ndarray, steps: int
              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """RK4 integration of dp/dt = -v_t with log-density accumulation.
+        """Integration of dp/dt = -v_t by an Adams predictor-corrector, with
+        log-density accumulation.
 
-        Each step's first RK4 stage shares its moser_w call with the
-        divergence of v_t at the step's start (_divergence_w), integrated in
-        time by cumulative Simpson.  Returns (ts, trajectory (steps+1, B, 2d),
-        log_density (steps+1, B)).  ValueError for fewer than 2 steps: one
-        step leaves the log-density the trapezoid, whose volume drift (1.8e-5
-        on 4 so3 points of radius 0.3) exceeds the transportVol tolerance.
+        The Adams-Bashforth-Moulton pair of order 6 in PECE form (Hairer,
+        Norsett and Wanner, Solving Ordinary Differential Equations I,
+        III.1): from step _ADAMS_START on, AB6 predicts from the values -v_t
+        at the last six accepted points, one moser_w call evaluates the
+        prediction, and AM6 corrects.  The first _ADAMS_START steps, which
+        build that history, are RK4.  Every step starts with _divergence_w
+        at its accepted point, whose v_t is both RK4's first stage and the
+        next history value, and whose divergence is integrated in time by
+        cumulative Simpson.  A flow of S steps makes 1 + 4 min(S, 5) +
+        2 max(S - 5, 0) moser_w calls: 91 at S = 40.  Returns (ts,
+        trajectory (steps+1, B, 2d), log_density (steps+1, B)).  ValueError
+        for fewer than 2 steps: one step leaves the log-density the
+        trapezoid, whose volume drift (1.8e-5 on 4 so3 points of radius
+        0.3) exceeds the transportVol tolerance.
         """
         if steps < 2:
             raise ValueError("steps must be >= 2")
@@ -491,14 +528,20 @@ class _Engine:
         traj = np.empty((steps + 1,) + q.shape)
         div = np.empty((steps + 1, q.shape[0]))
         traj[0] = q
+        hist = []                       # -v_t at the accepted points, newest first
         for k in range(steps):
             t0 = k * dt
             w, div[k] = self._divergence_w(t0, q)
-            k1 = -w
-            k2 = -self.moser_w(t0 + dt / 2, q + dt / 2 * k1)
-            k3 = -self.moser_w(t0 + dt / 2, q + dt / 2 * k2)
-            k4 = -self.moser_w(min(t0 + dt, 1.0), q + dt * k3)
-            q = q + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            hist = [-w] + hist[:5]
+            if k < _ADAMS_START:
+                k1 = hist[0]
+                k2 = -self.moser_w(t0 + dt / 2, q + dt / 2 * k1)
+                k3 = -self.moser_w(t0 + dt / 2, q + dt / 2 * k2)
+                k4 = -self.moser_w(min(t0 + dt, 1.0), q + dt * k3)
+                q = q + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            else:
+                f1 = -self.moser_w(min(t0 + dt, 1.0), q + dt / 1440 * _adams(_AB6, hist))
+                q = q + dt / 1440 * _adams(_AM6, [f1] + hist)
             try:
                 self.alg.check_point(q[:, :d], q[:, d:])
             except OutsideDomainError:
@@ -512,10 +555,12 @@ class _Engine:
 
         v_t commutes with the diagonal adjoint action, so Dv_t(p) T_p =
         T_{v_t(p)} gives the divergence along the orbit without differencing
-        (_equivariant_trace, W = I); central differences take the 2d - r
-        directions across the orbits, r the smallest rank of T_p in the
-        stack.  The call takes the points q and their 2 (2d - r)
-        perturbations: 7 points per point on so3 and sl2, 11 on gl2.
+        (_equivariant_trace, W = I); central differences take the 2d - r_p
+        directions across the orbits, r_p the rank of T_p at each point.  The
+        call takes the points q and their 2 (2d - r_p) perturbations: 7
+        points per generic point on so3 and sl2, 11 on gl2.  In the flow,
+        its v_t at an accepted point is RK4's first stage during start-up
+        and the Adams history value after it.
         """
         return _equivariant_trace(self.alg, lambda Q: self.moser_w(t, Q), q)
 
@@ -626,9 +671,11 @@ def kv2_numeric_residual(alg: QuadraticLieAlgebra, p: PointV) -> float:
 
 def flow_integrate(alg: QuadraticLieAlgebra, p0: PointV, steps: int
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate dp/dt = -v_t from t = 0 to 1 by RK4, with volume transport.
+    """Integrate dp/dt = -v_t from t = 0 to 1, with volume transport.
 
-    Returns (ts (steps+1,), points (steps+1, 2d), log_density (steps+1,)).
+    Five RK4 steps, then the Adams-Bashforth-Moulton pair of order 6
+    (_Engine.flow).  Returns (ts (steps+1,), points (steps+1, 2d),
+    log_density (steps+1,)).
     """
     alg.check_point(p0.X, p0.Y)
     ts, traj, dens = _Engine(alg).flow(p0.as_array()[None], steps)
@@ -639,7 +686,8 @@ def transport_drift(alg: QuadraticLieAlgebra, P: np.ndarray, steps: int
                     ) -> Tuple[float, float]:
     """Worst drift of Phi_t and of the volume along the Moser flow from P.
 
-    Integrates the flow of the points P (B, 2d) over `steps` RK4 steps and,
+    Integrates the flow of the points P (B, 2d) over `steps` steps of
+    _Engine.flow (RK4 start-up, then the Adams pair of order 6) and,
     at every step t > 0, compares Phi_t with Phi_0 and log kappa_t with the
     transported log-density (both are exact at t = 0).  Every step is taken
     in one stack through Phi_t(p) = Phi_1(t p) / t and kappa_t(p) =

@@ -537,8 +537,9 @@ def ad_series(A: np.ndarray, coeffs: np.ndarray
     a geometric sequence when m = 1: A_n^(o + 2 i) = sum_j rho[i, j, n]
     A_n^(o + 2 j) for o = e and o = e + 1.  The coefficients of both parity
     blocks of every series are contracted with rho directly, each entry
-    summed in ascending i, so the contraction gives a point the same bits
-    at any stack size; the table's constants come from _series_plan.
+    summed in ascending i, and the result multiplies the powers point by
+    point in one BLAS product each, so F gives a point the same bits at any
+    stack size; the table's constants come from _series_plan.
 
     Raises ValueError if an odd power sum tr(A_n^k), k <= d, exceeds
     1e-10 d |A_n|_F^k: such a stack is not skew for any invariant form, and
@@ -600,7 +601,11 @@ def ad_series(A: np.ndarray, coeffs: np.ndarray
     if e:
         coef[:, 0] = coeffs[:, :1]      # A^0 = I, outside both blocks
     coef[:, e:].reshape(S, m, 2, N)[...] = np.einsum('ibs,ijn->sjbn', C, rho[:half])
-    F = (coef.transpose(2, 0, 1) @ pw.reshape(N, d, d * d)).reshape(N, -1, d, d)
+    # with each point's (S, d) block C-contiguous, matmul hands every point to
+    # the same BLAS product at any stack size (the strided view went to BLAS
+    # for one point and to numpy's own loop, with other bits, for more)
+    F = (np.ascontiguousarray(coef.transpose(2, 0, 1))
+         @ pw.reshape(N, d, d * d)).reshape(N, S, d, d)
     # tail gate on the last nonzero term of each series, per point; with F
     # finite, 1e-12 (1 + max|F|) >= 1e-12 >= the tail bounded by |A|_F^j
     if (_series_tail(tail_plan, rho, norms) <= 1e-12).all() and np.isfinite(F).all():

@@ -147,29 +147,82 @@ def oracle_varpi(alg, W):
     return 0.5 * (M - np.transpose(M, (0, 2, 1)))
 
 
-def oracle_flow(eng, P, steps):
-    """The Moser flow with one divergence per step, after the trajectory.
+def adams_weights(nodes):
+    """The integral over [0, 1] of each Lagrange basis polynomial through the
+    nodes (in units of dt, measured from the step's start), as Fractions.
 
-    RK4 on dp/dt = -v_t, every stage its own moser_w call; then, at each
-    step, the divergence of v_t through _equivariant_trace (which the geom
-    tests bound against full_stencil_trace), integrated in t by cumulative
-    Simpson.  Returns (trajectory (steps+1, B, 2d), log_density (steps+1, B)).
+    Nodes 0, -1, ..., -5 give the Adams-Bashforth weights of order 6, and
+    1, 0, ..., -4 the Adams-Moulton ones.
     """
+    weights = []
+    for j, sj in enumerate(nodes):
+        poly = [Fraction(1)]                    # ascending coefficients in s
+        for i, si in enumerate(nodes):
+            if i != j:                          # times (s - si) / (sj - si)
+                shifted = [Fraction(0)] + poly
+                poly = [(a - si * b) / (sj - si)
+                        for a, b in zip(shifted, poly + [Fraction(0)])]
+        weights.append(sum(c / (k + 1) for k, c in enumerate(poly)))
+    return weights
+
+
+_ORACLE_AB6 = [float(w) for w in adams_weights(range(0, -6, -1))]
+_ORACLE_AM6 = [float(w) for w in adams_weights(range(1, -5, -1))]
+
+
+def _rk4_step(eng, t0, dt, q, k1):
+    """One RK4 step of dp/dt = -v_t from (t0, q), given k1 = -v_t0(q)."""
+    k2 = -eng.moser_w(t0 + dt / 2, q + dt / 2 * k1)
+    k3 = -eng.moser_w(t0 + dt / 2, q + dt / 2 * k2)
+    k4 = -eng.moser_w(min(t0 + dt, 1.0), q + dt * k3)
+    return q + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def oracle_flow(eng, P, steps, density=True):
+    """The Moser flow as the engine takes it, every evaluation its own moser_w call.
+
+    Five RK4 steps, then the Adams-Bashforth-Moulton pair of order 6 in PECE
+    form, with the weights of adams_weights: predict from -v_t at the last
+    six accepted points, evaluate there, correct, and evaluate -v_t at the
+    corrected point for the history.  Then, at each step, the divergence of
+    v_t through _equivariant_trace (which the geom tests bound against
+    full_stencil_trace), integrated in t by cumulative Simpson.  Returns
+    (trajectory (steps+1, B, 2d), log_density (steps+1, B)); without
+    density, the trajectory and None.
+    """
+    dt = 1.0 / steps
+    q = P.astype(float)
+    traj, hist = [q], []
+    for k in range(steps):
+        t0 = k * dt
+        hist.insert(0, -eng.moser_w(t0, q))
+        if k < 5:
+            q = _rk4_step(eng, t0, dt, q, hist[0])
+        else:
+            pred = q + dt * sum(w * f for w, f in zip(_ORACLE_AB6, hist))
+            f1 = -eng.moser_w(min(t0 + dt, 1.0), pred)
+            q = q + dt * sum(w * f for w, f in zip(_ORACLE_AM6, [f1] + hist))
+        traj.append(q)
+    traj = np.array(traj)
+    if not density:
+        return traj, None
+    div = np.array([
+        _equivariant_trace(eng.alg, lambda Q, t=k * dt: eng.moser_w(t, Q), q)[1]
+        for k, q in enumerate(traj)])
+    return traj, _cumulative_simpson(div, dt)
+
+
+def oracle_rk4_flow(eng, P, steps):
+    """The Moser flow by RK4 at every step, as the engine took it before the
+    Adams pair: the trajectory (steps+1, B, 2d) the Adams flow is measured
+    against."""
     dt = 1.0 / steps
     q = P.astype(float)
     traj = [q]
     for k in range(steps):
-        t0 = k * dt
-        k1 = -eng.moser_w(t0, q)
-        k2 = -eng.moser_w(t0 + dt / 2, q + dt / 2 * k1)
-        k3 = -eng.moser_w(t0 + dt / 2, q + dt / 2 * k2)
-        k4 = -eng.moser_w(min(t0 + dt, 1.0), q + dt * k3)
-        q = q + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        q = _rk4_step(eng, k * dt, dt, q, -eng.moser_w(k * dt, q))
         traj.append(q)
-    div = np.array([
-        _equivariant_trace(eng.alg, lambda Q, t=k * dt: eng.moser_w(t, Q), q)[1]
-        for k, q in enumerate(traj)])
-    return np.array(traj), _cumulative_simpson(div, dt)
+    return np.array(traj)
 
 
 def full_stencil_trace(field, P, weight=None):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from kvgeom.freelie import (
     sinh_minus_s_over_s2,
 )
 from kvgeom.geom import (
+    _AB6,
+    _AM6,
     _G7_W,
     _K15_S,
     _K15_W,
@@ -61,9 +64,11 @@ from kvgeom.matrixlie import (
 )
 
 from conftest import (
+    adams_weights,
     dsigma_dt,
     full_stencil_trace,
     oracle_flow,
+    oracle_rk4_flow,
     oracle_varpi,
     reduction_table,
 )
@@ -945,6 +950,41 @@ class TestEquivariantTrace:
                     else:
                         assert 0 < r < self.GENERIC_RANK[alg.name], (alg.name, where)
 
+    def test_rank_is_per_point(self, all_algebras, sl3):
+        # every point differences its own 2d - r_p directions, in one field
+        # call: mixed ranks in one stack give each point its own-stack trace,
+        # on 1 + 2 (2d - r_p) field points per point (45 on so3: 1 + 6 at the
+        # generic points, 1 + 8 at Y = 0 and X || Y, 1 + 12 at the origin)
+        for alg in list(all_algebras) + [sl3]:
+            eng = _Engine(alg)
+            cases = list(orbit_test_points(alg, 97).values())
+            P = np.concatenate(cases)
+            fields = ((lambda Q: eng.moser_w(0.7, Q), lambda P: None),
+                      (lambda Q: np.concatenate(eng.extract(Q), axis=1),
+                       lambda P: _block_diag(alg.ad(P.reshape(P.shape[0], 2, alg.dim)))))
+            for field, weight in fields:
+                sizes = []
+                f, tr = _equivariant_trace(alg, self.counted(field, sizes), P, weight(P))
+                own = [_equivariant_trace(alg, self.counted(field, sizes), Q, weight(Q))
+                       for Q in cases]
+                assert sizes[0] == sum(sizes[1:]), alg.name
+                if alg.name == "so3":
+                    assert sizes[0] == 45
+                assert np.array_equal(f, np.concatenate([o[0] for o in own])), alg.name
+                assert np.array_equal(tr, np.concatenate([o[1] for o in own])), alg.name
+
+    def test_origin_leaves_the_other_points_alone(self, so3):
+        # appending a rank-0 point, which differences all 2d directions,
+        # changes no other point's trace or field value
+        eng = _Engine(so3)
+        P = sample_points(so3, 40, 5, 0.3)
+        Po = np.concatenate([P, np.zeros((1, 6))])
+        assert np.array_equal(eng.kv2_residual(Po)[:40], eng.kv2_residual(P))
+        for t in (0.0, 0.5, 1.0):
+            w, div = eng._divergence_w(t, P)
+            wo, divo = eng._divergence_w(t, Po)
+            assert np.array_equal(wo[:40], w) and np.array_equal(divo[:40], div)
+
     def test_moser_field_is_equivariant(self, all_algebras, sl3):
         # the identity the orbit part rests on, by FD: Dv_t(p) T_p = T_{v_t(p)};
         # then the helper's tr(W Dv_t) against tr(W J) for a random weight W
@@ -1095,8 +1135,10 @@ class TestFlow:
             assert np.max(np.abs(split - one)) <= 1e-15 * np.max(np.abs(one))
 
     def test_shared_divergence_matches_per_step_oracle(self, all_algebras):
-        # the divergence rides on each step's first RK4 call; the oracle
-        # takes it after the trajectory, one call per step
+        # the divergence rides on each step's first call, whose v_t is RK4's
+        # first stage or the Adams history value; the oracle evaluates v_t on
+        # its own and takes the divergence after the trajectory, one call per
+        # step.  10 steps: 5 RK4 steps, then 5 Adams steps
         for alg in all_algebras:
             eng = _Engine(alg)
             P = sample_points(alg, 2, 83, 0.3)
@@ -1106,22 +1148,60 @@ class TestFlow:
             assert np.max(np.abs(dens - ref_dens)) <= 1e-13
 
     def test_one_moser_call_per_stage(self, so3, monkeypatch):
-        # 4 RK4 stages per step, the first one shared with the divergence,
-        # and one more call for the divergence at t = 1
+        # 1 + 4 min(S, 5) + 2 max(S - 5, 0) calls: four per RK4 start-up step
+        # and two per Adams step, the first of each shared with the
+        # divergence, and one more for the divergence at t = 1
         eng = _Engine(so3)
-        sizes = []
+        P = sample_points(so3, 2, 89, 0.3)
         moser_w = eng.moser_w
+        for steps, calls in ((5, 21), (8, 27), (40, 91)):
+            sizes = []
 
-        def counted(t, P):
-            sizes.append(P.shape[0])
-            return moser_w(t, P)
+            def counted(t, Q):
+                sizes.append(Q.shape[0])
+                return moser_w(t, Q)
 
-        monkeypatch.setattr(eng, "moser_w", counted)
-        eng.flow(sample_points(so3, 2, 89, 0.3), 5)
-        # the divergence stack: the 2 points and their 2 (2d - r) = 6
-        # perturbations each, across the rank-3 orbits
-        assert len(sizes) == 4 * 5 + 1
-        assert sizes.count(2 * (1 + 2 * 3)) == 6
+            monkeypatch.setattr(eng, "moser_w", counted)
+            eng.flow(P, steps)
+            # the divergence stack: the 2 points and their 2 (2d - r) = 6
+            # perturbations each, across the rank-3 orbits
+            assert len(sizes) == calls
+            assert sizes.count(2 * (1 + 2 * 3)) == steps + 1
+
+    def test_adams_weights_from_lagrange_integrals(self):
+        # AB6 on f_k ... f_{k-5} (nodes 0 ... -5) and AM6 on f_{k+1} ...
+        # f_{k-4} (nodes 1 ... -4), in units of dt / 1440
+        assert adams_weights(range(0, -6, -1)) == [Fraction(c, 1440) for c in _AB6]
+        assert adams_weights(range(1, -5, -1)) == [Fraction(c, 1440) for c in _AM6]
+
+    @pytest.fixture(scope="class")
+    def references(self, all_algebras):
+        """Two points per built-in algebra and their endpoints after 160 steps
+        of the oracle flow, whose truncation error is far below rounding:
+        at 160, 320 and 640 steps they agree with 1280 steps to about 1e-15."""
+        out = []
+        for alg in all_algebras:
+            eng = _Engine(alg)
+            P = sample_points(alg, 2, 83, 0.3)
+            out.append((alg, eng, P, oracle_flow(eng, P, 160, density=False)[0][-1]))
+        return out
+
+    def test_endpoint_error_is_order_six(self, references):
+        # halving the step divides the endpoint error by 30-33 on each
+        # algebra (RK4's by 16): the Adams steps' error is O(dt^6), and the
+        # five RK4 start-up steps, a fixed number, add O(dt^5), whose 2^5 = 32
+        # the ratio approaches
+        for alg, eng, P, ref in references:
+            err = [np.max(np.abs(eng.flow(P, steps)[1][-1] - ref)) for steps in (10, 20)]
+            assert err[0] >= 24 * err[1], alg.name
+
+    def test_lands_closer_than_rk4(self, references):
+        # at 40 steps: 3.3e-16 against RK4's 2.7e-15 on so3, 7.2e-15 against
+        # 6.0e-14 on sl2, 2.2e-15 against 1.9e-14 on gl2
+        for alg, eng, P, ref in references:
+            adams = np.max(np.abs(eng.flow(P, 40)[1][-1] - ref))
+            rk4 = np.max(np.abs(oracle_rk4_flow(eng, P, 40)[-1] - ref))
+            assert adams < rk4, alg.name
 
     def test_orbit_radii_conserved(self, so3):
         # leaves are products of coadjoint orbits; for so3 these are spheres,

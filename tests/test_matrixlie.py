@@ -536,9 +536,13 @@ class TestAnalyticAdKernel:
             with pytest.raises(OutsideDomainError):
                 analytic_ad(alg, fn_dexp, X)
 
-    def test_stack_matches_per_point(self, all_algebras, sl3):
+    def test_stack_matches_per_point(self, all_algebras, sl3, so4):
+        # bit for bit: ad_series gives every matrix the same products at any
+        # stack size.  sl3 keeps a tolerance: its ad_X sums structure
+        # constants other than 0 and +-1, and X @ table is a BLAS
+        # matrix-vector product for one point but a matrix product for a stack
         rng = np.random.default_rng(82)
-        for alg in [*all_algebras, sl3]:
+        for alg in [*all_algebras, sl3, so4]:
             X = alg.domain_radius * rng.standard_normal((2, 3, alg.dim)) / math.sqrt(alg.dim)
             J = jacobian_J(alg, X)
             assert J.shape == (2, 3)
@@ -548,10 +552,14 @@ class TestAnalyticAdKernel:
                 for i in range(2):
                     for j in range(3):
                         one = analytic_ad(alg, f, X[i, j])
-                        assert np.max(np.abs(F[i, j] - one)) <= 1e-14 * np.max(np.abs(one))
+                        if alg is sl3:
+                            assert np.max(np.abs(F[i, j] - one)) <= 1e-14 * np.max(np.abs(one))
+                        else:
+                            assert np.array_equal(F[i, j], one)
             for i in range(2):
                 for j in range(3):
-                    assert J[i, j] == pytest.approx(jacobian_J(alg, X[i, j]), rel=1e-14)
+                    assert J[i, j] == pytest.approx(jacobian_J(alg, X[i, j]),
+                                                    rel=1e-14 if alg is sl3 else 0.0)
 
 
 class TestJacobian:
@@ -571,19 +579,19 @@ class TestJacobian:
             assert jacobian_J(alg, X) == pytest.approx(jacobian_J(alg, -X), rel=1e-11)
 
 
-def _stack_cases(all_algebras, sl3):
-    """30 points of each built-in algebra and of sl3, as a (30, 2d) stack."""
+def _stack_cases(all_algebras, sl3, so4):
+    """30 points of each built-in algebra, of sl3 and of so4, as a (30, 2d) stack."""
     rng = np.random.default_rng(83)
     cases = []
-    for alg in [*all_algebras, sl3]:
+    for alg in [*all_algebras, sl3, so4]:
         u = rng.standard_normal((30, 2 * alg.dim))
         cases.append((alg, 0.3 * u / np.linalg.norm(u, axis=1, keepdims=True)))
     return cases
 
 
 class TestPointV:
-    def test_stack_round_trip(self, all_algebras, sl3):
-        for alg, P in _stack_cases(all_algebras, sl3):
+    def test_stack_round_trip(self, all_algebras, sl3, so4):
+        for alg, P in _stack_cases(all_algebras, sl3, so4):
             p = PointV.from_array(P, alg.dim)
             assert p.X.shape == p.Y.shape == (30, alg.dim)
             assert np.array_equal(p.as_array(), P)
@@ -593,8 +601,8 @@ class TestPointV:
 
 
 class TestPhiT:
-    def test_stack_matches_per_point(self, all_algebras, sl3):
-        for alg, P in _stack_cases(all_algebras, sl3):
+    def test_stack_matches_per_point(self, all_algebras, sl3, so4):
+        for alg, P in _stack_cases(all_algebras, sl3, so4):
             d = alg.dim
             for t in (0.0, 0.37, 1.0):
                 Z = phi_t(alg, t, PointV.from_array(P, d))
@@ -646,8 +654,8 @@ class TestPhiT:
 
 
 class TestKappaT:
-    def test_stack_matches_per_point(self, all_algebras, sl3):
-        for alg, P in _stack_cases(all_algebras, sl3):
+    def test_stack_matches_per_point(self, all_algebras, sl3, so4):
+        for alg, P in _stack_cases(all_algebras, sl3, so4):
             d = alg.dim
             for t in (0.0, 0.37, 1.0):
                 K = kappa_t(alg, t, PointV.from_array(P, d))
@@ -656,9 +664,9 @@ class TestKappaT:
                     one = kappa_t(alg, t, PointV(q[:d], q[d:]))
                     assert type(one) is float and one == k
 
-    def test_t_zero_exact(self, all_algebras, sl3):
+    def test_t_zero_exact(self, all_algebras, sl3, so4):
         # no branch at t = 0: the formula itself gives exactly 1
-        for alg, P in _stack_cases(all_algebras, sl3):
+        for alg, P in _stack_cases(all_algebras, sl3, so4):
             p = PointV.from_array(P, alg.dim)
             assert np.array_equal(kappa_t(alg, 0.0, p), np.ones(30))
 
