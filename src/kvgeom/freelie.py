@@ -428,10 +428,9 @@ def u_series(coeffs: Sequence[Fraction], order: str, degree: int,
              for bucket in u]                 # u^k by length, empty below k
     out: Dict[str, int] = {}
     for k in range(1, degree + 1):
-        if weights[k]:
-            for bucket in power[k:]:
-                for w, c in bucket.items():
-                    out[w] = out.get(w, 0) + weights[k] * c
+        for bucket in power[k:]:
+            for w, c in bucket.items():
+                out[w] = out.get(w, 0) + weights[k] * c
         nxt: List[Dict[str, int]] = [{} for _ in range(degree + 1)]
         for la in range(k, degree):
             for lb in range(1, degree - la + 1):

@@ -34,10 +34,8 @@ from typing import Callable, Dict, Sequence, Tuple
 import numpy as np
 
 from .freelie import (
-    exp_minus_one,
     exp_minus_one_over_s,
     exp_neg,
-    one_minus_exp_neg,
     one_minus_exp_neg_over_s,
     s_over_one_minus_exp_neg,
     sinh_minus_s_over_s2,
@@ -78,8 +76,6 @@ _SIGMA_ROWS = _float_rows(one_minus_exp_neg_over_s(_SERIES_TERMS - 1),
                           exp_neg(_SERIES_TERMS - 1),
                           s_over_one_minus_exp_neg(_G_TERMS - 1),
                           sinh_minus_s_over_s2(_SERIES_TERMS - 2))
-# the eq1 operator: s L(s) = 1 - e^{-s} and s R(s) = e^s - 1
-_EQ1_ROWS = _float_rows(one_minus_exp_neg(_SERIES_TERMS - 1), exp_minus_one(_SERIES_TERMS - 1))
 
 # Gauss-Kronrod G7/K15 on [-1, 1], as in QUADPACK's qk15 (Piessens et al.
 # 1983): the Kronrod abscissae from the end point to the centre, their K15
@@ -435,9 +431,11 @@ class _Engine:
         A, Bv = self.extract(P)
         lhs = phi_t(self.alg, 1.0, PointV(Y, X)) - X - Y
         B = P.shape[0]
-        F = ad_series(self.alg.ad(np.concatenate([X, Y])), _EQ1_ROWS)[0]
-        rhs = (np.einsum('buv,bv->bu', F[:B, 0], A)
-               + np.einsum('buv,bv->bu', F[B:, 1], Bv))
+        # 1 - e^{-ad_X} = ad_X L(ad_X) and e^{ad_Y} - 1 = ad_Y R(ad_Y)
+        ad = self.alg.ad(np.concatenate([X, Y]))
+        F = ad_series(ad, _SIGMA_ROWS[:2])[0]
+        rhs = (np.einsum('buv,bv->bu', ad[:B] @ F[:B, 0], A)
+               + np.einsum('buv,bv->bu', ad[B:] @ F[B:, 1], Bv))
         return np.max(np.abs(lhs - rhs), axis=-1)
 
     def kappa(self, t: float, P: np.ndarray) -> np.ndarray:

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
@@ -93,9 +94,17 @@ class OutsideDomainError(ValueError):
     """A point or operator left the validity domain of the construction."""
 
 
+def _float_array(value, what: str) -> np.ndarray:
+    """value as a float array; AlgebraValidationError if it holds a non-number."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise AlgebraValidationError(f"{what} must be an array of numbers") from None
+
+
 def _basis_array(basis) -> np.ndarray:
     """The basis as a float (d, n, n) array; AlgebraValidationError otherwise."""
-    basis = np.asarray(basis, dtype=float)
+    basis = _float_array(basis, "basis")
     if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
         raise AlgebraValidationError("basis must be a (d, n, n) array")
     return basis
@@ -392,14 +401,12 @@ def _logm_checked(M: np.ndarray) -> np.ndarray:
     L = np.empty_like(E)
     for k in groups:
         x, w = _LOG_NODES[k]
-        # a stack whose matrices all take one step needs no mask
-        sel = step == k if len(groups) > 1 else slice(None)
+        sel = step == k
         Ek = E[sel]
         Z = np.linalg.solve(eye + x[:, None, None, None] * Ek,
                             np.broadcast_to(Ek, (len(x),) + Ek.shape))
         L[sel] = np.einsum('j,j...->...', w, Z)
-    if s.any():
-        L *= (2.0 ** s)[:, None, None]
+    L *= (2.0 ** s)[:, None, None]
     err = np.abs(_expm(L) - A).max(axis=(-2, -1))
     if not (err <= 1e-10 * (1.0 + scale)).all():
         raise OutsideDomainError("outside exp(U): exp/log round trip failed")
@@ -433,15 +440,6 @@ _SO3_BASIS.flags.writeable = False
 _SO3_HAT = _SO3_BASIS.reshape(3, 9)
 _SO3_VEE = 0.5 * _SO3_HAT.T
 _SO3_VEE.flags.writeable = False
-_EPS = np.finfo(float).eps
-
-
-def _sinc(x: np.ndarray) -> np.ndarray:
-    """np.sinc(x) = sin(pi x) / (pi x) for a float array, with numpy's own
-    substitution of machine epsilon for pi x = 0, without its wrapper."""
-    y = np.pi * x
-    y = np.where(y, y, _EPS)
-    return np.sin(y) / y
 
 
 def _so3_exp(v: np.ndarray) -> np.ndarray:
@@ -452,8 +450,8 @@ def _so3_exp(v: np.ndarray) -> np.ndarray:
     """
     theta = np.sqrt(np.add.reduce(v * v, axis=-1))
     K = (v @ _SO3_HAT).reshape(v.shape[:-1] + (3, 3))
-    s = _sinc(theta / np.pi)
-    c = 0.5 * _sinc(theta / (2.0 * np.pi)) ** 2
+    s = np.sinc(theta / np.pi)
+    c = 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2
     return np.eye(3) + s[..., None, None] * K + c[..., None, None] * (K @ K)
 
 
@@ -464,7 +462,7 @@ def _so3_log(R: np.ndarray) -> np.ndarray:
     if (theta > 2.8).any():
         raise OutsideDomainError("outside exp(U): rotation angle near pi")
     a = R.reshape(R.shape[:-2] + (9,)) @ _SO3_VEE
-    return a / _sinc(theta / np.pi)[..., None]
+    return a / np.sinc(theta / np.pi)[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -676,11 +674,9 @@ def phi_t(alg: QuadraticLieAlgebra, t: float, p: PointV) -> Vec:
     if t == 0.0:
         return X + Y
     W = np.stack([X, Y]).reshape(-1, alg.dim)
-    # at t = 1 both scalings by t are exact no-ops
-    E = alg.exp_chart(W if t == 1.0 else t * W)
+    E = alg.exp_chart(t * W)
     n = len(E) // 2
-    Z = alg.log_chart(E[:n] @ E[n:]).reshape(X.shape)
-    return Z if t == 1.0 else Z / t
+    return alg.log_chart(E[:n] @ E[n:]).reshape(X.shape) / t
 
 
 def kappa_t(alg: QuadraticLieAlgebra, t: float, p: PointV) -> float | np.ndarray:
@@ -730,7 +726,8 @@ def load_algebra(source) -> QuadraticLieAlgebra:
              "domain_radius": float}.
     The form is the pairing tr(u v) ("trace", the default), -1/2 tr(u v)
     ("neg_half_trace", positive definite on compact algebras such as so(n)),
-    or the Gram matrix itself.  Validation runs on construction.
+    or the Gram matrix itself.  A field of the wrong type raises
+    AlgebraValidationError, as does every invariant checked on construction.
     """
     if isinstance(source, (str, bytes)):
         with open(source) as fh:
@@ -739,7 +736,7 @@ def load_algebra(source) -> QuadraticLieAlgebra:
         doc = source
     if not isinstance(doc, dict):
         raise AlgebraValidationError("descriptor must be a JSON object")
-    basis = _basis_array(doc["basis"])   # before the trace form contracts it
+    basis = _basis_array(doc.get("basis"))   # before the trace form contracts it
     form = doc.get("form", "trace")
     if isinstance(form, str):
         if form == "trace":
@@ -749,6 +746,10 @@ def load_algebra(source) -> QuadraticLieAlgebra:
         else:
             raise AlgebraValidationError(f"unknown form type {form!r}")
     else:
-        gram = np.asarray(form, dtype=float)
-    return QuadraticLieAlgebra(doc.get("name", "custom"), basis, gram,
-                               float(doc.get("domain_radius", 0.3)))
+        gram = _float_array(form, "form")
+    name, radius = doc.get("name", "custom"), doc.get("domain_radius", 0.3)
+    if not isinstance(name, str):
+        raise AlgebraValidationError("name must be a string")
+    if isinstance(radius, bool) or not isinstance(radius, numbers.Real):
+        raise AlgebraValidationError("domain_radius must be a number")
+    return QuadraticLieAlgebra(name, basis, gram, float(radius))

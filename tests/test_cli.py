@@ -342,6 +342,25 @@ class TestUsage:
         if case == "flat basis":
             assert err == "error: basis must be a (d, n, n) array\n"
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("domain_radius", None, "domain_radius must be a number"),
+        ("domain_radius", [0.3], "domain_radius must be a number"),
+        ("form", {"a": 1}, "form must be an array of numbers"),
+        ("name", [1], "name must be a string"),
+    ])
+    def test_wrong_field_type_exits_2(self, field, value, message, tmp_path, capsys):
+        # a usage error on one line, not a TypeError traceback or a report
+        # written under a name that is not a string
+        desc = {"name": "abelian2", "basis": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+                "form": "trace", "domain_radius": 1.0, field: value}
+        path = tmp_path / "descriptor.json"
+        path.write_text(json.dumps(desc))
+        code = main(["geom-run", "--algebra-file", str(path), "--samples", "2",
+                     "--radius", "0.2", "--steps", "4"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_outside_domain_exits_1(self, sl2, tmp_path, capsys):
         # the sl2 basis at a domain radius past the series' reach: the tail
         # gate raises OutsideDomainError, reported on one line with no traceback

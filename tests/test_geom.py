@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from kvgeom import geom, matrixlie
 from kvgeom.freelie import (
-    exp_minus_one,
     exp_minus_one_over_s,
     exp_neg,
     g_coefficients,
-    one_minus_exp_neg,
     one_minus_exp_neg_over_s,
     s_over_one_minus_exp_neg,
     sinh_minus_s_over_s2,
@@ -354,7 +352,6 @@ class TestSeriesKernel:
             (geom._SIGMA_ROWS, [one_minus_exp_neg_over_s(21), exp_minus_one_over_s(21),
                                 exp_neg(21), s_over_one_minus_exp_neg(29),
                                 sinh_minus_s_over_s2(20)]),
-            (geom._EQ1_ROWS, [one_minus_exp_neg(21), exp_minus_one(21)]),
             (np.concatenate([fn_dexp, fn_dexp_right, fn_todd]),
              [one_minus_exp_neg_over_s(47), exp_minus_one_over_s(47), g_coefficients(47)]),
         ]
@@ -867,6 +864,22 @@ class TestExtract:
         for alg in all_algebras:
             eng = _Engine(alg)
             assert np.max(eng.eq1_residual(points[alg.name])) <= 1e-7
+
+    def test_eq1_residual_at_rounding_level(self, all_algebras, sl3):
+        # the engine's operator against the public-function formula of the
+        # benchmark's sl3 check, (1 - e^{-ad_X}) A + (e^{ad_Y} - 1) B, point by point
+        for alg in [*all_algebras, sl3]:
+            d = alg.dim
+            P = sample_points(alg, 20, 7, 0.3)
+            res = _Engine(alg).eq1_residual(P)
+            assert np.max(res) <= 1e-14, alg.name
+            for q, r in zip(P, res):
+                X, Y = q[:d], q[d:]
+                A, B = extract_AB(alg, PointV(X, Y))
+                lhs = phi_t(alg, 1.0, PointV(Y, X)) - X - Y
+                rhs = (alg.ad(X) @ analytic_ad(alg, fn_dexp, X) @ A
+                       + alg.ad(Y) @ analytic_ad(alg, fn_dexp_right, Y) @ B)
+                assert abs(np.max(np.abs(lhs - rhs)) - r) <= 1e-14, alg.name
 
     def test_equivariance(self, all_algebras):
         rng = np.random.default_rng(29)
