@@ -190,9 +190,8 @@ def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the JSON report to this path")
 
 
-def _add_numeric(p: argparse.ArgumentParser, tol_flags: Dict[str, str]) -> None:
-    p.add_argument("--algebra", default="so3",
-                   help="so3 | sl2 | gl2 | all (default so3)")
+def _add_numeric(p: argparse.ArgumentParser, tol_flags: Dict[str, str], algebras: str) -> None:
+    p.add_argument("--algebra", default="so3", help=f"{algebras} (default so3)")
     p.add_argument("--algebra-file", help="JSON descriptor of a custom algebra")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=42)
@@ -222,11 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
         _add_out(p)
 
     p = sub.add_parser("geom-run", help="numeric verification sweep")
-    _add_numeric(p, _TOL_FLAGS)
+    _add_numeric(p, _TOL_FLAGS, "so3 | sl2 | gl2 | all")
     _add_out(p)
 
     p = sub.add_parser("flow", help="Moser flow transport experiment")
-    _add_numeric(p, _FLOW_TOL_FLAGS)
+    _add_numeric(p, _FLOW_TOL_FLAGS, "so3 | sl2 | gl2")
     _add_out(p)
 
     return ap

@@ -541,11 +541,6 @@ def g_coefficients(n: int) -> List[Fraction]:
     return [c / math.factorial(k) for k, c in enumerate(b)]
 
 
-def s_over_one_minus_exp_neg(n: int) -> List[Fraction]:
-    """1/L(s) = s/(1 - e^{-s}) = g(-s) up to s^n: the coefficient of s^k is (-1)^k B_k/k!."""
-    return [(-1) ** k * c for k, c in enumerate(g_coefficients(n))]
-
-
 # ---------------------------------------------------------------------------
 # Report formatting
 

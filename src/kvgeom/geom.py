@@ -37,7 +37,6 @@ from .freelie import (
     exp_minus_one_over_s,
     exp_neg,
     one_minus_exp_neg_over_s,
-    s_over_one_minus_exp_neg,
     sinh_minus_s_over_s2,
 )
 from .matrixlie import (
@@ -55,8 +54,7 @@ from .matrixlie import (
     phi_t,
 )
 
-_SERIES_TERMS = 22          # terms for L/R series on ad (spectra stay small)
-_G_TERMS = 30               # terms for sigma's s/(1 - e^{-s}) (radius 2 pi)
+_SERIES_TERMS = 22          # terms for sigma's series on ad (spectra stay small)
 _ALPHA_GATE = 1e-12         # |K15 - G7| bound on the Moser 1-form, relative to 1 + |alpha|
 _FD_STEP = 1e-5             # central differences: step _FD_STEP (1 + |<p, u>|) along a unit u
 _RANK_RTOL = 1e-6           # orbit-map singular values above _RANK_RTOL sigma_1 count toward r
@@ -66,15 +64,12 @@ _CHUNK = 4096
 _SUITE_SUBSAMPLE = 20       # points of the suite's Jacobi, moment-map and flow checks
 
 
-# sigma's five series at ad: L = (1 - e^{-s})/s, R = (e^s - 1)/s, e^{-s},
-# the inverse of L, s/(1 - e^{-s}), and varpi's phi = (sinh s - s)/s^2.
-# L, R and e^{-s} stop at s^21 and phi at s^20, at coefficients of 1/22!.
-# The inverse of L, to s^29, is the Todd series g(s) = s/(e^s - 1) at -s,
-# whose float row fn_todd serves the trace equation (kv2_residual).
+# sigma's four series at ad, all entire: L = (1 - e^{-s})/s, R = (e^s - 1)/s,
+# e^{-s} and varpi's phi = (sinh s - s)/s^2.  L, R and e^{-s} stop at s^21
+# and phi at s^20; each last coefficient is at most 1/21!.
 _SIGMA_ROWS = _float_rows(one_minus_exp_neg_over_s(_SERIES_TERMS - 1),
                           exp_minus_one_over_s(_SERIES_TERMS - 1),
                           exp_neg(_SERIES_TERMS - 1),
-                          s_over_one_minus_exp_neg(_G_TERMS - 1),
                           sinh_minus_s_over_s2(_SERIES_TERMS - 2))
 
 # Gauss-Kronrod G7/K15 on [-1, 1], as in QUADPACK's qk15 (Piessens et al.
@@ -265,13 +260,15 @@ def _equivariant_trace(alg: QuadraticLieAlgebra, field: Callable[[np.ndarray], n
 def _dphi(F: np.ndarray, B: int) -> np.ndarray:
     """dPhi_t = [dPhi_t/dX, dPhi_t/dY] at B points, as (B, d, 2d).
 
-    F holds the engine's sigma series L, R, e^{-s}, L^{-1} (rows 0-3) from one
+    F holds the engine's sigma series L, R, e^{-s} (rows 0-2) from one
     ad_series call on the stack [tX, tY, tPhi_t] of 3B points.  By the dexp
     calculus, with Z = t Phi_t = log(e^{tX} e^{tY}) and L(s) = (1 - e^{-s})/s:
-    dPhi_t/dX = L(ad_Z)^{-1} e^{-ad_tY} L(ad_tX), dPhi_t/dY = L(ad_Z)^{-1} L(ad_tY).
+    dPhi_t/dX = L(ad_Z)^{-1} e^{-ad_tY} L(ad_tX), dPhi_t/dY = L(ad_Z)^{-1} L(ad_tY),
+    one solve with L(ad_Z), whose eigenvalues (1 - e^{-lambda})/lambda vanish
+    only at lambda = 2 pi i k, k != 0, far past the series' tail gate.
     """
-    Lx, Ly, Eyn, Gzn = F[:B, 0], F[B:2 * B, 0], F[B:2 * B, 2], F[2 * B:, 3]
-    return np.concatenate([Gzn @ Eyn @ Lx, Gzn @ Ly], axis=-1)
+    Lx, Ly, Eyn, Lz = F[:B, 0], F[B:2 * B, 0], F[B:2 * B, 2], F[2 * B:, 0]
+    return np.linalg.solve(Lz, np.concatenate([Eyn @ Lx, Ly], axis=-1))
 
 
 class _Engine:
@@ -296,7 +293,7 @@ class _Engine:
         closed form (see _varpi_from_powers).
         """
         return _chunked(lambda V: self._varpi_from_powers(
-            ad_series(self.alg.ad(V), _SIGMA_ROWS[4:])[0][:, 0]), W, (self.d, self.d))
+            ad_series(self.alg.ad(V), _SIGMA_ROWS[3:])[0][:, 0]), W, (self.d, self.d))
 
     def _varpi_from_powers(self, phi: np.ndarray) -> np.ndarray:
         """varpi = Q phi(ad_W), from the series phi(s) = (sinh s - s)/s^2 at ad_W.
@@ -321,7 +318,7 @@ class _Engine:
         W = np.concatenate([X, Y, Z], axis=0)
         F = ad_series(self.alg.ad(W), _SIGMA_ROWS)[0]
         J = _dphi(F, B)
-        w = self._varpi_from_powers(F[:, 4])
+        w = self._varpi_from_powers(F[:, 3])
         S = np.transpose(J, (0, 2, 1)) @ w[2 * B:] @ J
         S[:, :d, :d] -= w[:B]
         S[:, d:, d:] -= w[B:2 * B]
@@ -480,7 +477,7 @@ class _Engine:
         """dPhi_t at each point, as (B, d, 2d), in closed form (see _dphi)."""
         d = self.d
         W = t * np.concatenate([P[:, :d], P[:, d:], self.phi_t_map(t, P)])
-        return _dphi(ad_series(self.alg.ad(W), _SIGMA_ROWS[:4])[0], P.shape[0])
+        return _dphi(ad_series(self.alg.ad(W), _SIGMA_ROWS[:3])[0], P.shape[0])
 
     def moment_residual(self, t: float, P: np.ndarray, xis: np.ndarray) -> float:
         """max | xi_M + P_t d<Phi_t, xi> | over points and test elements."""

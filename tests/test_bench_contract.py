@@ -24,7 +24,7 @@ TRACER = BENCH / "tracer.py"
 RUNNER = BENCH / "run.py"
 
 # traced names whose functions are gone and whose benchmark entries await
-# restatement (ROADMAP, item 8)
+# restatement (ROADMAP, item 9)
 KNOWN_ABSENT = {"cyclic.linear_part_to_assoc", "geom.powers", "freelie.assoc_to_lyndon",
                 "cyclic.delta_derivative", "cyclic.cyclic_reduce"}
 

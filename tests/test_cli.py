@@ -294,6 +294,16 @@ class TestFlowCommand:
         assert code == 1 and doc["pass"] is False
         assert doc["tolerances"]["transportVol"] == 1e-30
 
+    def test_help_offers_only_accepted_algebras(self, capsys):
+        # geom-run sweeps every built-in under "all"; flow takes one algebra
+        for command, offered in (("geom-run", "so3 | sl2 | gl2 | all"),
+                                 ("flow", "so3 | sl2 | gl2 (default")):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert offered in " ".join(capsys.readouterr().out.split())
+        assert main(["flow", "--algebra", "all", "--samples", "1", "--steps", "4"]) == 2
+        assert "unknown algebra 'all'" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_one_parser_serves_every_call(self, tmp_path, capsys):

@@ -26,7 +26,6 @@ from kvgeom.freelie import (
     one_minus_exp_neg,
     one_minus_exp_neg_over_s,
     rescale,
-    s_over_one_minus_exp_neg,
     sinh_minus_s_over_s2,
     standard_factorization,
     swap_generators,
@@ -491,8 +490,9 @@ class TestSeriesTables:
         assert exp_neg(n) == [1] + [-c for c in L[:n]]               # 1 - s L(s)
         # (sinh s - s)/s^2 = ((L(s) + R(s))/2 - 1)/s
         assert sinh_minus_s_over_s2(n) == [(a + b) / 2 for a, b in zip(L[1:], R[1:])]
-        # s/(1 - e^{-s}) inverts L, and g(s) = s/(e^s - 1) inverts R
-        for table, inverse in ((L, s_over_one_minus_exp_neg(n)), (R, g_coefficients(n))):
+        # g(s) = s/(e^s - 1) inverts R, and g(-s) = s/(1 - e^{-s}) inverts L
+        g = g_coefficients(n)
+        for table, inverse in ((L, [(-1) ** k * c for k, c in enumerate(g)]), (R, g)):
             assert [sum(table[k] * inverse[m - k] for k in range(m + 1))
                     for m in range(n + 1)] == [1] + [0] * n
 
@@ -503,7 +503,6 @@ class TestSeriesTables:
             exp_minus_one_over_s: lambda s: math.expm1(s) / s,
             sinh_minus_s_over_s2: lambda s: (math.sinh(s) - s) / s ** 2,
             g_coefficients: lambda s: s / math.expm1(s),
-            s_over_one_minus_exp_neg: lambda s: -s / math.expm1(-s),
         }
         for table, f in functions.items():
             coeffs = table(30)

@@ -13,7 +13,6 @@ from kvgeom.freelie import (
     exp_neg,
     g_coefficients,
     one_minus_exp_neg_over_s,
-    s_over_one_minus_exp_neg,
     sinh_minus_s_over_s2,
 )
 from kvgeom.geom import (
@@ -343,15 +342,14 @@ class TestSeriesKernel:
 
     def test_engine_coefficients_match_float_formula(self):
         # every float row is float() of its exact table, bit for bit, at the
-        # engine's truncations (22 terms for L, R and e^{-s}, 30 for sigma's
-        # s/(1 - e^{-s}), 48 for analytic_ad's rows) and zero-padded with +0.0
+        # engine's truncations (22 terms for sigma's L, R, e^{-s} and phi, 48
+        # for analytic_ad's rows) and zero-padded with +0.0
         def floats(table, width):
             return np.array([float(c) for c in table] + [0.0] * (width - len(table)))
 
         pins = [
             (geom._SIGMA_ROWS, [one_minus_exp_neg_over_s(21), exp_minus_one_over_s(21),
-                                exp_neg(21), s_over_one_minus_exp_neg(29),
-                                sinh_minus_s_over_s2(20)]),
+                                exp_neg(21), sinh_minus_s_over_s2(20)]),
             (np.concatenate([fn_dexp, fn_dexp_right, fn_todd]),
              [one_minus_exp_neg_over_s(47), exp_minus_one_over_s(47), g_coefficients(47)]),
         ]
@@ -364,7 +362,7 @@ class TestSeriesKernel:
         L, R = geom._SIGMA_ROWS[:2, :22]
         assert L.tolist() == [(-1.0) ** k / math.factorial(k + 1) for k in range(22)]
         assert R.tolist() == [1.0 / math.factorial(k + 1) for k in range(22)]
-        assert not np.any(geom._SIGMA_ROWS[:3, 22:])
+        assert geom._SIGMA_ROWS.shape == (4, 22)
 
     def test_nilpotent_ad_is_exact(self, sl2):
         # ad_e is defective (a single Jordan block); its characteristic
@@ -394,6 +392,19 @@ class TestSeriesKernel:
              for W in (X, Y, Z)]
         ref = np.sqrt(J[0] * J[1] / J[2])
         assert np.max(np.abs(eng.kappa(1.0, P) - ref) / np.abs(ref)) <= 1e-12
+
+    def test_sigma_tail_gate_edge_pinned(self, so3):
+        # the largest a on the commuting so3 ray X = Y = (0, 0, a), |Z| = 2 a,
+        # at which sigma passes the tail gate, found by bisection to 1e-9:
+        # every row of sigma's table is entire, so the edge, at |Z| = 2.4066,
+        # is where the 22-term truncation runs out, far outside every
+        # built-in domain
+        inside = 1.203285717
+        eng = _Engine(so3)
+        ray = np.array([[0.0, 0.0, 1.0, 0.0, 0.0, 1.0]])
+        assert np.all(np.isfinite(eng.sigma(inside * ray)))
+        with pytest.raises(OutsideDomainError, match="series tail"):
+            eng.sigma((inside + 1e-9) * ray)
 
     def test_tail_gate_refuses_non_finite_value(self, so3, sl3):
         # a tail far below 1e-12 does not settle the gate when the value is
